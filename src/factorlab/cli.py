@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -303,14 +301,14 @@ def ratio_semiprime(
 
 
 def bench(config: RunConfig):
-    """Yield one RunReport per generated instance, then a summary dict.
+    """Return one RunReport per generated instance, and a summary dict.
 
     Instances are generated from the seed alone, so two runs with the same
     seed emit identical reports apart from the wall-time fields.
     """
     rng = random.Random(config.seed)
     ratio = Fraction(config.r) if config.r else Fraction(2)
-    instances = []
+    reports = []
     for idx in range(config.instances):
         if config.profile == "gap":
             n, p, q = gap_semiprime(rng, config.bits)
@@ -318,10 +316,6 @@ def bench(config: RunConfig):
             n, p, q = ratio_semiprime(rng, config.bits, ratio)
         else:
             raise UsageError(f"unknown profile {config.profile!r}")
-        instances.append((idx, n, p, q))
-
-    def one(item):
-        idx, n, p, q = item
         sub = RunConfig(
             command="factor",
             method=config.method,
@@ -342,14 +336,7 @@ def bench(config: RunConfig):
             profile=config.profile, bits=config.bits, seed=config.seed,
             index=idx, p=p, q=q,
         )
-        return report
-
-    workers = int(os.environ.get("FACTORLAB_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, instances))
-    else:
-        reports = [one(item) for item in instances]
+        reports.append(report)
 
     step_values = sorted(r.steps for r in reports if r.steps is not None)
     factored = sum(1 for r in reports if r.outcome == "factored")
@@ -550,10 +537,8 @@ def main(argv=None) -> int:
                 print(line)
             return 0
         raise UsageError(f"unknown command {config.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FactorlabError as exc:
+    except (UsageError, FactorlabError, ValueError) as exc:
+        # ValueError is the library's precondition check on its arguments
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

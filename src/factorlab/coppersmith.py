@@ -6,15 +6,18 @@ with working-modulus multiples of the box monomials.  Any integer
 combination vanishes modulo the working modulus at every in-box root of f,
 so a reduced vector that passes the Howgrave-Graham norm test vanishes
 there over the integers, and one that also clears the multiple-of-f norm
-gate is algebraically independent of f; the resultant then collapses the
-system to one variable and the integer roots fall out of a bounded divisor
-scan.
+gate is algebraically independent of f.  The resultant in y of f and g is
+then an at most quadratic polynomial in x, whose integer roots follow
+exactly from its discriminant.  There is one lattice: the dimension-4 basis
+over the monomials 1, x, y, xy.
 
 Boxes too large for a one-shot certificate are split into recentred
 sub-boxes, each solved by the same pipeline, so the returned root set is
-exactly the set of in-box roots regardless of box size.  The certified
-regime (X*Y bounded by the 2/3 power of the scaled height) is tracked and
-reported; larger boxes only cost more sub-boxes.
+exactly the set of in-box roots regardless of box size.  Degenerate boxes,
+which the lattice misses and which have no certified split, fall back to a
+direct scan of their x columns.  The certified regime (X*Y bounded by the
+2/3 power of the scaled height) is tracked and reported; larger boxes only
+cost more sub-boxes.
 """
 
 from __future__ import annotations
@@ -33,14 +36,9 @@ from .errors import (
     NoRoot,
     NotCoprime,
 )
-from .lattice import Basis, lll_reduce, lll_rows
-from .polynomial import (
-    MultiPoly,
-    multiple_bound_predicate,
-    norms,
-    resultant,
-    scale_vars,
-)
+# lll_reduce and resultant are unused here; perfbench/tracing.py wraps them by name.
+from .lattice import lll_reduce, lll_rows  # noqa: F401
+from .polynomial import MultiPoly, norms, resultant, scale_vars  # noqa: F401
 from .residue import theorem4_pairs
 
 __all__ = [
@@ -156,91 +154,20 @@ def default_box_bound(big_n: int) -> int:
     return 1 << (big_n.bit_length() // 4 + 1)
 
 
-# The one-shot lattice over the monomial boxes used at each level.
-_LEVELS = {
-    1: (
-        ((0, 0), (1, 0), (0, 1), (1, 1)),  # monomial order
-        ((0, 0), (1, 0), (0, 1)),  # modulus rows
-        ((0, 0),),  # shift multipliers for f
-    ),
-    2: (
-        tuple((i, j) for i in range(3) for j in range(3)),
-        ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2)),
-        ((0, 0), (1, 0), (0, 1), (1, 1)),
-    ),
-}
-
-
 def _gated_vector(
-    big_n: int, m: int, p0: int, n: int, q0: int, x_bound: int, y_bound: int, level: int
-) -> tuple[MultiPoly, MultiPoly, MultiPoly] | None:
-    """One lattice attempt.  Returns (f, g, u) where g passed the Howgrave
-    and independence gates and u is the eliminating univariate (g itself
-    when g has no y), or None when no reduced vector qualifies."""
-    f = _strip_content(_family_poly(big_n, m, p0, n, q0))
-    f_scaled = scale_vars(f, (x_bound, y_bound))
-    w_height = norms(f_scaled).height
-    modulus = max(2, w_height // 4)
-    monomials, mod_rows, shift_muls = _LEVELS[level]
-    col = {mono: idx for idx, mono in enumerate(monomials)}
-    dim = len(monomials)
-    rows: list[list[int]] = []
-    for mono in mod_rows:
-        vec = [0] * dim
-        vec[col[mono]] = modulus * x_bound ** mono[0] * y_bound ** mono[1]
-        rows.append(vec)
-    for mono in shift_muls:
-        shifted = f * MultiPoly(2, {mono: 1})
-        scaled = scale_vars(shifted, (x_bound, y_bound))
-        vec = [0] * dim
-        for exps, coeff in scaled.terms.items():
-            vec[col[exps]] = coeff
-        rows.append(vec)
-    reduced = lll_reduce(Basis.from_rows(rows))
-    max_deg = level  # shifts raise the per-variable degree to the level
-    for vec in reduced.vectors:
-        g_scaled = MultiPoly(2, {m_: c for m_, c in zip(monomials, vec) if c})
-        if g_scaled.is_zero:
-            continue
-        # Both gates compare the box-scaled pair: that is the pair whose
-        # norms the root and multiple bounds constrain.
-        if not howgrave_predicate_scaled(g_scaled, modulus):
-            continue
-        if not multiple_bound_predicate(f_scaled, g_scaled, max_deg):
-            continue
-        g = MultiPoly(
-            2,
-            {
-                mono: coeff // (x_bound ** mono[0] * y_bound ** mono[1])
-                for mono, coeff in g_scaled.terms.items()
-            },
-        )
-        if g.degree(1) > 0:
-            u = resultant(f, g, 1)
-            if u.is_zero:
-                continue
-        else:
-            u = g
-        return f, g, u
-    return None
-
-
-def howgrave_predicate_scaled(g_scaled: MultiPoly, modulus: int) -> bool:
-    """howgrave_predicate for a polynomial that is already box-scaled."""
-    scaled = norms(g_scaled)
-    return scaled.l2_sq * scaled.weight < modulus * modulus
-
-
-def _fast_level1(
     big_n: int, m: int, p0: int, n: int, q0: int, x_bound: int, y_bound: int
-) -> tuple[tuple[int, int, int, int], tuple[int, int, int]] | None:
-    """The level-1 pipeline on raw coefficient vectors (hot path).
+) -> (
+    tuple[tuple[int, int, int, int], tuple[int, int, int, int], tuple[int, int, int]]
+    | None
+):
+    """One lattice attempt on raw coefficient vectors (the hot path).
 
-    Same mathematics as `_gated_vector` at level 1: content-stripped f,
-    working modulus W/4, integer LLL, the Howgrave and multiple-of-f gates
-    as integer comparisons, and the y-eliminant computed from the closed
-    2 x 2 form f1*g0 - f0*g1.  Returns (f coefficients, eliminant
-    coefficients) or None.
+    Content-stripped f, working modulus W/4, integer LLL on the dim-4 basis,
+    the Howgrave and multiple-of-f gates as integer comparisons, and the
+    y-eliminant from the closed 2 x 2 form f1*g0 - f0*g1.  Returns the f
+    coefficients (c11, c10, c01, c00), the unscaled g coefficients
+    (g00, g10, g01, g11) and the eliminant (u2, u1, u0), or None when no
+    reduced vector qualifies.
     """
     c11, c10, c01, c00 = m * n, m * q0, n * p0, p0 * q0 - big_n
     content = gcd(gcd(c11, c10), gcd(c01, abs(c00)))
@@ -282,7 +209,7 @@ def _fast_level1(
         u0 = c01 * g00 - c00 * g01
         if u2 == 0 and u1 == 0 and u0 == 0:
             continue
-        return (c11, c10, c01, c00), (u2, u1, u0)
+        return (c11, c10, c01, c00), (g00, g10, g01, g11), (u2, u1, u0)
     return None
 
 
@@ -311,45 +238,16 @@ def _quad_roots(u2: int, u1: int, u0: int, lo: int, hi: int) -> list[int]:
     return sorted(roots)
 
 
-def gated_polynomial(
-    prob: BivariateProblem, level: int = 1
-) -> tuple[MultiPoly, MultiPoly]:
+def gated_polynomial(prob: BivariateProblem) -> tuple[MultiPoly, MultiPoly]:
     """Expose the (f, g) pair from a one-shot lattice; raises
     NoIndependentPolynomial when no reduced vector clears the gates."""
-    got = _gated_vector(prob.N, prob.m, prob.P0, prob.n, prob.Q0, prob.X, prob.Y, level)
+    got = _gated_vector(prob.N, prob.m, prob.P0, prob.n, prob.Q0, prob.X, prob.Y)
     if got is None:
-        raise NoIndependentPolynomial(
-            f"no gated vector at level {level} for box {prob.X} x {prob.Y}"
-        )
-    f, g, _ = got
+        raise NoIndependentPolynomial(f"no gated vector for box {prob.X} x {prob.Y}")
+    (c11, c10, c01, c00), (g00, g10, g01, g11), _ = got
+    f = MultiPoly(2, {(1, 1): c11, (1, 0): c10, (0, 1): c01, (0, 0): c00})
+    g = MultiPoly(2, {(1, 1): g11, (1, 0): g10, (0, 1): g01, (0, 0): g00})
     return f, g
-
-
-def _integer_roots(u: MultiPoly, lo: int, hi: int) -> list[int]:
-    """Integer roots of the univariate-in-x polynomial u inside [lo, hi]:
-    divisor-of-constant-term filter plus exact evaluation."""
-    coeffs = [c.coeff((0, 0)) for c in u.coeffs_in(0)]
-    v = 0
-    while v < len(coeffs) and coeffs[v] == 0:
-        v += 1
-    if v == len(coeffs):
-        return []
-    stripped = coeffs[v:]
-    c0 = stripped[0]
-    roots = [0] if v > 0 and lo <= 0 <= hi else []
-
-    def value_at(x: int) -> int:
-        acc = 0
-        for c in reversed(stripped):
-            acc = acc * x + c
-        return acc
-
-    for x in range(lo, hi + 1):
-        if x == 0 or c0 % x:
-            continue
-        if value_at(x) == 0:
-            roots.append(x)
-    return sorted(roots)
 
 
 def _certified_halfwidth(
@@ -407,21 +305,13 @@ def _solve_interval(
             _solve_interval(prob, xlo, min(xhi, x_neg_hi), acc, stats)
             _solve_interval(prob, max(xlo, x_pos_lo), xhi, acc, stats)
             return
-        q_box_lo, q_box_hi = q_base - n * prob.Y, q_base + n * prob.Y
-        if plo > 0:
-            qlo = max(q_box_lo, big_n // phi)
-            qhi = min(q_box_hi, big_n // plo + 1)
-        else:
-            qlo = max(q_box_lo, big_n // phi)
-            qhi = min(q_box_hi, big_n // plo + 1)
+        qlo = max(q_base - n * prob.Y, big_n // phi)
+        qhi = min(q_base + n * prob.Y, big_n // plo + 1)
         if qlo > qhi:
             return
-        if qlo > 0:
-            p2lo, p2hi = big_n // qhi, big_n // qlo + 1
-        elif qhi < 0:
-            p2lo, p2hi = big_n // qhi, big_n // qlo + 1
-        else:
+        if qlo <= 0 <= qhi:
             break  # q window straddles 0: no tightening available
+        p2lo, p2hi = big_n // qhi, big_n // qlo + 1
         new_xlo = max(xlo, -((p_base - p2lo) // m))
         new_xhi = min(xhi, (p2hi - p_base) // m)
         if (new_xlo, new_xhi) == (xlo, xhi):
@@ -438,10 +328,10 @@ def _solve_interval(
     y_half = max(-((q0c - qhi) // n), -((qlo - q0c) // n), 0) + 1
 
     stats["boxes"] = stats.get("boxes", 0) + 1
-    fast = _fast_level1(big_n, m, p0c, n, q0c, x_half, y_half)
-    if fast is not None:
+    got = _gated_vector(big_n, m, p0c, n, q0c, x_half, y_half)
+    if got is not None:
         stats["lattice_dim"] = max(stats.get("lattice_dim", 0), 4)
-        _, (u2, u1, u0) = fast
+        _, _, (u2, u1, u0) = got
         for xr in _quad_roots(u2, u1, u0, xlo - xc, xhi - xc):
             p = m * xr + p0c
             if p == 0 or big_n % p:
@@ -469,21 +359,8 @@ def _solve_interval(
                 x += step
             return
 
-    # Degenerate scale: escalate the lattice once, then fall back to checking
-    # the few remaining columns directly.
-    got = _gated_vector(big_n, m, p0c, n, q0c, x_half, y_half, 2)
-    if got is not None:
-        stats["lattice_dim"] = max(stats.get("lattice_dim", 0), 9)
-        _, _, u = got
-        for xr in _integer_roots(u, xlo - xc, xhi - xc):
-            p = m * xr + p0c
-            if p == 0 or big_n % p:
-                continue
-            q = big_n // p
-            if (q - q_base) % n:
-                continue
-            acc[(xr + xc, (q - q_base) // n)] = (p, q)
-        return
+    # Degenerate scale (no certified width, or too few columns left to
+    # split): check the remaining columns directly.
     stats["column_scans"] = stats.get("column_scans", 0) + 1
     for x0 in range(xlo, xhi + 1):
         p = m * x0 + p_base
@@ -531,18 +408,16 @@ def solve_bivariate(
     return solutions
 
 
-def solve_bivariate_single(
-    prob: BivariateProblem, level: int = 1
-) -> list[RootSolution]:
+def solve_bivariate_single(prob: BivariateProblem) -> list[RootSolution]:
     """One-shot lattice attempt on the whole box, with no splitting: the
     measured-envelope primitive.  Raises NoIndependentPolynomial when the
     gates reject every reduced vector."""
-    got = _gated_vector(prob.N, prob.m, prob.P0, prob.n, prob.Q0, prob.X, prob.Y, level)
+    got = _gated_vector(prob.N, prob.m, prob.P0, prob.n, prob.Q0, prob.X, prob.Y)
     if got is None:
-        raise NoIndependentPolynomial(f"one-shot level {level} attempt failed")
-    f_used, _, u = got
+        raise NoIndependentPolynomial("one-shot lattice attempt failed")
+    _, _, (u2, u1, u0) = got
     solutions = []
-    for x0 in _integer_roots(u, -prob.X, prob.X):
+    for x0 in _quad_roots(u2, u1, u0, -prob.X, prob.X):
         p = prob.m * x0 + prob.P0
         if p == 0 or prob.N % p:
             continue
@@ -650,8 +525,9 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
         p, q = sorted((g, big_n // g))
         parts = ((p, 2),) if p == q else ((p, 1), (q, 1))
         return Factorization(big_n, parts)
+    pairs = theorem4_pairs(big_n, m)  # checks m >= 2 before the division below
     bound = 3 * isqrt(big_n) // (2 * m) + 2
-    for pair in theorem4_pairs(big_n, m):
+    for pair in pairs:
         prob = BivariateProblem(
             N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
         )

@@ -215,8 +215,8 @@ def lll_reduce_with_transform(
 
 def lll_reduce(basis: Basis, delta: Fraction = Fraction(3, 4)) -> Basis:
     """LLL-reduced basis spanning the same lattice."""
-    reduced, _ = lll_reduce_with_transform(basis, delta)
-    return reduced
+    rows, _ = lll_rows([list(r) for r in basis.vectors], delta)
+    return Basis.from_rows(rows)
 
 
 def hadamard_check(basis: Basis) -> bool:

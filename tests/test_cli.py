@@ -208,6 +208,27 @@ class TestMain:
         assert main(["factor", "--method", "ratio", "--n", "15"]) == 1  # missing --r
         assert "requires --r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--method", "coppersmith-lsb", "--n", "2598", "--lsb-value", "7",
+             "--lsb-bits", "4"],  # even N
+            ["--method", "standard", "--n", "2598"],  # even N
+            ["--method", "ratio", "--n", "2599", "--r", "abc"],
+            ["--method", "landry-pepin", "--n", "2599", "--mod", "10", "--mod2", "10",
+             "--c", "2", "--d", "4"],  # residues not coprime to the moduli
+            ["--method", "residue", "--n", "2599", "--mod", "1"],
+            ["--method", "coppersmith-msb", "--n", "2599", "--p0", "0"],
+            ["--method", "theorem4", "--n", "2599", "--mod", "0"],
+        ],
+    )
+    def test_precondition_errors_are_usage_errors(self, capsys, args):
+        assert main(["factor", *args]) == 1
+        captured = capsys.readouterr()
+        err_lines = captured.err.strip().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err + captured.out
+
     def test_json_lines_output(self, capsys):
         code = main(
             ["factor", "--method", "standard", "--n", "2599", "--format", "json-lines"]
