@@ -14,11 +14,13 @@ import json
 import random
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, coppersmith, fermat, lattice
 from .errors import (
+    BoundTooLargeWarning,
     Exhausted,
     FactorlabError,
     GcdFactorFound,
@@ -26,7 +28,7 @@ from .errors import (
     NoRoot,
     TrivialOnly,
 )
-from .residue import enumerate_pairs, landry_pepin
+from .residue import default_t_bound, enumerate_pairs, landry_pepin
 
 METHODS = (
     "standard",
@@ -156,7 +158,7 @@ def _residue_method(config: RunConfig) -> tuple[tuple[int, ...], int | None]:
         for c, d in ((pair.c, pair.d), (pair.d, pair.c)):
             t_bound = bound
             if t_bound is None:
-                t_bound = 3 * max(c, d) * arith.isqrt(n) // (m * m) + 2
+                t_bound = default_t_bound(n, m, m, c, d)
             try:
                 fac = landry_pepin(n, m, m, c, d, t_bound)
             except Exhausted:
@@ -201,10 +203,7 @@ def run(config: RunConfig) -> RunReport:
             params.update(mod=config.mod, mod2=config.mod2, c=config.c, d=config.d)
             t_bound = config.t_bound
             if t_bound is None:
-                t_bound = (
-                    3 * max(config.c, config.d) * arith.isqrt(n)
-                    // (config.mod * config.mod2) + 2
-                )
+                t_bound = default_t_bound(n, config.mod, config.mod2, config.c, config.d)
             params["t_bound"] = t_bound
             fac = landry_pepin(n, config.mod, config.mod2, config.c, config.d, t_bound)
             factors = _factorization_tuple(fac)
@@ -494,7 +493,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def main(argv=None) -> int:
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -541,6 +540,13 @@ def main(argv=None) -> int:
         # ValueError is the library's precondition check on its arguments
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        # each report's `certified` field already says what this warning says
+        warnings.simplefilter("ignore", BoundTooLargeWarning)
+        return _main(argv)
 
 
 if __name__ == "__main__":

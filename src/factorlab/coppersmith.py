@@ -1,23 +1,30 @@
 """Small-root solvers for the bilinear factoring family
 f(x, y) = (m*x + P0)(n*y + Q0) - N.
 
-The lattice route: rows are the scaled coefficient vectors of f together
-with working-modulus multiples of the box monomials.  Any integer
-combination vanishes modulo the working modulus at every in-box root of f,
-so a reduced vector that passes the Howgrave-Graham norm test vanishes
-there over the integers, and one that also clears the multiple-of-f norm
-gate is algebraically independent of f.  The resultant in y of f and g is
-then an at most quadratic polynomial in x, whose integer roots follow
-exactly from its discriminant.  There is one lattice: the dimension-4 basis
-over the monomials 1, x, y, xy.
+The splitter (solve_bivariate) works on x alone.  After the x interval is
+narrowed against the window of admissible co-factors, each sub-interval
+recentred at xc solves the univariate f(t) = t + (m*xc + P0)*m^(-1) mod N,
+which vanishes modulo p = m*(xc + t) + P0 at every in-interval root (with
+f(t) = m*t + m*xc + P0 when m is not invertible mod N).  A dimension-3
+Howgrave-Graham basis over 1, t, t^2 yields a quadratic with those roots
+over the integers once a reduced vector passes the exact norm gate against
+the interval's smallest |p|; its integer roots follow from the
+discriminant and are checked by division.  The worst-case LLL bound gives a
+certified half-width h_c for every interval: chunks of half-width 2*h_c are
+tried first and a chunk that misses is halved once, which the certificate
+says always suffices.  A half that missed anyway, and every interval with
+no certified width (tiny N), is scanned column by column, so the returned
+root set is exactly the set of in-box roots regardless of box size.
 
-Boxes too large for a one-shot certificate are split into recentred
-sub-boxes, each solved by the same pipeline, so the returned root set is
-exactly the set of in-box roots regardless of box size.  Degenerate boxes,
-which the lattice misses and which have no certified split, fall back to a
-direct scan of their x columns.  The certified regime (X*Y bounded by the
-2/3 power of the scaled height) is tracked and reported; larger boxes only
-cost more sub-boxes.
+The one-shot primitive (gated_polynomial, solve_bivariate_single,
+empirical_envelope) keeps the bivariate route: rows are the scaled
+coefficient vectors of f together with working-modulus multiples of the
+box monomials 1, x, y, xy, a reduced vector that passes the Howgrave-Graham
+norm test and the multiple-of-f gate is an independent g with the same
+in-box roots, and the resultant in y of f and g is an at most quadratic
+polynomial in x.  Its certified regime (X*Y bounded by the 2/3 power of the
+scaled height) is what solve_bivariate reports as `certified` and warns
+about; the splitter itself needs no such bound.
 """
 
 from __future__ import annotations
@@ -160,7 +167,7 @@ def _gated_vector(
     tuple[tuple[int, int, int, int], tuple[int, int, int, int], tuple[int, int, int]]
     | None
 ):
-    """One lattice attempt on raw coefficient vectors (the hot path).
+    """One bivariate lattice attempt on raw coefficient vectors.
 
     Content-stripped f, working modulus W/4, integer LLL on the dim-4 basis,
     the Howgrave and multiple-of-f gates as integer comparisons, and the
@@ -250,37 +257,79 @@ def gated_polynomial(prob: BivariateProblem) -> tuple[MultiPoly, MultiPoly]:
     return f, g
 
 
-def _certified_halfwidth(
-    big_n: int, m: int, p0: int, n: int, q0: int, limit: int
-) -> int:
-    """Largest sub-box half-width (in x units) for which the worst-case LLL
-    bound beats both gate thresholds, so the one-shot attempt must succeed."""
+def _howgrave_halfwidth(big_n: int, lead: int, bound: int) -> int:
+    """Largest half-width h with 216 * N^2 * lead^4 * h^6 < bound^6.
 
-    def ok(w: int) -> bool:
-        x_b = max(w, 1)
-        p_min = abs(p0) - m * x_b
-        if p_min < 1:
-            return False
-        y_b = (big_n * m * x_b) // (p_min * p_min * n) + 2
-        w_est = max(m * abs(q0) * x_b, n * abs(p0) * y_b, m * n * x_b * y_b)
-        if w_est < 2:
-            return False
-        modulus = max(2, w_est // 4)
-        threshold = min(modulus // 2, w_est // 8)
-        if threshold < 2:
-            return False
-        return 8 * modulus**3 * m * n * (x_b * y_b) ** 2 < threshold**4
-
-    if not ok(1):
-        return 0
-    lo, hi = 1, max(limit, 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if ok(mid):
+    At delta = 3/4 LLL returns a first vector with ||v||^2 <= 2 * det^(2/3),
+    where det = N * lead^2 * h^3, so up to this h the univariate gate
+    ||v||^2 * weight(v) < bound^2 cannot fail.
+    """
+    h6 = (bound**6 - 1) // (216 * big_n * big_n * lead**4)
+    lo, hi = 0, 1 << (h6.bit_length() // 6 + 1)  # lo^6 <= h6 < hi^6
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**6 <= h6:
             lo = mid
         else:
-            hi = mid - 1
+            hi = mid
     return lo
+
+
+def _univariate_interval(
+    prob: BivariateProblem,
+    lead: int,
+    inv: int,
+    xlo: int,
+    xhi: int,
+    acc: dict[tuple[int, int], tuple[int, int]],
+    stats: dict,
+) -> bool:
+    """One Howgrave-Graham attempt on the sign-pure interval [xlo, xhi].
+
+    Recentred at xc with p = m*t + p0c, every in-interval root has
+    f(t) = lead*t + a = 0 (mod p), where a = p0c * m^(-1) mod N (lead = 1)
+    or, when m is not invertible mod N, a = p0c mod N (lead = m, inv = 1).
+    The rows, coefficient vectors of N, f and t*f with t scaled by the
+    half-width h, span polynomials that all vanish modulo p at the root,
+    and every |p| in the interval is at least its smaller end, bound.  A
+    reduced vector v with ||v||_1 <= sqrt(weight(v)) * ||v|| < bound
+    therefore gives a g with g(t0) = 0 over the integers, and its integer
+    roots are exact.  Returns False, leaving acc alone, when no reduced
+    vector clears the gate.
+    """
+    big_n, m, n, q_base = prob.N, prob.m, prob.n, prob.Q0
+    xc = (xlo + xhi) // 2
+    p0c = m * xc + prob.P0
+    half = max(xhi - xc, xc - xlo, 1)
+    bound = min(abs(m * xlo + prob.P0), abs(m * xhi + prob.P0))
+    stats["boxes"] = stats.get("boxes", 0) + 1
+    a = p0c * inv % big_n
+    reduced, _ = lll_rows(
+        [
+            [big_n, 0, 0],
+            [a, lead * half, 0],
+            [0, a * half, lead * half * half],
+        ]
+    )
+    bound_sq = bound * bound
+    for vec in reduced:
+        l2 = vec[0] * vec[0] + vec[1] * vec[1] + vec[2] * vec[2]
+        weight = (vec[0] != 0) + (vec[1] != 0) + (vec[2] != 0)
+        if l2 * weight < bound_sq:  # Howgrave-Graham root gate
+            break
+    else:
+        return False
+    stats["lattice_dim"] = 3
+    g2, g1 = vec[2] // (half * half), vec[1] // half
+    for xr in _quad_roots(g2, g1, vec[0], xlo - xc, xhi - xc):
+        p = m * xr + p0c
+        if big_n % p:
+            continue
+        q = big_n // p
+        if (q - q_base) % n:
+            continue
+        acc[(xr + xc, (q - q_base) // n)] = (p, q)
+    return True
 
 
 def _solve_interval(
@@ -318,49 +367,39 @@ def _solve_interval(
             break
         xlo, xhi = new_xlo, new_xhi
 
-    # Recentre the sub-box.
-    xc = (xlo + xhi) // 2
-    p0c = m * xc + p_base
-    x_half = max(xhi - xc, xc - xlo, 1)
-    qc = (qlo + qhi) // 2
-    yc = (2 * (qc - q_base) + n) // (2 * n)
-    q0c = q_base + n * yc
-    y_half = max(-((q0c - qhi) // n), -((qlo - q0c) // n), 0) + 1
-
-    stats["boxes"] = stats.get("boxes", 0) + 1
-    got = _gated_vector(big_n, m, p0c, n, q0c, x_half, y_half)
-    if got is not None:
-        stats["lattice_dim"] = max(stats.get("lattice_dim", 0), 4)
-        _, _, (u2, u1, u0) = got
-        for xr in _quad_roots(u2, u1, u0, xlo - xc, xhi - xc):
-            p = m * xr + p0c
-            if p == 0 or big_n % p:
-                continue
-            q = big_n // p
-            if (q - q_base) % n:
-                continue
-            acc[(xr + xc, (q - q_base) // n)] = (p, q)
+    if gcd(m, big_n) == 1:
+        lead, inv = 1, pow(m, -1, big_n)
+    else:
+        lead, inv = m, 1
+    h_c = _howgrave_halfwidth(big_n, lead, min(abs(plo), abs(phi)))
+    if h_c == 0:
+        _scan_columns(prob, xlo, xhi, acc, stats)
         return
+    # Chunks of half-width 2*h_c: reduced bases beat the worst case by enough
+    # that most of them pass, and either half of a chunk that misses lies
+    # within h_c of its centre, where the gate cannot fail.
+    step = 4 * h_c + 1
+    for clo in range(xlo, xhi + 1, step):
+        chi = min(xhi, clo + step - 1)
+        if _univariate_interval(prob, lead, inv, clo, chi, acc, stats):
+            continue
+        mid = (clo + chi) // 2
+        for lo, hi in ((clo, mid), (mid + 1, chi)):
+            if lo <= hi and not _univariate_interval(prob, lead, inv, lo, hi, acc, stats):
+                _scan_columns(prob, lo, hi, acc, stats)
 
-    span = xhi - xlo + 1
-    halfwidth = _certified_halfwidth(big_n, m, p0c, n, q0c, x_half)
-    if halfwidth >= 1:
-        # Reduced bases beat the worst-case certificate by a healthy margin
-        # in practice, so split optimistically first; chunks that still miss
-        # descend geometrically and bottom out at the certified width, where
-        # a hit is guaranteed.
-        step = 16 * halfwidth + 1
-        if step >= span:
-            step = max(2 * halfwidth + 1, (span + 3) // 4)
-        if step < span:
-            x = xlo
-            while x <= xhi:
-                _solve_interval(prob, x, min(xhi, x + step - 1), acc, stats)
-                x += step
-            return
 
-    # Degenerate scale (no certified width, or too few columns left to
-    # split): check the remaining columns directly.
+def _scan_columns(
+    prob: BivariateProblem,
+    xlo: int,
+    xhi: int,
+    acc: dict[tuple[int, int], tuple[int, int]],
+    stats: dict,
+) -> None:
+    """Check the columns xlo..xhi directly: the fallback for intervals too
+    small for a certified lattice."""
+    big_n, m, n = prob.N, prob.m, prob.n
+    p_base, q_base = prob.P0, prob.Q0
     stats["column_scans"] = stats.get("column_scans", 0) + 1
     for x0 in range(xlo, xhi + 1):
         p = m * x0 + p_base
@@ -520,6 +559,8 @@ def solve_coprime_moduli(
 def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorization:
     """Factor N with nearly equal factors by trying every divisor pair of
     the small lifts of N mod m in the (m*x + c)(m*y + d) form."""
+    if big_n < 2:
+        raise ValueError("N must be >= 2")
     g = gcd(big_n, m)
     if 1 < g < big_n:
         p, q = sorted((g, big_n // g))

@@ -14,7 +14,6 @@ __all__ = [
     "MultiPoly",
     "PolyNorms",
     "discriminant",
-    "evaluate",
     "format_poly",
     "howgrave_predicate",
     "multiple_bound_predicate",
@@ -220,10 +219,6 @@ def scale_vars(f: MultiPoly, bounds) -> MultiPoly:
                 scale *= b**ex
         acc[e] = c * scale
     return MultiPoly(f.nvars, acc)
-
-
-def evaluate(f: MultiPoly, point) -> int:
-    return f.evaluate(point)
 
 
 def _lead(f: MultiPoly) -> tuple[tuple[int, ...], int]:

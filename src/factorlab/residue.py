@@ -17,6 +17,7 @@ __all__ = [
     "ResidueClassSet",
     "ResiduePair",
     "algorithm_one",
+    "default_t_bound",
     "enumerate_pairs",
     "landry_pepin",
     "theorem4_pairs",
@@ -111,6 +112,18 @@ def _split(n: int, root: int) -> Factorization:
     return Factorization(n, parts)
 
 
+def _check_moduli(m: int, mod2: int) -> None:
+    if m < 1 or mod2 < 1:
+        raise ValueError("moduli must be >= 1")
+
+
+def default_t_bound(n: int, m: int, mod2: int, c: int, d: int) -> int:
+    """Scan length for landry_pepin that covers z = d*p + c*q up to
+    3*max(c, d)*sqrt(n)."""
+    _check_moduli(m, mod2)
+    return 3 * max(c, d) * isqrt(n) // (m * mod2) + 2
+
+
 def landry_pepin(
     n: int, m: int, mod2: int, c: int, d: int, t_bound: int
 ) -> Factorization:
@@ -122,6 +135,7 @@ def landry_pepin(
     square and p appears as a rational root of d*X^2 - z*X + c*n.  Both
     discriminant signs and all four root sign combinations are tried.
     """
+    _check_moduli(m, mod2)
     if gcd(c, m) != 1 or gcd(d, mod2) != 1:
         raise ValueError("need gcd(c, m) = gcd(d, mod2) = 1")
     mn = m * mod2

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -220,6 +221,11 @@ class TestMain:
             ["--method", "residue", "--n", "2599", "--mod", "1"],
             ["--method", "coppersmith-msb", "--n", "2599", "--p0", "0"],
             ["--method", "theorem4", "--n", "2599", "--mod", "0"],
+            ["--method", "landry-pepin", "--n", "2599", "--mod", "10", "--mod2", "0",
+             "--c", "1", "--d", "7"],
+            ["--method", "landry-pepin", "--n", "2599", "--mod", "0", "--mod2", "10",
+             "--c", "1", "--d", "7"],
+            ["--method", "theorem4", "--n", "1", "--mod", "100"],
         ],
     )
     def test_precondition_errors_are_usage_errors(self, capsys, args):
@@ -248,3 +254,16 @@ class TestMain:
         for line in lines[:-1]:
             assert tuple(json.loads(line)) == JSON_KEYS
         assert json.loads(lines[-1])["summary"] is True
+
+    def test_bench_writes_nothing_to_stderr(self, capsys):
+        # the LSB boxes leave the certified regime; the json says so and the
+        # library warns, but a routine CLI run stays quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bench", "--method", "coppersmith-lsb", "--bits", "40",
+                         "--instances", "3", "--seed", "3"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports = [json.loads(line) for line in captured.out.splitlines()[:-1]]
+        assert [r["certified"] for r in reports] == [False] * 3

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import pytest
@@ -180,6 +181,68 @@ class TestDegenerateScale:
         except (NoIndependentPolynomial, NoRoot):
             one = []
         assert set(one) <= set(expected)
+
+
+class TestUnivariateSplitter:
+    """The splitter's dim-3 Howgrave-Graham lattice: exact root sets on
+    structured boxes, and a certificate that leaves no column scan on real
+    LSB instances."""
+
+    @given(
+        p=st.integers(min_value=2, max_value=5000),
+        q=st.integers(min_value=2, max_value=5000),
+        cofactor=st.sampled_from([1, 1, 2, 3, 6]),
+        shape=st.sampled_from(["lsb", "residue", "mixed"]),
+        k=st.integers(min_value=1, max_value=6),
+        modulus=st.integers(min_value=2, max_value=40),
+        other=st.integers(min_value=1, max_value=40),
+        shift=st.integers(min_value=-3, max_value=3),
+        slack=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=300)
+    def test_root_sets_match_box_oracle(
+        self, p, q, cofactor, shape, k, modulus, other, shift, slack
+    ):
+        p, q = next_prime(p), next_prime(q)
+        big_n = p * q * cofactor  # cofactor 2, 3, 6 shares factors with many moduli
+        if shape == "lsb":
+            m = n = 1 << k
+        elif shape == "residue":
+            m = n = modulus
+        else:
+            m, n = modulus, other
+        p0 = p % m + shift * m
+        prob = BivariateProblem(
+            N=big_n,
+            P0=p0,
+            Q0=q % n,
+            X=abs(p - p0) // m + slack + 1,
+            Y=q // n + slack + 1,
+            m=m,
+            n=n,
+        )
+        expected = box_oracle(prob)
+        try:
+            got = [(s.x0, s.y0, s.p, s.q) for s in quiet_solve(prob)]
+        except NoRoot:
+            got = []
+        assert got == expected
+
+    def test_lsb_instances_need_no_column_scan(self):
+        # A chunk that misses the gate is halved once, and each half lies
+        # within the certified half-width; a half that still missed would
+        # fall back to a column scan.
+        rng = random.Random(5664)
+        for bits in [56, 57, 58, 59, 60, 61, 62, 63, 64] * 2:
+            n, p, q = balanced_semiprime(rng, bits)
+            k = n.bit_length() // 4
+            stats = {}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoundTooLargeWarning)
+                sols = solve_lsb_known(n, p % (1 << k), k, stats)
+            assert any(s.p in (p, q) for s in sols)
+            assert stats.get("column_scans", 0) == 0, (n, stats)
+            assert stats["lattice_dim"] == 3
 
 
 class TestGates:

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorlab.arith import divisor_count, isqrt
+from factorlab.arith import divisor_count, isqrt, next_prime
 from factorlab.errors import (
     Exhausted,
     MultiplierCollision,
@@ -122,6 +124,19 @@ class TestPredictSteps:
             predicted = predict_steps(p, n)
             measured = fermat_standard(n, budget=predicted + 2).steps
             assert abs(measured - predicted) <= 1, (n, p, q)
+
+    @given(
+        start=st.integers(min_value=2, max_value=10**6),
+        gap=st.integers(min_value=1, max_value=2000),
+    )
+    @settings(max_examples=200)
+    def test_steps_equal_prediction(self, start, gap):
+        # odd primes p < q: 4N is not a square, so the scan starts just above
+        # floor(2*sqrt(N)) and its last step is x = p + q
+        p = next_prime(start)
+        q = next_prime(p + gap)
+        n = p * q
+        assert fermat_standard(n).steps == predict_steps(p, n)
 
 
 class TestTriangular:

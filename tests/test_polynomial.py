@@ -8,7 +8,6 @@ from factorlab.errors import NotMonic, ZeroDegree, ZeroPolynomial
 from factorlab.polynomial import (
     MultiPoly,
     discriminant,
-    evaluate,
     format_poly,
     howgrave_predicate,
     multiple_bound_predicate,
@@ -62,8 +61,8 @@ class TestMultiPolyBasics:
         assert (a * b) * c == a * (b * c)
 
     def test_evaluate_examples(self):
-        assert evaluate(parse_poly("x1*x2 + 1", 2), (2, 3)) == 7
-        assert evaluate(parse_poly("x1^2 - 25"), (5,)) == 0
+        assert parse_poly("x1*x2 + 1", 2).evaluate((2, 3)) == 7
+        assert parse_poly("x1^2 - 25").evaluate((5,)) == 0
         f = parse_poly("x1*x2 + 7*x1 + 3*x2 - 11", 2)
         assert f.evaluate((2, -1)) == -2 + 14 - 3 - 11
 
