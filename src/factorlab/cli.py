@@ -30,17 +30,19 @@ from .errors import (
 )
 from .residue import default_t_bound, enumerate_pairs, landry_pepin
 
-METHODS = (
-    "standard",
-    "triangular",
-    "ratio",
-    "residue",
-    "landry-pepin",
-    "coppersmith-msb",
-    "coppersmith-lsb",
-    "trivariate",
-    "theorem4",
-)
+# The flags each method requires, in the order its report's params record them.
+METHOD_FLAGS = {
+    "standard": (),
+    "triangular": (),
+    "ratio": ("r",),
+    "residue": ("mod",),
+    "landry-pepin": ("mod", "mod2", "c", "d"),
+    "coppersmith-msb": ("p0",),
+    "coppersmith-lsb": ("lsb_value", "lsb_bits"),
+    "trivariate": ("p0", "mult"),
+    "theorem4": ("mod",),
+}
+METHODS = tuple(METHOD_FLAGS)
 
 JSON_KEYS = (
     "n",
@@ -127,13 +129,6 @@ class RunReport:
         return f"{self.n}: {self.outcome} ({self.time_ms:.2f} ms)"
 
 
-def _require(config: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(config, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"method {config.method!r} requires {flag}")
-
-
 class UsageError(Exception):
     pass
 
@@ -153,17 +148,17 @@ def _residue_method(config: RunConfig) -> tuple[tuple[int, ...], int | None]:
         pairs = enumerate_pairs(n, m)
     except GcdFactorFound as found:
         return tuple(sorted((found.factor, n // found.factor))), None
-    bound = config.t_bound
     for pair in sorted(pairs.pairs):
-        for c, d in ((pair.c, pair.d), (pair.d, pair.c)):
-            t_bound = bound
-            if t_bound is None:
-                t_bound = default_t_bound(n, m, m, c, d)
-            try:
-                fac = landry_pepin(n, m, m, c, d, t_bound)
-            except Exhausted:
-                continue
-            return _factorization_tuple(fac), None
+        # with mod2 = m, the order (d, c) scans the same z values as (c, d)
+        # and finds the same factors, so each pair is tried once
+        t_bound = config.t_bound
+        if t_bound is None:
+            t_bound = default_t_bound(n, m, m, pair.c, pair.d)
+        try:
+            fac = landry_pepin(n, m, m, pair.c, pair.d, t_bound)
+        except Exhausted:
+            continue
+        return _factorization_tuple(fac), None
     raise Exhausted(f"no residue pair mod {m} factored {n}")
 
 
@@ -176,8 +171,11 @@ def run(config: RunConfig) -> RunReport:
         raise UsageError("--n is required")
     n = config.n
     params: dict = {}
-    steps = lattice_dim = None
-    certified = None
+    for name in METHOD_FLAGS[method]:
+        if getattr(config, name) is None:
+            raise UsageError(f"method {method!r} requires --{name.replace('_', '-')}")
+        params[name] = getattr(config, name)
+    steps = None
     factors: tuple[int, ...] | None = None
     outcome = "factored"
     stats: dict = {}
@@ -190,17 +188,11 @@ def run(config: RunConfig) -> RunReport:
             res = fermat.fermat_triangular(n, config.budget)
             factors, steps = (res.p, res.q), res.steps
         elif method == "ratio":
-            _require(config, "r")
-            params["r"] = config.r
             res = fermat.fermat_ratio(n, config.r, config.budget)
             factors, steps = (res.p, res.q), res.steps
         elif method == "residue":
-            _require(config, "mod")
-            params["mod"] = config.mod
             factors, steps = _residue_method(config)
         elif method == "landry-pepin":
-            _require(config, "mod", "mod2", "c", "d")
-            params.update(mod=config.mod, mod2=config.mod2, c=config.c, d=config.d)
             t_bound = config.t_bound
             if t_bound is None:
                 t_bound = default_t_bound(n, config.mod, config.mod2, config.c, config.d)
@@ -208,18 +200,12 @@ def run(config: RunConfig) -> RunReport:
             fac = landry_pepin(n, config.mod, config.mod2, config.c, config.d, t_bound)
             factors = _factorization_tuple(fac)
         elif method == "coppersmith-msb":
-            _require(config, "p0")
-            params["p0"] = config.p0
             sols = coppersmith.solve_msb_known(n, config.p0, stats)
             factors = _pick_factor_pair(n, sols)
         elif method == "coppersmith-lsb":
-            _require(config, "lsb_value", "lsb_bits")
-            params.update(lsb_value=config.lsb_value, lsb_bits=config.lsb_bits)
             sols = coppersmith.solve_lsb_known(n, config.lsb_value, config.lsb_bits, stats)
             factors = _pick_factor_pair(n, sols)
         elif method == "trivariate":
-            _require(config, "p0", "mult")
-            params.update(p0=config.p0, mult=config.mult)
             bound = coppersmith.default_box_bound(n)
             prob = coppersmith.TrivariateProblem(
                 N=n,
@@ -234,8 +220,6 @@ def run(config: RunConfig) -> RunReport:
             params["z0"] = sols[0].z0
             factors = _pick_factor_pair(n, sols)
         elif method == "theorem4":
-            _require(config, "mod")
-            params["mod"] = config.mod
             fac = coppersmith.theorem4_driver(n, config.mod, stats)
             factors = _factorization_tuple(fac)
     except (Exhausted, MultiplierCollision):
@@ -251,8 +235,6 @@ def run(config: RunConfig) -> RunReport:
             product *= f
         if product != n:  # re-verified at the boundary, never printed unchecked
             raise FactorlabError(f"internal error: {factors} does not multiply to {n}")
-    lattice_dim = stats.get("lattice_dim")
-    certified = stats.get("certified")
     return RunReport(
         n=n,
         method=method,
@@ -260,8 +242,8 @@ def run(config: RunConfig) -> RunReport:
         outcome=outcome,
         factors=factors,
         steps=steps,
-        lattice_dim=lattice_dim,
-        certified=certified,
+        lattice_dim=stats.get("lattice_dim"),
+        certified=stats.get("certified"),
         time_ms=elapsed,
     )
 
@@ -455,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--a-max", type=int, default=9, dest="a_max")
     p_factor.add_argument("--t-bound", type=int, dest="t_bound")
     p_factor.add_argument("--budget", type=int)
-    p_factor.add_argument("--format", choices=("text", "json-lines"),
-                          default="text", dest="fmt")
 
     p_bench = sub.add_parser("bench", help="seeded semiprime benchmark")
     p_bench.add_argument("--method", required=True, choices=METHODS)
@@ -467,21 +447,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--r", help="target ratio for the ratio profile")
     p_bench.add_argument("--mod", type=int)
     p_bench.add_argument("--budget", type=int)
-    p_bench.add_argument("--format", choices=("text", "json-lines"),
-                         default="json-lines", dest="fmt")
 
     p_grid = sub.add_parser("grid", help="balanced-ratio grid table")
     p_grid.add_argument("--lower", default="0.707")
     p_grid.add_argument("--upper", default="1")
     p_grid.add_argument("--count", type=int, default=21)
-    p_grid.add_argument("--format", choices=("text", "json-lines"),
-                        default="text", dest="fmt")
 
     p_lat = sub.add_parser("lattice", help="LLL-reduce an integer basis")
     p_lat.add_argument("--rows", required=True, help="rows like '4,1;7,2'")
     p_lat.add_argument("--delta", default="3/4")
-    p_lat.add_argument("--format", choices=("text", "json-lines"),
-                       default="text", dest="fmt")
+
+    for subparser, default in (
+        (p_factor, "text"), (p_bench, "json-lines"), (p_grid, "text"), (p_lat, "text")
+    ):
+        subparser.add_argument("--format", choices=("text", "json-lines"),
+                               default=default, dest="fmt")
 
     sub.add_parser("demo", help="walk through the 2599 example")
     return parser
@@ -498,44 +478,30 @@ def _main(argv) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        if config.command == "factor":
-            report = run(config)
-            if config.fmt == "json-lines":
-                print(json.dumps(report.to_json_obj()))
+        as_json = config.fmt == "json-lines"
+        if config.command in ("factor", "bench"):
+            if config.command == "factor":
+                reports, summary = [run(config)], None
             else:
-                print(report.to_text())
-            return 0 if report.outcome == "factored" else 2
-        if config.command == "bench":
-            reports, summary = bench(config)
-            ok = True
+                reports, summary = bench(config)
             for report in reports:
-                if config.fmt == "json-lines":
-                    print(json.dumps(report.to_json_obj()))
-                else:
-                    print(report.to_text())
-                ok = ok and report.outcome == "factored"
-            if config.fmt == "json-lines":
-                print(json.dumps(summary))
-            else:
-                print(
+                print(json.dumps(report.to_json_obj()) if as_json else report.to_text())
+            if summary is not None:
+                print(json.dumps(summary) if as_json else (
                     f"summary: {summary['factored']}/{summary['count']} factored,"
                     f" median steps {summary['median_steps']},"
                     f" mean steps {summary['mean_steps']}"
-                )
-            return 0 if ok else 2
+                ))
+            return 0 if all(r.outcome == "factored" for r in reports) else 2
         if config.command == "grid":
-            for line in grid_lines(config):
-                print(line)
-            return 0
-        if config.command == "lattice":
-            for line in lattice_lines(config):
-                print(line)
-            return 0
-        if config.command == "demo":
-            for line in demo_lines():
-                print(line)
-            return 0
-        raise UsageError(f"unknown command {config.command!r}")
+            lines = grid_lines(config)
+        elif config.command == "lattice":
+            lines = lattice_lines(config)
+        else:
+            lines = demo_lines()
+        for line in lines:
+            print(line)
+        return 0
     except (UsageError, FactorlabError, ValueError) as exc:
         # ValueError is the library's precondition check on its arguments
         print(f"error: {exc}", file=sys.stderr)

@@ -45,8 +45,8 @@ from .errors import (
 )
 # lll_reduce and resultant are unused here; perfbench/tracing.py wraps them by name.
 from .lattice import lll_reduce, lll_rows  # noqa: F401
-from .polynomial import MultiPoly, norms, resultant, scale_vars  # noqa: F401
-from .residue import theorem4_pairs
+from .polynomial import MultiPoly, resultant  # noqa: F401
+from .residue import _split, theorem4_pairs
 
 __all__ = [
     "BivariateProblem",
@@ -94,7 +94,7 @@ class BivariateProblem:
         return _family_poly(self.N, self.m, self.P0, self.n, self.Q0)
 
     def scaled_height(self) -> int:
-        return norms(scale_vars(_strip_content(self.poly()), (self.X, self.Y))).height
+        return _stripped(self)[1]
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,17 @@ def _family_poly(big_n: int, m: int, p0: int, n: int, q0: int) -> MultiPoly:
     )
 
 
-def _strip_content(f: MultiPoly) -> MultiPoly:
-    c = f.content()
-    if c > 1:
-        return f.map_coeffs(lambda v: v // c)
-    return f
+def _stripped(prob: BivariateProblem) -> tuple[tuple[int, int, int, int], int]:
+    """The content-stripped coefficients (c11, c10, c01, c00) of f and the
+    height of f(x*X, y*Y)."""
+    m, n, p0, q0 = prob.m, prob.n, prob.P0, prob.Q0
+    coeffs = (m * n, m * q0, n * p0, p0 * q0 - prob.N)
+    content = gcd(*coeffs)
+    c11, c10, c01, c00 = (c // content for c in coeffs)
+    height = max(
+        abs(c11 * prob.X * prob.Y), abs(c10 * prob.X), abs(c01 * prob.Y), abs(c00)
+    )
+    return (c11, c10, c01, c00), height
 
 
 def certified_regime(prob: BivariateProblem) -> bool:
@@ -161,9 +167,7 @@ def default_box_bound(big_n: int) -> int:
     return 1 << (big_n.bit_length() // 4 + 1)
 
 
-def _gated_vector(
-    big_n: int, m: int, p0: int, n: int, q0: int, x_bound: int, y_bound: int
-) -> (
+def _gated_vector(prob: BivariateProblem) -> (
     tuple[tuple[int, int, int, int], tuple[int, int, int, int], tuple[int, int, int]]
     | None
 ):
@@ -176,24 +180,15 @@ def _gated_vector(
     (g00, g10, g01, g11) and the eliminant (u2, u1, u0), or None when no
     reduced vector qualifies.
     """
-    c11, c10, c01, c00 = m * n, m * q0, n * p0, p0 * q0 - big_n
-    content = gcd(gcd(c11, c10), gcd(c01, abs(c00)))
-    if content > 1:
-        c11 //= content
-        c10 //= content
-        c01 //= content
-        c00 //= content
-    a11 = c11 * x_bound * y_bound
-    a10 = c10 * x_bound
-    a01 = c01 * y_bound
-    w_height = max(abs(a11), abs(a10), abs(a01), abs(c00))
+    (c11, c10, c01, c00), w_height = _stripped(prob)
+    x_bound, y_bound = prob.X, prob.Y
     modulus = max(2, w_height // 4)
     reduced, _ = lll_rows(
         [
             [modulus, 0, 0, 0],
             [0, modulus * x_bound, 0, 0],
             [0, 0, modulus * y_bound, 0],
-            [c00, a10, a01, a11],
+            [c00, c10 * x_bound, c01 * y_bound, c11 * x_bound * y_bound],
         ]
     )
     mod_sq = modulus * modulus
@@ -245,10 +240,42 @@ def _quad_roots(u2: int, u1: int, u0: int, lo: int, hi: int) -> list[int]:
     return sorted(roots)
 
 
+def _record(
+    prob: BivariateProblem, x0: int, acc: dict[tuple[int, int], tuple[int, int]]
+) -> None:
+    """Record (x0, y0) -> (p, q) when p = m*x0 + P0 divides N and the
+    co-factor q lies on the residue line n*y0 + Q0: the only place a
+    candidate x becomes a root."""
+    p = prob.m * x0 + prob.P0
+    if p == 0 or prob.N % p:
+        return
+    q = prob.N // p
+    if (q - prob.Q0) % prob.n == 0:
+        acc[(x0, (q - prob.Q0) // prob.n)] = (p, q)
+
+
+def _solutions(
+    prob: BivariateProblem, acc: dict[tuple[int, int], tuple[int, int]]
+) -> list[RootSolution]:
+    """The in-box roots of acc in (x0, y0) order, each re-verified; raises
+    NoRoot when none is left."""
+    f = prob.poly()
+    solutions = []
+    for (x0, y0), (p, q) in sorted(acc.items()):
+        if abs(x0) > prob.X or abs(y0) > prob.Y:
+            continue
+        if p * q != prob.N or f.evaluate((x0, y0)) != 0:
+            raise AssertionError("solver produced an invalid root")
+        solutions.append(RootSolution(x0=x0, y0=y0, p=p, q=q))
+    if not solutions:
+        raise NoRoot(f"no factor pair of {prob.N} inside the box")
+    return solutions
+
+
 def gated_polynomial(prob: BivariateProblem) -> tuple[MultiPoly, MultiPoly]:
     """Expose the (f, g) pair from a one-shot lattice; raises
     NoIndependentPolynomial when no reduced vector clears the gates."""
-    got = _gated_vector(prob.N, prob.m, prob.P0, prob.n, prob.Q0, prob.X, prob.Y)
+    got = _gated_vector(prob)
     if got is None:
         raise NoIndependentPolynomial(f"no gated vector for box {prob.X} x {prob.Y}")
     (c11, c10, c01, c00), (g00, g10, g01, g11), _ = got
@@ -297,7 +324,7 @@ def _univariate_interval(
     roots are exact.  Returns False, leaving acc alone, when no reduced
     vector clears the gate.
     """
-    big_n, m, n, q_base = prob.N, prob.m, prob.n, prob.Q0
+    big_n, m = prob.N, prob.m
     xc = (xlo + xhi) // 2
     p0c = m * xc + prob.P0
     half = max(xhi - xc, xc - xlo, 1)
@@ -322,13 +349,7 @@ def _univariate_interval(
     stats["lattice_dim"] = 3
     g2, g1 = vec[2] // (half * half), vec[1] // half
     for xr in _quad_roots(g2, g1, vec[0], xlo - xc, xhi - xc):
-        p = m * xr + p0c
-        if big_n % p:
-            continue
-        q = big_n // p
-        if (q - q_base) % n:
-            continue
-        acc[(xr + xc, (q - q_base) // n)] = (p, q)
+        _record(prob, xr + xc, acc)
     return True
 
 
@@ -398,17 +419,9 @@ def _scan_columns(
 ) -> None:
     """Check the columns xlo..xhi directly: the fallback for intervals too
     small for a certified lattice."""
-    big_n, m, n = prob.N, prob.m, prob.n
-    p_base, q_base = prob.P0, prob.Q0
     stats["column_scans"] = stats.get("column_scans", 0) + 1
     for x0 in range(xlo, xhi + 1):
-        p = m * x0 + p_base
-        if p == 0 or big_n % p:
-            continue
-        q = big_n // p
-        if (q - q_base) % n:
-            continue
-        acc[(x0, (q - q_base) // n)] = (p, q)
+        _record(prob, x0, acc)
 
 
 def solve_bivariate(
@@ -434,42 +447,21 @@ def solve_bivariate(
     xlo = max(-prob.X, -((prob.N + prob.P0) // prob.m))
     xhi = min(prob.X, (prob.N - prob.P0) // prob.m)
     _solve_interval(prob, xlo, xhi, acc, stats)
-    f = prob.poly()
-    solutions = []
-    for (x0, y0), (p, q) in sorted(acc.items()):
-        if abs(x0) > prob.X or abs(y0) > prob.Y:
-            continue
-        if p * q != prob.N or f.evaluate((x0, y0)) != 0:
-            raise AssertionError("solver produced an invalid root")
-        solutions.append(RootSolution(x0=x0, y0=y0, p=p, q=q))
-    if not solutions:
-        raise NoRoot(f"no factor pair of {prob.N} inside the box")
-    return solutions
+    return _solutions(prob, acc)
 
 
 def solve_bivariate_single(prob: BivariateProblem) -> list[RootSolution]:
     """One-shot lattice attempt on the whole box, with no splitting: the
     measured-envelope primitive.  Raises NoIndependentPolynomial when the
     gates reject every reduced vector."""
-    got = _gated_vector(prob.N, prob.m, prob.P0, prob.n, prob.Q0, prob.X, prob.Y)
+    got = _gated_vector(prob)
     if got is None:
         raise NoIndependentPolynomial("one-shot lattice attempt failed")
     _, _, (u2, u1, u0) = got
-    solutions = []
+    acc: dict[tuple[int, int], tuple[int, int]] = {}
     for x0 in _quad_roots(u2, u1, u0, -prob.X, prob.X):
-        p = prob.m * x0 + prob.P0
-        if p == 0 or prob.N % p:
-            continue
-        q = prob.N // p
-        if (q - prob.Q0) % prob.n:
-            continue
-        y0 = (q - prob.Q0) // prob.n
-        if abs(y0) > prob.Y:
-            continue
-        solutions.append(RootSolution(x0=x0, y0=y0, p=p, q=q))
-    if not solutions:
-        raise NoRoot(f"no factor pair of {prob.N} inside the box")
-    return sorted(solutions, key=lambda s: (s.x0, s.y0))
+        _record(prob, x0, acc)
+    return _solutions(prob, acc)
 
 
 def solve_msb_known(big_n: int, p0: int, stats: dict | None = None) -> list[RootSolution]:
@@ -563,12 +555,14 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
         raise ValueError("N must be >= 2")
     g = gcd(big_n, m)
     if 1 < g < big_n:
-        p, q = sorted((g, big_n // g))
-        parts = ((p, 2),) if p == q else ((p, 1), (q, 1))
-        return Factorization(big_n, parts)
+        return _split(big_n, g)
     pairs = theorem4_pairs(big_n, m)  # checks m >= 2 before the division below
     bound = 3 * isqrt(big_n) // (2 * m) + 2
     for pair in pairs:
+        if pair.c > pair.d:
+            # X = Y and m = n: the roots of (d, c) mirror those of (c, d),
+            # which comes first and has already been tried
+            continue
         prob = BivariateProblem(
             N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
         )
@@ -578,9 +572,7 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
             continue
         for sol in found:
             if 1 < sol.p < big_n:
-                p, q = sorted((sol.p, sol.q))
-                parts = ((p, 2),) if p == q else ((p, 1), (q, 1))
-                return Factorization(big_n, parts)
+                return _split(big_n, sol.p)
     raise Exhausted(f"no residue pair mod {m} yields a factorization")
 
 

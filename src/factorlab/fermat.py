@@ -121,12 +121,13 @@ def fermat_standard(n: int, budget: SearchBudget | int | None = None) -> FermatR
 
 
 def predict_steps(p: int, n: int) -> int:
-    """Scan length p + n/p - floor(2*sqrt(n)) for the divisor pair led by p."""
+    """Scan length p + n/p - ceil(2*sqrt(n)) + 1 for the divisor pair led by
+    p: every x from ceil(2*sqrt(n)) up to p + n/p, the hit included."""
     if n % p != 0:
         raise NotADivisor(f"{p} does not divide {n}")
     if p * p > n:
         raise ValueError("p must be the smaller divisor")
-    return max(0, p + n // p - isqrt(4 * n))
+    return p + n // p - isqrt(4 * n - 1)
 
 
 def triangular_start(n: int) -> tuple[int, int]:

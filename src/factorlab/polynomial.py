@@ -1,6 +1,6 @@
 """Sparse multivariate integer polynomials with exact norms, Sylvester-matrix
-resultants, discriminants, and the norm predicates used by the small-root
-pipeline."""
+resultants and discriminants.  howgrave_predicate and multiple_bound_predicate
+are the tests' reference for the small-root solvers' integer gates."""
 
 from __future__ import annotations
 

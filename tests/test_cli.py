@@ -82,6 +82,14 @@ class TestRun:
         assert report.factors == tuple(sorted((p, q)))
         assert report.params["z0"] == 7
 
+    def test_params_follow_the_flag_table(self):
+        report = run(
+            factor_config(method="landry-pepin", n=10807, mod=10, mod2=10, c=1, d=7)
+        )
+        assert list(report.params) == ["mod", "mod2", "c", "d", "t_bound"]
+        report = run(factor_config(method="trivariate", n=10807, p0=101, mult=107))
+        assert list(report.params) == ["p0", "mult", "z0"]
+
     def test_outcomes(self):
         assert run(factor_config(method="standard", n=13)).outcome == "trivial-only"
         assert (
@@ -208,6 +216,21 @@ class TestMain:
         capsys.readouterr()
         assert main(["factor", "--method", "ratio", "--n", "15"]) == 1  # missing --r
         assert "requires --r" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--method", "landry-pepin", "--n", "10807", "--mod", "10", "--d", "7"],
+             "--mod2"),
+            (["--method", "coppersmith-lsb", "--n", "2599", "--lsb-bits", "4"],
+             "--lsb-value"),
+            (["--method", "trivariate", "--n", "2599"], "--p0"),
+        ],
+    )
+    def test_missing_flag_names_the_first(self, capsys, args, flag):
+        assert main(["factor", *args]) == 1
+        method = args[1]
+        assert capsys.readouterr().err == f"error: method {method!r} requires {flag}\n"
 
     @pytest.mark.parametrize(
         "args",

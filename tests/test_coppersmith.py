@@ -228,6 +228,35 @@ class TestUnivariateSplitter:
             got = []
         assert got == expected
 
+    @given(
+        p=st.integers(min_value=2, max_value=5000),
+        q=st.integers(min_value=2, max_value=5000),
+        m=st.integers(min_value=3, max_value=40),
+        shift_c=st.integers(min_value=-2, max_value=2),
+        shift_d=st.integers(min_value=-2, max_value=2),
+        wrong=st.integers(min_value=0, max_value=2),
+        slack=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=200)
+    def test_mirrored_residues_mirror_the_roots(
+        self, p, q, m, shift_c, shift_d, wrong, slack
+    ):
+        # X = Y and m = n: (d, c) has the roots (y, x) of (c, d), which lets
+        # theorem4_driver skip the pairs with c > d
+        p, q = next_prime(p), next_prime(q)
+        c, d = p % m + shift_c * m + wrong, q % m + shift_d * m
+        box = max(abs(p - c), abs(q - d)) // m + slack + 1
+
+        def roots(p0, q0):
+            prob = BivariateProblem(N=p * q, P0=p0, Q0=q0, X=box, Y=box, m=m, n=m)
+            try:
+                return [(s.x0, s.y0, s.p, s.q) for s in quiet_solve(prob)]
+            except NoRoot:
+                return []
+
+        mirrored = sorted((y, x, q0, p0) for x, y, p0, q0 in roots(c, d))
+        assert mirrored == roots(d, c)
+
     def test_lsb_instances_need_no_column_scan(self):
         # A chunk that misses the gate is halved once, and each half lies
         # within the certified half-width; a half that still missed would
@@ -420,6 +449,9 @@ class TestTheorem4Driver:
     def test_worked_instance(self):
         fac = theorem4_driver(10807, 100)
         assert fac.parts == ((101, 1), (107, 1))
+        # 1009 = 1109 = 9 (mod 100): the pair (9, 9) is its own mirror
+        fac = theorem4_driver(1009 * 1109, 100)
+        assert fac.parts == ((1009, 1), (1109, 1))
 
     def test_prime_exhausts(self):
         assert is_prime(10009)

@@ -110,7 +110,7 @@ class TestPredictSteps:
     def test_examples(self):
         assert predict_steps(23, 2599) == 35
         assert predict_steps(7, 91) == 1
-        assert predict_steps(3, 9) in (0, 1)
+        assert predict_steps(3, 9) == 1  # 4N = 36 is a square: the hit at x = 6
 
     def test_not_a_divisor(self):
         with pytest.raises(NotADivisor):
@@ -127,14 +127,14 @@ class TestPredictSteps:
 
     @given(
         start=st.integers(min_value=2, max_value=10**6),
-        gap=st.integers(min_value=1, max_value=2000),
+        gap=st.integers(min_value=0, max_value=2000),
     )
     @settings(max_examples=200)
     def test_steps_equal_prediction(self, start, gap):
-        # odd primes p < q: 4N is not a square, so the scan starts just above
-        # floor(2*sqrt(N)) and its last step is x = p + q
+        # odd primes p <= q: the scan starts at ceil(2*sqrt(N)), which is
+        # x = 2p itself when q = p, and its last step is x = p + q
         p = next_prime(start)
-        q = next_prime(p + gap)
+        q = p if gap == 0 else next_prime(p + gap)
         n = p * q
         assert fermat_standard(n).steps == predict_steps(p, n)
 

@@ -1,8 +1,10 @@
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from factorlab.arith import is_perfect_square, is_prime, isqrt, random_prime
+from factorlab.arith import is_perfect_square, is_prime, isqrt, next_prime, random_prime
 from factorlab.errors import Exhausted, GcdFactorFound, NonPrimeModulus
 from factorlab.residue import (
     algorithm_one,
@@ -125,6 +127,37 @@ class TestLandryPepin:
     def test_precondition(self):
         with pytest.raises(ValueError):
             landry_pepin(10807, 10, 10, 2, 7, t_bound=5)
+
+    @given(
+        p=st.integers(min_value=2, max_value=3000),
+        q=st.integers(min_value=2, max_value=3000),
+        m=st.integers(min_value=1, max_value=60),
+        c=st.integers(min_value=1, max_value=60),
+        d=st.integers(min_value=1, max_value=60),
+        true_residues=st.booleans(),
+        t_bound=st.integers(min_value=0, max_value=200),
+    )
+    @settings(max_examples=300)
+    def test_swapped_residues_agree(self, p, q, m, c, d, true_residues, t_bound):
+        # with mod2 = m, (c, d) and (d, c) scan the same z values, and both
+        # find a factor of a semiprime at the same first t, at the latest
+        # when z reaches d*p + c*q for the true residues
+        p, q = next_prime(p), next_prime(q)
+        n = p * q
+        if true_residues:
+            c, d = (p - 1) % m + 1, (q - 1) % m + 1
+        assume(gcd(c, m) == 1 and gcd(d, m) == 1)
+
+        def outcome(c, d):
+            try:
+                return landry_pepin(n, m, m, c, d, t_bound)
+            except Exhausted:
+                return None
+
+        found = outcome(c, d)
+        assert found == outcome(d, c)
+        if true_residues and t_bound * m * m >= d * p + c * q:
+            assert found is not None
 
     def test_constructed_instances_within_scaled_sum_bound(self, rng):
         def prime_in_class(start, residue, modulus):
