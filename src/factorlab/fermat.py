@@ -15,7 +15,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import is_perfect_square
+from .arith import is_perfect_square, square_candidates
 from .errors import (
     Exhausted,
     MultiplierCollision,
@@ -91,25 +91,28 @@ class FermatResult:
 
 
 def _difference_scan(n: int, max_steps: int | None, method: str) -> FermatResult:
-    """Scan x upward from the first x with x^2 >= 4n, testing x^2 - 4n for
-    squareness.  Steps count squareness tests, including the hit."""
+    """Scan x upward from the first x with x^2 >= 4n for the first x^2 - 4n
+    that is a perfect square.  Steps count the positions scanned, the hit
+    included; only the positions that square_candidates lets through are
+    tested."""
     four_n = 4 * n
-    x = isqrt(four_n)
-    if x * x < four_n:
-        x += 1
-    steps = 0
-    while x <= n + 1:
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise Exhausted(f"no solution within {max_steps} steps")
+    x0 = isqrt(four_n)
+    if x0 * x0 < four_n:
+        x0 += 1
+    last = n + 1  # x = n + 1 gives the trivial split 1 x n
+    if max_steps is not None:
+        last = min(last, x0 + max_steps - 1)
+    for j in square_candidates(x0, 1, (-four_n,), last - x0 + 1):
+        x = x0 + j
         y = is_perfect_square(x * x - four_n)
         if y is not None:
             p, q = (x - y) // 2, (x + y) // 2
             if p >= 2:
-                return FermatResult(x=x, y=y, p=p, q=q, steps=steps, method=method)
+                return FermatResult(x=x, y=y, p=p, q=q, steps=j + 1, method=method)
             if p == 1:
                 raise TrivialOnly(f"{n} admits only the trivial split 1 x {n}")
-        x += 1
+    if last <= n:
+        raise Exhausted(f"no solution within {max_steps} steps")
     raise Exhausted("scan passed the trivial solution")  # unreachable for n >= 2
 
 

@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import Factorization, is_perfect_square, is_prime, trial_factor
+from .arith import (
+    Factorization,
+    is_perfect_square,
+    is_prime,
+    square_candidates,
+    trial_factor,
+)
 from .errors import Exhausted, GcdFactorFound, NonPrimeModulus
 
 __all__ = [
@@ -107,9 +113,11 @@ def algorithm_one(n: int, m: int) -> ResidueClassSet:
 
 
 def _split(n: int, root: int) -> Factorization:
+    """n = root * (n // root); complete only when both parts are prime."""
     p, q = sorted((root, n // root))
     parts = ((p, 2),) if p == q else ((p, 1), (q, 1))
-    return Factorization(n, parts)
+    residual = None if is_prime(p) and is_prime(q) else q
+    return Factorization(n, parts, residual)
 
 
 def _check_moduli(m: int, mod2: int) -> None:
@@ -133,16 +141,19 @@ def landry_pepin(
     z is congruent to n + c*d modulo m*mod2, so z = z0 + m*mod2*t for some
     t >= 0; for the right t the discriminant z^2 - 4*c*d*n is a perfect
     square and p appears as a rational root of d*X^2 - z*X + c*n.  Both
-    discriminant signs and all four root sign combinations are tried.
+    discriminant signs and all four root sign combinations are tried, at the
+    t that square_candidates lets through.
     """
     _check_moduli(m, mod2)
+    if t_bound < 0:
+        raise ValueError("t_bound must be >= 0")
     if gcd(c, m) != 1 or gcd(d, mod2) != 1:
         raise ValueError("need gcd(c, m) = gcd(d, mod2) = 1")
     mn = m * mod2
     z0 = (n + c * d) % mn
     four_cdn = 4 * c * d * n
     two_d = 2 * d
-    for t in range(t_bound + 1):
+    for t in square_candidates(z0, mn, (-four_cdn, four_cdn), t_bound + 1):
         z = z0 + mn * t
         zz = z * z
         for disc in (zz - four_cdn, zz + four_cdn):

@@ -7,8 +7,11 @@ import random
 import pytest
 from hypothesis import settings
 
-from factorlab.arith import next_prime, random_prime
+from factorlab.arith import is_perfect_square, isqrt, next_prime, random_prime
 from factorlab.coppersmith import BivariateProblem
+from factorlab.errors import Exhausted, TrivialOnly
+from factorlab.fermat import FermatResult
+from factorlab.residue import _split
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -29,6 +32,63 @@ def box_oracle(prob: BivariateProblem) -> list[tuple[int, int, int, int]]:
         if abs(y) <= prob.Y:
             found.append((x, y, p, q))
     return sorted(found)
+
+
+def reference_difference_scan(n: int, max_steps: int | None, method: str) -> FermatResult:
+    """The difference-of-squares scan tested position by position, with no
+    sieve: the oracle for fermat._difference_scan (same results, steps and
+    exceptions)."""
+    four_n = 4 * n
+    x = isqrt(four_n)
+    if x * x < four_n:
+        x += 1
+    steps = 0
+    while x <= n + 1:
+        steps += 1
+        if max_steps is not None and steps > max_steps:
+            raise Exhausted(f"no solution within {max_steps} steps")
+        y = is_perfect_square(x * x - four_n)
+        if y is not None:
+            p, q = (x - y) // 2, (x + y) // 2
+            if p >= 2:
+                return FermatResult(x=x, y=y, p=p, q=q, steps=steps, method=method)
+            if p == 1:
+                raise TrivialOnly(f"{n} admits only the trivial split 1 x {n}")
+        x += 1
+    raise Exhausted("scan passed the trivial solution")
+
+
+def reference_landry_pepin(n: int, m: int, mod2: int, c: int, d: int, t_bound: int):
+    """The Landry-Pepin scan tested at every t, with no sieve: the oracle for
+    residue.landry_pepin on arguments that pass its preconditions."""
+    mn = m * mod2
+    z0 = (n + c * d) % mn
+    four_cdn = 4 * c * d * n
+    two_d = 2 * d
+    for t in range(t_bound + 1):
+        z = z0 + mn * t
+        zz = z * z
+        for disc in (zz - four_cdn, zz + four_cdn):
+            if disc < 0:
+                continue
+            s = is_perfect_square(disc)
+            if s is None:
+                continue
+            for num in (z + s, z - s, -z + s, -z - s):
+                if num <= 0 or num % two_d:
+                    continue
+                root = num // two_d
+                if 1 < root < n and n % root == 0:
+                    return _split(n, root)
+    raise Exhausted(f"no factor within t <= {t_bound}")
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def balanced_semiprime(rng: random.Random, bits: int) -> tuple[int, int, int]:

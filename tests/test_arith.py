@@ -16,6 +16,7 @@ from factorlab.arith import (
     mod_sqrt,
     next_prime,
     random_prime,
+    square_candidates,
     trial_factor,
 )
 from factorlab.errors import NonPrimeModulus
@@ -66,6 +67,50 @@ class TestPerfectSquare:
     @settings(max_examples=200)
     def test_roundtrip(self, r):
         assert is_perfect_square(r * r) == r
+
+
+class TestSquareCandidates:
+    @given(
+        base=st.integers(min_value=-10**12, max_value=10**12),
+        stride=st.integers(min_value=-5000, max_value=5000),
+        offsets=st.lists(st.integers(min_value=-10**15, max_value=10**15), min_size=1, max_size=3),
+        count=st.integers(min_value=0, max_value=3000),
+        square_at=st.lists(st.integers(min_value=0, max_value=2999), max_size=3),
+    )
+    @settings(max_examples=300)
+    def test_yields_every_square(self, base, stride, offsets, count, square_at):
+        # plant squares: offsets that make the value at some j a perfect square
+        offsets = offsets + [k * k - (base + stride * j) ** 2 for k, j in enumerate(square_at)]
+        got = list(square_candidates(base, stride, tuple(offsets), count))
+        assert got == sorted(set(got)) and all(0 <= j < count for j in got)
+        want = [
+            j for j in range(count)
+            if any(is_perfect_square((base + stride * j) ** 2 + off) is not None for off in offsets)
+        ]
+        assert set(want) <= set(got)
+
+    def test_yields_squares_at_block_edges(self):
+        # blocks of 2^10, 2^11, ..., 2^16, 2^16, ... positions while the sieve
+        # leaves few: plant a square on each side of every block edge up to 2^18
+        base = 10**12 + 39
+        edge, size = 0, 1 << 10
+        while edge < 1 << 18:
+            edge += size
+            size = min(2 * size, 1 << 16)
+            offsets = tuple(k * k - (base + j) ** 2 for k, j in ((base, edge - 1), (base + 1, edge)))
+            got = list(square_candidates(base, 1, offsets, edge + 1))
+            assert got[-2:] == [edge - 1, edge] and len(got) < 10 + edge // 1000
+
+    def test_dense_positions(self):
+        # every value is a square: each position is yielded once, in order
+        assert list(square_candidates(7, 3, (0,), 5000)) == list(range(5000))
+
+    def test_rules_out_most_positions(self):
+        # a 200 000-position difference-of-squares scan tests about one
+        # position in 20 000
+        n = 4294967311 * 4295067319
+        x0 = isqrt(4 * n) + 1
+        assert len(list(square_candidates(x0, 1, (-4 * n,), 200_000))) < 200
 
 
 class TestModSqrt:

@@ -249,6 +249,8 @@ class TestMain:
             ["--method", "landry-pepin", "--n", "2599", "--mod", "0", "--mod2", "10",
              "--c", "1", "--d", "7"],
             ["--method", "theorem4", "--n", "1", "--mod", "100"],
+            ["--method", "landry-pepin", "--n", "2599", "--mod", "10", "--mod2", "10",
+             "--c", "1", "--d", "7", "--t-bound", "-5"],
         ],
     )
     def test_precondition_errors_are_usage_errors(self, capsys, args):

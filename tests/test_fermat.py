@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlab.arith import divisor_count, isqrt, next_prime
+from factorlab import fermat
+from factorlab.arith import divisor_count, isqrt, next_prime, random_prime
 from factorlab.errors import (
     Exhausted,
     MultiplierCollision,
@@ -27,7 +30,7 @@ from factorlab.fermat import (
     triangular_start,
 )
 
-from conftest import close_semiprime
+from conftest import close_semiprime, outcome, reference_difference_scan
 
 # The 21-row balanced-ratio table, frozen to six decimals.
 RATIO_TABLE = [
@@ -137,6 +140,44 @@ class TestPredictSteps:
         q = p if gap == 0 else next_prime(p + gap)
         n = p * q
         assert fermat_standard(n).steps == predict_steps(p, n)
+
+
+class TestSievedScan:
+    """The sieved difference scan against the position-by-position oracle."""
+
+    @given(
+        n=st.integers(min_value=3, max_value=20000),
+        budget=st.one_of(st.none(), st.integers(min_value=0, max_value=80)),
+    )
+    @settings(max_examples=400)
+    def test_standard_matches_reference(self, n, budget):
+        n |= 1
+        assert outcome(fermat_standard, n, budget) == outcome(
+            reference_difference_scan, n, budget, "standard"
+        )
+
+    @given(
+        n=st.integers(min_value=3, max_value=20000),
+        ratio=st.sampled_from(["1", "3/2", "2", "5/3", "7/2"]),
+        budget=st.one_of(st.none(), st.integers(min_value=0, max_value=80)),
+    )
+    @settings(max_examples=400)
+    def test_ratio_matches_reference(self, n, ratio, budget):
+        # odd and even n; the oracle runs behind the same multiplier transform
+        got = outcome(fermat_ratio, n, ratio, budget)
+        with mock.patch.object(fermat, "_difference_scan", reference_difference_scan):
+            assert got == outcome(fermat_ratio, n, ratio, budget)
+
+    def test_long_scan_crosses_blocks(self):
+        # about 300 000 positions: every block size up to the 2^16 cap, then
+        # several capped blocks
+        rng = random.Random(5150)
+        p = random_prime(rng, 32)
+        q = next_prime(p + 2 * isqrt(300_000 * p))
+        n = p * q
+        res = fermat_standard(n)
+        assert res.steps == predict_steps(p, n) > 4 * 2**16
+        assert (res.p, res.q) == (p, q)
 
 
 class TestTriangular:

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factorlab.arith import is_perfect_square, is_prime, isqrt, next_prime, random_prime
+from factorlab.coppersmith import theorem4_driver
 from factorlab.errors import Exhausted, GcdFactorFound, NonPrimeModulus
 from factorlab.residue import (
     algorithm_one,
@@ -12,6 +13,11 @@ from factorlab.residue import (
     landry_pepin,
     theorem4_pairs,
 )
+
+from conftest import outcome, reference_landry_pepin
+
+# moduli that share factors with several sieve moduli
+SIEVE_SHARED = (63, 64, 65, 210, 143)
 
 
 def brute_pairs(n: int, m: int) -> list[tuple[int, int]]:
@@ -127,6 +133,38 @@ class TestLandryPepin:
     def test_precondition(self):
         with pytest.raises(ValueError):
             landry_pepin(10807, 10, 10, 2, 7, t_bound=5)
+        with pytest.raises(ValueError):
+            landry_pepin(10807, 10, 10, 1, 7, t_bound=-1)
+
+    def test_composite_parts_are_not_certified(self):
+        fac = landry_pepin(292248, 25, 25, 27, 36, 105)
+        assert fac.parts == ((328, 1), (891, 1)) and fac.complete is False
+        assert fac.residual == 891
+        fac = theorem4_driver(15 * 101, 15)
+        assert fac.parts == ((15, 1), (101, 1)) and fac.complete is False
+        assert landry_pepin(10807, 10, 10, 1, 7, 8).complete is True
+
+    @given(
+        a=st.integers(min_value=2, max_value=400),
+        b=st.integers(min_value=2, max_value=400),
+        m=st.one_of(st.sampled_from(SIEVE_SHARED), st.integers(min_value=1, max_value=300)),
+        mod2=st.one_of(st.sampled_from(SIEVE_SHARED), st.integers(min_value=1, max_value=300)),
+        planted=st.booleans(),
+        c=st.integers(min_value=0, max_value=300),
+        d=st.integers(min_value=0, max_value=300),
+        t_bound=st.one_of(st.just(0), st.integers(min_value=0, max_value=3000)),
+    )
+    @settings(max_examples=600)
+    def test_sieved_scan_matches_reference(self, a, b, m, mod2, planted, c, d, t_bound):
+        # composite n = a*b; planted residues are those of a divisor pair
+        n = a * b
+        if planted:
+            c, d = a % m, b % mod2
+        c, d = c % m, d % mod2
+        assume(gcd(c, m) == 1 and gcd(d, mod2) == 1)
+        assert outcome(landry_pepin, n, m, mod2, c, d, t_bound) == outcome(
+            reference_landry_pepin, n, m, mod2, c, d, t_bound
+        )
 
     @given(
         p=st.integers(min_value=2, max_value=3000),
