@@ -39,7 +39,6 @@ from .fermat import (
     FermatResult,
     RatioBounds,
     RatioGridEntry,
-    SearchBudget,
     fermat_ratio,
     fermat_standard,
     fermat_triangular,
@@ -78,6 +77,8 @@ from .residue import (
     algorithm_one,
     enumerate_pairs,
     landry_pepin,
+    pair_driver,
+    residue_driver,
     theorem4_pairs,
 )
 

@@ -23,12 +23,11 @@ from .errors import (
     BoundTooLargeWarning,
     Exhausted,
     FactorlabError,
-    GcdFactorFound,
     MultiplierCollision,
     NoRoot,
     TrivialOnly,
 )
-from .residue import default_t_bound, enumerate_pairs, landry_pepin
+from .residue import default_t_bound, landry_pepin, residue_driver
 
 # The flags each method requires, in the order its report's params record them.
 METHOD_FLAGS = {
@@ -133,33 +132,28 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser errors are usage errors (one `error:` line, exit 1); argparse
+    would exit 2, the code of an unfactored N."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _fraction(text: str) -> Fraction:
+    """The exact value of a rational flag (--r, --lower, --upper, --delta);
+    a zero denominator is a ValueError like any other malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _factorization_tuple(fac: arith.Factorization) -> tuple[int, ...]:
     out: list[int] = []
     for f, e in fac.parts:
         out.extend([f] * e)
     return tuple(out)
-
-
-def _residue_method(config: RunConfig) -> tuple[tuple[int, ...], int | None]:
-    """Residue-class route: enumerate candidate (c, d) pairs for the modulus,
-    then run the scaled-sum scan on each until one factors N."""
-    n, m = config.n, config.mod
-    try:
-        pairs = enumerate_pairs(n, m)
-    except GcdFactorFound as found:
-        return tuple(sorted((found.factor, n // found.factor))), None
-    for pair in sorted(pairs.pairs):
-        # with mod2 = m, the order (d, c) scans the same z values as (c, d)
-        # and finds the same factors, so each pair is tried once
-        t_bound = config.t_bound
-        if t_bound is None:
-            t_bound = default_t_bound(n, m, m, pair.c, pair.d)
-        try:
-            fac = landry_pepin(n, m, m, pair.c, pair.d, t_bound)
-        except Exhausted:
-            continue
-        return _factorization_tuple(fac), None
-    raise Exhausted(f"no residue pair mod {m} factored {n}")
 
 
 def run(config: RunConfig) -> RunReport:
@@ -188,10 +182,11 @@ def run(config: RunConfig) -> RunReport:
             res = fermat.fermat_triangular(n, config.budget)
             factors, steps = (res.p, res.q), res.steps
         elif method == "ratio":
-            res = fermat.fermat_ratio(n, config.r, config.budget)
+            res = fermat.fermat_ratio(n, _fraction(config.r), config.budget)
             factors, steps = (res.p, res.q), res.steps
         elif method == "residue":
-            factors, steps = _residue_method(config)
+            fac = residue_driver(n, config.mod, config.t_bound)
+            factors = _factorization_tuple(fac)
         elif method == "landry-pepin":
             t_bound = config.t_bound
             if t_bound is None:
@@ -288,7 +283,7 @@ def bench(config: RunConfig):
     seed emit identical reports apart from the wall-time fields.
     """
     rng = random.Random(config.seed)
-    ratio = Fraction(config.r) if config.r else Fraction(2)
+    ratio = _fraction(config.r) if config.r else Fraction(2)
     reports = []
     for idx in range(config.instances):
         if config.profile == "gap":
@@ -336,7 +331,9 @@ def bench(config: RunConfig):
 
 
 def grid_lines(config: RunConfig) -> list[str]:
-    entries = fermat.ratio_grid(config.lower, config.upper, config.count)
+    entries = fermat.ratio_grid(
+        _fraction(config.lower), _fraction(config.upper), config.count
+    )
     lines = []
     for e in entries:
         if config.fmt == "json-lines":
@@ -368,7 +365,7 @@ def lattice_lines(config: RunConfig) -> list[str]:
         basis = lattice.Basis.from_rows(rows)
     except ValueError as exc:
         raise UsageError(f"bad --rows: {exc}") from exc
-    delta = Fraction(config.delta)
+    delta = _fraction(config.delta)
     reduced, transform = lattice.lll_reduce_with_transform(basis, delta)
     det = lattice.determinant(basis)
     first_norm_sq = sum(x * x for x in reduced.vectors[0])
@@ -415,7 +412,7 @@ def demo_lines() -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="factorlab",
         description="Deterministic integer-factorization toolkit.",
     )
@@ -474,10 +471,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(build_parser().parse_args(argv))
         as_json = config.fmt == "json-lines"
         if config.command in ("factor", "bench"):
             if config.command == "factor":

@@ -46,7 +46,7 @@ from .errors import (
 # lll_reduce and resultant are unused here; perfbench/tracing.py wraps them by name.
 from .lattice import lll_reduce, lll_rows  # noqa: F401
 from .polynomial import MultiPoly, resultant  # noqa: F401
-from .residue import _split, theorem4_pairs
+from .residue import ResiduePair, pair_driver, theorem4_pairs
 
 __all__ = [
     "BivariateProblem",
@@ -90,12 +90,6 @@ class BivariateProblem:
         if self.m < 1 or self.n < 1:
             raise ValueError("moduli must be >= 1")
 
-    def poly(self) -> MultiPoly:
-        return _family_poly(self.N, self.m, self.P0, self.n, self.Q0)
-
-    def scaled_height(self) -> int:
-        return _stripped(self)[1]
-
 
 @dataclass(frozen=True)
 class TrivariateProblem:
@@ -129,21 +123,10 @@ class RootSolution:
     z0: int | None = None
 
 
-def _family_poly(big_n: int, m: int, p0: int, n: int, q0: int) -> MultiPoly:
-    return MultiPoly(
-        2,
-        {
-            (1, 1): m * n,
-            (1, 0): m * q0,
-            (0, 1): n * p0,
-            (0, 0): p0 * q0 - big_n,
-        },
-    )
-
-
 def _stripped(prob: BivariateProblem) -> tuple[tuple[int, int, int, int], int]:
-    """The content-stripped coefficients (c11, c10, c01, c00) of f and the
-    height of f(x*X, y*Y)."""
+    """The coefficients (c11, c10, c01, c00) of f = (m*x + P0)(n*y + Q0) - N
+    with their content removed, and the height of f(x*X, y*Y): the one place
+    f's coefficients are written."""
     m, n, p0, q0 = prob.m, prob.n, prob.P0, prob.Q0
     coeffs = (m * n, m * q0, n * p0, p0 * q0 - prob.N)
     content = gcd(*coeffs)
@@ -157,7 +140,7 @@ def _stripped(prob: BivariateProblem) -> tuple[tuple[int, int, int, int], int]:
 def certified_regime(prob: BivariateProblem) -> bool:
     """Exact form of the certified small-root condition X*Y <= W**(2/3) for
     the bilinear family (degree 1 per variable)."""
-    w = prob.scaled_height()
+    w = _stripped(prob)[1]
     return (prob.X * prob.Y) ** 3 <= w * w
 
 
@@ -259,12 +242,14 @@ def _solutions(
 ) -> list[RootSolution]:
     """The in-box roots of acc in (x0, y0) order, each re-verified; raises
     NoRoot when none is left."""
-    f = prob.poly()
     solutions = []
     for (x0, y0), (p, q) in sorted(acc.items()):
         if abs(x0) > prob.X or abs(y0) > prob.Y:
             continue
-        if p * q != prob.N or f.evaluate((x0, y0)) != 0:
+        if (
+            p * q != prob.N
+            or (prob.m * x0 + prob.P0) * (prob.n * y0 + prob.Q0) != prob.N
+        ):
             raise AssertionError("solver produced an invalid root")
         solutions.append(RootSolution(x0=x0, y0=y0, p=p, q=q))
     if not solutions:
@@ -551,29 +536,19 @@ def solve_coprime_moduli(
 def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorization:
     """Factor N with nearly equal factors by trying every divisor pair of
     the small lifts of N mod m in the (m*x + c)(m*y + d) form."""
-    if big_n < 2:
-        raise ValueError("N must be >= 2")
-    g = gcd(big_n, m)
-    if 1 < g < big_n:
-        return _split(big_n, g)
-    pairs = theorem4_pairs(big_n, m)  # checks m >= 2 before the division below
-    bound = 3 * isqrt(big_n) // (2 * m) + 2
-    for pair in pairs:
-        if pair.c > pair.d:
-            # X = Y and m = n: the roots of (d, c) mirror those of (c, d),
-            # which comes first and has already been tried
-            continue
+
+    def solve(pair: ResiduePair) -> list[int]:
+        # computed here, after pair_driver has checked N and m
+        bound = 3 * isqrt(big_n) // (2 * m) + 2
         prob = BivariateProblem(
             N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
         )
         try:
-            found = solve_bivariate(prob, stats)
+            return [sol.p for sol in solve_bivariate(prob, stats)]
         except NoRoot:
-            continue
-        for sol in found:
-            if 1 < sol.p < big_n:
-                return _split(big_n, sol.p)
-    raise Exhausted(f"no residue pair mod {m} yields a factorization")
+            return []
+
+    return pair_driver(big_n, m, theorem4_pairs, solve)
 
 
 def empirical_envelope(

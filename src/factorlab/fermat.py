@@ -28,7 +28,6 @@ __all__ = [
     "FermatResult",
     "RatioBounds",
     "RatioGridEntry",
-    "SearchBudget",
     "fermat_ratio",
     "fermat_standard",
     "fermat_triangular",
@@ -41,29 +40,6 @@ __all__ = [
 ]
 
 _RATIO_CAP = 10**4
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caller-chosen step cap; None means scan to the trivial solution.
-
-    Free search exponents and constants live here as concrete bounds rather
-    than asymptotic symbols.
-    """
-
-    max_steps: int | None = None
-
-    def __post_init__(self):
-        if self.max_steps is not None and self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
-
-
-def _max_steps(budget: SearchBudget | int | None) -> int | None:
-    if budget is None:
-        return None
-    if isinstance(budget, SearchBudget):
-        return budget.max_steps
-    return SearchBudget(int(budget)).max_steps
 
 
 @dataclass(frozen=True)
@@ -101,6 +77,8 @@ def _difference_scan(n: int, max_steps: int | None, method: str) -> FermatResult
         x0 += 1
     last = n + 1  # x = n + 1 gives the trivial split 1 x n
     if max_steps is not None:
+        if max_steps < 0:
+            raise ValueError("max_steps must be >= 0")
         last = min(last, x0 + max_steps - 1)
     for j in square_candidates(x0, 1, (-four_n,), last - x0 + 1):
         x = x0 + j
@@ -116,11 +94,12 @@ def _difference_scan(n: int, max_steps: int | None, method: str) -> FermatResult
     raise Exhausted("scan passed the trivial solution")  # unreachable for n >= 2
 
 
-def fermat_standard(n: int, budget: SearchBudget | int | None = None) -> FermatResult:
-    """Factor odd n >= 3 by the consecutive difference-of-squares scan."""
+def fermat_standard(n: int, budget: int | None = None) -> FermatResult:
+    """Factor odd n >= 3 by the consecutive difference-of-squares scan,
+    testing at most `budget` positions (None: up to the trivial split)."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    return _difference_scan(n, _max_steps(budget), "standard")
+    return _difference_scan(n, budget, "standard")
 
 
 def predict_steps(p: int, n: int) -> int:
@@ -152,7 +131,7 @@ def triangular_squares(n: int):
         x += m + i
 
 
-def fermat_triangular(n: int, budget: SearchBudget | int | None = None) -> FermatResult:
+def fermat_triangular(n: int, budget: int | None = None) -> FermatResult:
     """Difference-of-squares scan restricted to triangular x values.
 
     Succeeds only when p + q is a triangular number; the cube-increment
@@ -161,7 +140,8 @@ def fermat_triangular(n: int, budget: SearchBudget | int | None = None) -> Ferma
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    max_steps = _max_steps(budget)
+    if budget is not None and budget < 0:
+        raise ValueError("max_steps must be >= 0")
     four_n = 4 * n
     steps = 0
     for _i, x, x_sq in triangular_squares(n):
@@ -170,8 +150,8 @@ def fermat_triangular(n: int, budget: SearchBudget | int | None = None) -> Ferma
         if x_sq < four_n:
             continue
         steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise Exhausted(f"no triangular solution within {max_steps} steps")
+        if budget is not None and steps > budget:
+            raise Exhausted(f"no triangular solution within {budget} steps")
         y = is_perfect_square(x_sq - four_n)
         if y is not None:
             p, q = (x - y) // 2, (x + y) // 2
@@ -228,9 +208,7 @@ def render_ratio(value: Fraction) -> str:
     return text
 
 
-def fermat_ratio(
-    n: int, ratio, budget: SearchBudget | int | None = None
-) -> FermatResult:
+def fermat_ratio(n: int, ratio, budget: int | None = None) -> FermatResult:
     """Factor n when q ~ (a/b) * p for a known ratio a/b >= 1.
 
     Runs the consecutive scan on a*b*n, whose divisor pair (b*p, a*q) is
@@ -245,7 +223,7 @@ def fermat_ratio(
         raise ValueError(f"ratio numerator/denominator capped at {_RATIO_CAP}")
     if n < 3:
         raise ValueError("n must be >= 3")
-    inner = _difference_scan(a * b * n, _max_steps(budget), "ratio")
+    inner = _difference_scan(a * b * n, budget, "ratio")
     for cand in (inner.p, inner.q):
         g = gcd(cand, n)
         if 1 < g < n:

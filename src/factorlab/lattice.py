@@ -1,9 +1,10 @@
 """Exact integer-lattice machinery.
 
 Gram-Schmidt runs over exact rationals, LLL keeps its size-reduction and
-Lovasz bookkeeping in Fractions with the classical O(n) swap updates, and
-determinants use fraction-free elimination, so every contract here is
-bit-exact and testable without tolerances.
+Lovasz bookkeeping in integers (Gram determinants and scaled mu) with the
+classical O(n) swap updates, and determinants use fraction-free
+elimination, so every contract here is bit-exact and testable without
+tolerances.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ residue-class route to factoring.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -26,6 +27,8 @@ __all__ = [
     "default_t_bound",
     "enumerate_pairs",
     "landry_pepin",
+    "pair_driver",
+    "residue_driver",
     "theorem4_pairs",
 ]
 
@@ -149,6 +152,8 @@ def landry_pepin(
         raise ValueError("t_bound must be >= 0")
     if gcd(c, m) != 1 or gcd(d, mod2) != 1:
         raise ValueError("need gcd(c, m) = gcd(d, mod2) = 1")
+    if d == 0:  # gcd(0, 1) = 1 passes the check above, but p = z/(2d) needs d
+        raise ValueError("d must be nonzero")
     mn = m * mod2
     z0 = (n + c * d) % mn
     four_cdn = 4 * c * d * n
@@ -190,3 +195,46 @@ def theorem4_pairs(n: int, m: int) -> list[ResiduePair]:
         for c in trial_factor(cd, cd).divisors():
             pairs.append(ResiduePair(c, cd // c, m))
     return pairs
+
+
+def pair_driver(n: int, m: int, pairs: Callable, solve: Callable) -> Factorization:
+    """Factor n by the one loop over residue pairs c*d = n (mod m).
+
+    A gcd(n, m) strictly between 1 and n splits n at once.  Otherwise each
+    ResiduePair of pairs(n, m) with c <= d goes to solve(pair), which
+    returns divisors of n, and the first divisor 1 < r < n splits n.  A pair
+    with c > d is skipped: both factors share the modulus m and the search
+    bound, so its roots mirror those of (d, c).
+    """
+    if n < 2:
+        raise ValueError("N must be >= 2")
+    if m < 2:
+        raise ValueError("modulus must be >= 2")
+    g = gcd(n, m)
+    if 1 < g < n:
+        return _split(n, g)
+    for pair in pairs(n, m):
+        if pair.c > pair.d:
+            continue
+        for root in solve(pair):
+            if 1 < root < n:
+                return _split(n, root)
+    raise Exhausted(f"no residue pair mod {m} yields a factorization")
+
+
+def residue_driver(n: int, m: int, t_bound: int | None = None) -> Factorization:
+    """Residue-class route: scan every pair of enumerate_pairs with
+    landry_pepin at mod2 = m, up to t_bound or default_t_bound per pair."""
+
+    def pairs(n: int, m: int) -> list[ResiduePair]:
+        # gcd(n, m) = n leaves no pair with both residues prime to m
+        return sorted(enumerate_pairs(n, m).pairs) if gcd(n, m) == 1 else []
+
+    def solve(pair: ResiduePair) -> list[int]:
+        bound = default_t_bound(n, m, m, pair.c, pair.d) if t_bound is None else t_bound
+        try:
+            return [landry_pepin(n, m, m, pair.c, pair.d, bound).parts[0][0]]
+        except Exhausted:
+            return []
+
+    return pair_driver(n, m, pairs, solve)

@@ -52,6 +52,13 @@ class TestRun:
         assert report.outcome == "factored"
         assert report.factors == (15, 101)
 
+    @pytest.mark.parametrize("n, mod", [(7, 14), (15, 30)])
+    def test_residue_method_gcd_equal_to_n_exhausts(self, n, mod):
+        # gcd(n, mod) = n splits nothing, and no pair has both residues prime
+        # to mod
+        assert run(factor_config(method="residue", n=n, mod=mod)).outcome == "exhausted"
+        assert main(["factor", "--method", "residue", "--n", str(n), "--mod", str(mod)]) == 2
+
     def test_landry_pepin(self):
         report = run(
             factor_config(method="landry-pepin", n=10807, mod=10, mod2=10, c=1, d=7,
@@ -251,6 +258,10 @@ class TestMain:
             ["--method", "theorem4", "--n", "1", "--mod", "100"],
             ["--method", "landry-pepin", "--n", "2599", "--mod", "10", "--mod2", "10",
              "--c", "1", "--d", "7", "--t-bound", "-5"],
+            ["--method", "landry-pepin", "--n", "2599", "--mod", "10", "--mod2", "1",
+             "--c", "1", "--d", "0"],  # gcd(0, 1) = 1, but d = 0
+            ["--method", "residue", "--n", "0", "--mod", "10"],
+            ["--method", "residue", "--n", "-15", "--mod", "6"],
         ],
     )
     def test_precondition_errors_are_usage_errors(self, capsys, args):
@@ -259,6 +270,50 @@ class TestMain:
         err_lines = captured.err.strip().splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "--method", "ratio", "--n", "15", "--r", "1/0"],
+            ["bench", "--method", "standard", "--profile", "ratio", "--r", "1/0",
+             "--seed", "1"],
+            ["grid", "--lower", "1/0"],
+            ["lattice", "--rows", "1,0;0,1", "--delta", "1/0"],
+        ],
+    )
+    def test_zero_denominator_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: zero denominator in '1/0'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "--method", "standard"],  # no --n
+            ["factor", "--method", "nosuch", "--n", "15"],
+            ["factor", "--method", "standard", "--n", "abc"],
+            ["bench", "--method", "standard"],  # no --seed
+        ],
+    )
+    def test_parser_errors_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err_lines = captured.err.strip().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["factor", "--help"])
+        assert info.value.code == 0
+        assert "--method" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["standard", "triangular", "ratio"])
+    def test_negative_budget_is_a_usage_error(self, capsys, method):
+        argv = ["factor", "--method", method, "--n", "2599", "--budget", "-1"]
+        assert main(argv + (["--r", "2"] if method == "ratio" else [])) == 1
+        assert capsys.readouterr().err == "error: max_steps must be >= 0\n"
 
     def test_json_lines_output(self, capsys):
         code = main(

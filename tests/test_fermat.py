@@ -18,7 +18,6 @@ from factorlab.errors import (
 )
 from factorlab.fermat import (
     FermatResult,
-    SearchBudget,
     fermat_ratio,
     fermat_standard,
     fermat_triangular,
@@ -82,8 +81,8 @@ class TestStandardScan:
 
     def test_budget_exhaustion(self):
         with pytest.raises(Exhausted):
-            fermat_standard(2599, budget=SearchBudget(34))
-        assert fermat_standard(2599, budget=SearchBudget(35)).steps == 35
+            fermat_standard(2599, budget=34)
+        assert fermat_standard(2599, budget=35).steps == 35
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factorlab.arith import is_perfect_square, is_prime, isqrt, next_prime, random_prime
@@ -11,6 +11,8 @@ from factorlab.residue import (
     algorithm_one,
     enumerate_pairs,
     landry_pepin,
+    pair_driver,
+    residue_driver,
     theorem4_pairs,
 )
 
@@ -135,6 +137,8 @@ class TestLandryPepin:
             landry_pepin(10807, 10, 10, 2, 7, t_bound=5)
         with pytest.raises(ValueError):
             landry_pepin(10807, 10, 10, 1, 7, t_bound=-1)
+        with pytest.raises(ValueError):
+            landry_pepin(2599, 10, 1, 1, 0, t_bound=5)
 
     def test_composite_parts_are_not_certified(self):
         fac = landry_pepin(292248, 25, 25, 27, 36, 105)
@@ -162,9 +166,11 @@ class TestLandryPepin:
             c, d = a % m, b % mod2
         c, d = c % m, d % mod2
         assume(gcd(c, m) == 1 and gcd(d, mod2) == 1)
-        assert outcome(landry_pepin, n, m, mod2, c, d, t_bound) == outcome(
-            reference_landry_pepin, n, m, mod2, c, d, t_bound
-        )
+        got = outcome(landry_pepin, n, m, mod2, c, d, t_bound)
+        if d == 0:  # mod2 = 1: a precondition error, where the scan divides by 2d
+            assert got == (ValueError, "d must be nonzero")
+        else:
+            assert got == outcome(reference_landry_pepin, n, m, mod2, c, d, t_bound)
 
     @given(
         p=st.integers(min_value=2, max_value=3000),
@@ -222,6 +228,41 @@ class TestLandryPepin:
             t_bound = 3 * max(c, d) * isqrt(n) // (m * mod2) + 2
             fac = landry_pepin(n, m, mod2, c, d, t_bound)
             assert set(f for f, _ in fac.parts) == {p, q} or fac.parts == ((p, 2),)
+
+
+class TestPairDriver:
+    @given(
+        n=st.integers(min_value=2, max_value=1499),
+        m=st.integers(min_value=2, max_value=40),
+        driver=st.sampled_from((theorem4_driver, residue_driver)),
+    )
+    @example(n=7, m=14, driver=residue_driver)  # gcd(n, m) = n
+    @example(n=15, m=30, driver=residue_driver)
+    @example(n=15, m=30, driver=theorem4_driver)
+    @example(n=3, m=2, driver=theorem4_driver)  # the root p = 3, q = 1 is in the box
+    @settings(max_examples=400, deadline=None)
+    def test_splits_are_verified(self, n, m, driver):
+        # a split of n into parts >= 2 or Exhausted, whatever gcd(n, m) is
+        try:
+            fac = driver(n, m)
+        except Exhausted:
+            return
+        product = 1
+        for f, e in fac.parts:
+            assert f >= 2
+            product *= f**e
+        assert product == n
+
+    def test_skips_mirrored_pairs(self):
+        tried = []
+
+        def solve(pair):
+            tried.append((pair.c, pair.d))
+            return []
+
+        with pytest.raises(Exhausted):
+            pair_driver(10807, 100, theorem4_pairs, solve)
+        assert tried == [(1, 7), (1, 107)]  # not (7, 1) or (107, 1)
 
 
 class TestTheorem4Pairs:
