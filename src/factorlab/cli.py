@@ -14,13 +14,11 @@ import json
 import random
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, coppersmith, fermat, lattice
 from .errors import (
-    BoundTooLargeWarning,
     Exhausted,
     FactorlabError,
     MultiplierCollision,
@@ -250,30 +248,37 @@ def _pick_factor_pair(n: int, sols) -> tuple[int, ...]:
     raise NoRoot(f"only trivial roots found for {n}")
 
 
+# Draws a bench generator makes before it gives up: at some sizes no draw
+# can pass (a 4- or 5-bit gap semiprime has p = 3 and no q close enough).
+MAX_DRAWS = 10_000
+
+
 def gap_semiprime(rng: random.Random, bits: int) -> tuple[int, int, int]:
     """Semiprime N = p*q with q - p <= N**(1/4)."""
-    while True:
+    for _ in range(MAX_DRAWS):
         p = arith.random_prime(rng, bits // 2)
         cap = max(4, 1 << max(2, bits // 4 - 2))
         q = arith.next_prime(p + rng.randrange(1, cap))
         n = p * q
         if q - p <= arith.isqrt(arith.isqrt(n)):
             return n, p, q
+    raise ValueError(f"no gap-profile semiprime of {bits} bits in {MAX_DRAWS} draws")
 
 
 def ratio_semiprime(
     rng: random.Random, bits: int, ratio: Fraction
 ) -> tuple[int, int, int]:
-    """Semiprime N = p*q with |b*q - a*p| <= b * N**(1/4) for ratio a/b."""
+    """Semiprime N = p*q with |b*q - a*p| <= b * N**(1/4) for ratio a/b >= 1."""
+    if ratio < 1:
+        raise ValueError("ratio must be >= 1")
     a, b = ratio.numerator, ratio.denominator
-    while True:
+    for _ in range(MAX_DRAWS):
         p = arith.random_prime(rng, bits // 2)
         q = arith.next_prime(a * p // b + rng.randrange(0, 16))
-        if q <= p:
-            continue
         n = p * q
-        if abs(b * q - a * p) <= b * arith.isqrt(arith.isqrt(n)):
+        if q > p and abs(b * q - a * p) <= b * arith.isqrt(arith.isqrt(n)):
             return n, p, q
+    raise ValueError(f"no ratio-profile semiprime of {bits} bits in {MAX_DRAWS} draws")
 
 
 def bench(config: RunConfig):
@@ -430,29 +435,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--lsb-value", type=int, dest="lsb_value")
     p_factor.add_argument("--lsb-bits", type=int, dest="lsb_bits")
     p_factor.add_argument("--mult", type=int, help="transform modulus M")
-    p_factor.add_argument("--z-max", type=int, default=32, dest="z_max")
-    p_factor.add_argument("--a-max", type=int, default=9, dest="a_max")
+    p_factor.add_argument("--z-max", type=int, dest="z_max")
+    p_factor.add_argument("--a-max", type=int, dest="a_max")
     p_factor.add_argument("--t-bound", type=int, dest="t_bound")
     p_factor.add_argument("--budget", type=int)
 
     p_bench = sub.add_parser("bench", help="seeded semiprime benchmark")
     p_bench.add_argument("--method", required=True, choices=METHODS)
-    p_bench.add_argument("--profile", choices=("gap", "ratio"), default="gap")
-    p_bench.add_argument("--bits", type=int, default=32)
-    p_bench.add_argument("--instances", type=int, default=20)
+    p_bench.add_argument("--profile", choices=("gap", "ratio"))
+    p_bench.add_argument("--bits", type=int)
+    p_bench.add_argument("--instances", type=int)
     p_bench.add_argument("--seed", type=int, required=True)
     p_bench.add_argument("--r", help="target ratio for the ratio profile")
     p_bench.add_argument("--mod", type=int)
     p_bench.add_argument("--budget", type=int)
 
     p_grid = sub.add_parser("grid", help="balanced-ratio grid table")
-    p_grid.add_argument("--lower", default="0.707")
-    p_grid.add_argument("--upper", default="1")
-    p_grid.add_argument("--count", type=int, default=21)
+    p_grid.add_argument("--lower")
+    p_grid.add_argument("--upper")
+    p_grid.add_argument("--count", type=int)
 
     p_lat = sub.add_parser("lattice", help="LLL-reduce an integer basis")
     p_lat.add_argument("--rows", required=True, help="rows like '4,1;7,2'")
-    p_lat.add_argument("--delta", default="3/4")
+    p_lat.add_argument("--delta")
 
     for subparser, default in (
         (p_factor, "text"), (p_bench, "json-lines"), (p_grid, "text"), (p_lat, "text")
@@ -470,7 +475,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _main(argv) -> int:
+def main(argv=None) -> int:
     try:
         config = _config_from_args(build_parser().parse_args(argv))
         as_json = config.fmt == "json-lines"
@@ -501,13 +506,6 @@ def _main(argv) -> int:
         # ValueError is the library's precondition check on its arguments
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    with warnings.catch_warnings():
-        # each report's `certified` field already says what this warning says
-        warnings.simplefilter("ignore", BoundTooLargeWarning)
-        return _main(argv)
 
 
 if __name__ == "__main__":

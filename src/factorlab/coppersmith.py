@@ -23,20 +23,22 @@ box monomials 1, x, y, xy, a reduced vector that passes the Howgrave-Graham
 norm test and the multiple-of-f gate is an independent g with the same
 in-box roots, and the resultant in y of f and g is an at most quadratic
 polynomial in x.  Its certified regime (X*Y bounded by the 2/3 power of the
-scaled height) is what solve_bivariate reports as `certified` and warns
-about; the splitter itself needs no such bound.
+scaled height) is what solve_bivariate reports as `certified`; the splitter
+itself needs no such bound.
+
+Both lattices end in one step, _gated: reduce, keep the vectors that pass
+the Howgrave-Graham gate, and undo the column scaling.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import floordiv, mul
 
 from .arith import Factorization, is_perfect_square, random_prime
 from .errors import (
-    BoundTooLargeWarning,
     Exhausted,
     NoIndependentPolynomial,
     NonInvertibleResidue,
@@ -150,52 +152,49 @@ def default_box_bound(big_n: int) -> int:
     return 1 << (big_n.bit_length() // 4 + 1)
 
 
-def _gated_vector(prob: BivariateProblem) -> (
-    tuple[tuple[int, int, int, int], tuple[int, int, int, int], tuple[int, int, int]]
-    | None
-):
+def _gated(rows: list[list[int]], scales: tuple[int, ...], bound_sq: int):
+    """Reduce `rows` and yield, in reduced order, each vector v with
+    ||v||^2 * weight(v) < bound_sq (the Howgrave-Graham root gate) as
+    (||v||^2, v with each column divided by its entry in `scales`)."""
+    reduced, _ = lll_rows(rows)
+    for vec in reduced:
+        l2 = sum(map(mul, vec, vec))
+        if l2 * (len(vec) - vec.count(0)) < bound_sq:
+            yield l2, list(map(floordiv, vec, scales))
+
+
+def _gated_vector(prob: BivariateProblem) -> tuple[
+    tuple[int, int, int, int], tuple[int, int, int, int], tuple[int, int, int]
+]:
     """One bivariate lattice attempt on raw coefficient vectors.
 
     Content-stripped f, working modulus W/4, integer LLL on the dim-4 basis,
     the Howgrave and multiple-of-f gates as integer comparisons, and the
     y-eliminant from the closed 2 x 2 form f1*g0 - f0*g1.  Returns the f
     coefficients (c11, c10, c01, c00), the unscaled g coefficients
-    (g00, g10, g01, g11) and the eliminant (u2, u1, u0), or None when no
-    reduced vector qualifies.
+    (g00, g10, g01, g11) and the eliminant (u2, u1, u0); raises
+    NoIndependentPolynomial when no reduced vector qualifies.
     """
     (c11, c10, c01, c00), w_height = _stripped(prob)
     x_bound, y_bound = prob.X, prob.Y
     modulus = max(2, w_height // 4)
-    reduced, _ = lll_rows(
-        [
-            [modulus, 0, 0, 0],
-            [0, modulus * x_bound, 0, 0],
-            [0, 0, modulus * y_bound, 0],
-            [c00, c10 * x_bound, c01 * y_bound, c11 * x_bound * y_bound],
-        ]
-    )
-    mod_sq = modulus * modulus
+    rows = [
+        [modulus, 0, 0, 0],
+        [0, modulus * x_bound, 0, 0],
+        [0, 0, modulus * y_bound, 0],
+        [c00, c10 * x_bound, c01 * y_bound, c11 * x_bound * y_bound],
+    ]
     w_sq = w_height * w_height
-    for vec in reduced:
-        l2 = vec[0] * vec[0] + vec[1] * vec[1] + vec[2] * vec[2] + vec[3] * vec[3]
-        if l2 == 0:
-            continue
-        weight = (vec[0] != 0) + (vec[1] != 0) + (vec[2] != 0) + (vec[3] != 0)
-        if l2 * weight >= mod_sq:  # Howgrave-Graham root gate
-            continue
+    scales = (1, x_bound, y_bound, x_bound * y_bound)
+    for l2, (g00, g10, g01, g11) in _gated(rows, scales, modulus * modulus):
         if (l2 << 6) >= w_sq:  # multiple-of-f gate at degree 1
             continue
-        g00 = vec[0]
-        g10 = vec[1] // x_bound
-        g01 = vec[2] // y_bound
-        g11 = vec[3] // (x_bound * y_bound)
         u2 = c11 * g10 - c10 * g11
         u1 = c11 * g00 + c01 * g10 - c10 * g01 - c00 * g11
         u0 = c01 * g00 - c00 * g01
-        if u2 == 0 and u1 == 0 and u0 == 0:
-            continue
-        return (c11, c10, c01, c00), (g00, g10, g01, g11), (u2, u1, u0)
-    return None
+        if u2 or u1 or u0:
+            return (c11, c10, c01, c00), (g00, g10, g01, g11), (u2, u1, u0)
+    raise NoIndependentPolynomial(f"no gated vector for box {prob.X} x {prob.Y}")
 
 
 def _quad_roots(u2: int, u1: int, u0: int, lo: int, hi: int) -> list[int]:
@@ -260,10 +259,7 @@ def _solutions(
 def gated_polynomial(prob: BivariateProblem) -> tuple[MultiPoly, MultiPoly]:
     """Expose the (f, g) pair from a one-shot lattice; raises
     NoIndependentPolynomial when no reduced vector clears the gates."""
-    got = _gated_vector(prob)
-    if got is None:
-        raise NoIndependentPolynomial(f"no gated vector for box {prob.X} x {prob.Y}")
-    (c11, c10, c01, c00), (g00, g10, g01, g11), _ = got
+    (c11, c10, c01, c00), (g00, g10, g01, g11), _ = _gated_vector(prob)
     f = MultiPoly(2, {(1, 1): c11, (1, 0): c10, (0, 1): c01, (0, 0): c00})
     g = MultiPoly(2, {(1, 1): g11, (1, 0): g10, (0, 1): g01, (0, 0): g00})
     return f, g
@@ -316,26 +312,17 @@ def _univariate_interval(
     bound = min(abs(m * xlo + prob.P0), abs(m * xhi + prob.P0))
     stats["boxes"] = stats.get("boxes", 0) + 1
     a = p0c * inv % big_n
-    reduced, _ = lll_rows(
-        [
-            [big_n, 0, 0],
-            [a, lead * half, 0],
-            [0, a * half, lead * half * half],
-        ]
-    )
-    bound_sq = bound * bound
-    for vec in reduced:
-        l2 = vec[0] * vec[0] + vec[1] * vec[1] + vec[2] * vec[2]
-        weight = (vec[0] != 0) + (vec[1] != 0) + (vec[2] != 0)
-        if l2 * weight < bound_sq:  # Howgrave-Graham root gate
-            break
-    else:
-        return False
-    stats["lattice_dim"] = 3
-    g2, g1 = vec[2] // (half * half), vec[1] // half
-    for xr in _quad_roots(g2, g1, vec[0], xlo - xc, xhi - xc):
-        _record(prob, xr + xc, acc)
-    return True
+    rows = [
+        [big_n, 0, 0],
+        [a, lead * half, 0],
+        [0, a * half, lead * half * half],
+    ]
+    for _, (g0, g1, g2) in _gated(rows, (1, half, half * half), bound * bound):
+        stats["lattice_dim"] = 3
+        for xr in _quad_roots(g2, g1, g0, xlo - xc, xhi - xc):
+            _record(prob, xr + xc, acc)
+        return True
+    return False
 
 
 def _solve_interval(
@@ -414,19 +401,13 @@ def solve_bivariate(
 ) -> list[RootSolution]:
     """All roots of (m*x + P0)(n*y + Q0) - N with |x| <= X, |y| <= Y.
 
-    Emits BoundTooLargeWarning when the box exceeds the certified regime
-    and keeps going; raises NoRoot when the box holds no root.
+    The result is exact for every box size; stats["certified"] records
+    whether the box lies in the one-shot lattice's certified regime.
+    Raises NoRoot when the box holds no root.
     """
-    certified = certified_regime(prob)
-    if not certified:
-        warnings.warn(
-            f"box {prob.X} x {prob.Y} exceeds the certified small-root regime",
-            BoundTooLargeWarning,
-            stacklevel=2,
-        )
     if stats is None:
         stats = {}
-    stats["certified"] = certified
+    stats["certified"] = certified_regime(prob)
     acc: dict[tuple[int, int], tuple[int, int]] = {}
     # a divisor never exceeds N in magnitude, whatever the requested box
     xlo = max(-prob.X, -((prob.N + prob.P0) // prob.m))
@@ -439,10 +420,7 @@ def solve_bivariate_single(prob: BivariateProblem) -> list[RootSolution]:
     """One-shot lattice attempt on the whole box, with no splitting: the
     measured-envelope primitive.  Raises NoIndependentPolynomial when the
     gates reject every reduced vector."""
-    got = _gated_vector(prob)
-    if got is None:
-        raise NoIndependentPolynomial("one-shot lattice attempt failed")
-    _, _, (u2, u1, u0) = got
+    _, _, (u2, u1, u0) = _gated_vector(prob)
     acc: dict[tuple[int, int], tuple[int, int]] = {}
     for x0 in _quad_roots(u2, u1, u0, -prob.X, prob.X):
         _record(prob, x0, acc)

@@ -74,5 +74,6 @@ class NoIndependentPolynomial(FactorlabError):
 
 
 class BoundTooLargeWarning(UserWarning):
-    """The requested box exceeds the certified small-root regime; the solver
-    still attempts it best-effort."""
+    """Kept so that code importing it by name still works; factorlab no
+    longer emits it.  Whether a box lies in the certified small-root regime
+    is reported only by the solve's `certified` flag."""

@@ -8,7 +8,6 @@ as fixed-seed samples; the sampling is deterministic so failures reproduce.
 import math
 import random
 import time
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -26,7 +25,7 @@ from factorlab.coppersmith import (
     solve_trivariate,
     certified_regime,
 )
-from factorlab.errors import BoundTooLargeWarning, Exhausted, NoRoot
+from factorlab.errors import Exhausted, NoRoot
 from factorlab.fermat import (
     fermat_standard,
     fermat_triangular,
@@ -54,8 +53,6 @@ from factorlab.polynomial import (
 from factorlab.residue import algorithm_one, enumerate_pairs, landry_pepin
 
 from conftest import balanced_semiprime, box_oracle, close_semiprime
-
-warnings.simplefilter("ignore", BoundTooLargeWarning)
 
 
 def report(criterion: int, detail: str) -> None:

@@ -1,12 +1,19 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from factorlab.cli import (
     JSON_KEYS,
     RunConfig,
+    _config_from_args,
     bench,
+    build_parser,
     demo_lines,
     gap_semiprime,
     grid_lines,
@@ -18,6 +25,9 @@ from factorlab.cli import (
 
 import random
 from fractions import Fraction
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def factor_config(**kw) -> RunConfig:
@@ -162,6 +172,16 @@ class TestBench:
             a.pop("time_ms"), b.pop("time_ms")
             assert a == b
 
+    def test_msb_profile_hints_the_top_bits(self):
+        reports, summary = bench(
+            RunConfig(command="bench", method="coppersmith-msb", bits=40, instances=4,
+                      seed=1)
+        )
+        assert summary["factored"] == 4
+        for r in reports:
+            ell = r.n.bit_length() // 4
+            assert r.params["p0"] == (r.params["p"] >> ell) << ell
+
     def test_instances_labeled_with_construction(self):
         reports, _ = bench(
             RunConfig(command="bench", method="standard", profile="gap", bits=24,
@@ -303,6 +323,55 @@ class TestMain:
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, required, fmt",
+        [
+            (["factor", "--method", "standard", "--n", "15"],
+             dict(method="standard", n=15), "text"),
+            (["bench", "--method", "standard", "--seed", "1"],
+             dict(method="standard", seed=1), "json-lines"),
+            (["grid"], {}, "text"),
+            (["lattice", "--rows", "4,1;7,2"], dict(rows="4,1;7,2"), "text"),
+        ],
+    )
+    def test_unset_flags_take_the_config_defaults(self, argv, required, fmt):
+        config = _config_from_args(build_parser().parse_args(argv))
+        assert config == RunConfig(command=argv[0], fmt=fmt, **required)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--profile", "ratio", "--r", "1/2"],
+            ["--profile", "ratio", "--r", "0"],
+            ["--bits", "5"],  # p is always 3 at 5 bits, and no q is close enough
+            ["--bits", "4"],
+        ],
+    )
+    def test_unsatisfiable_bench_profile_is_a_usage_error(self, extra):
+        # in a subprocess, so that a generator that never returns fails the
+        # test at the timeout instead of hanging the suite
+        argv = ["bench", "--method", "standard", *extra, "--seed", "1", "--instances", "1"]
+        path = os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "factorlab.cli", *argv], capture_output=True,
+            text=True, timeout=20, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        err_lines = done.stderr.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
+    def test_readme_examples_run(self, capsys):
+        lines = [
+            line for line in (REPO / "README.md").read_text().splitlines()
+            if line.startswith("factorlab ")
+        ]
+        assert len(lines) >= 12
+        for line in lines:
+            assert main(shlex.split(line)[1:]) == 0, line
+            assert capsys.readouterr().err == "", line
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["factor", "--help"])
@@ -336,8 +405,8 @@ class TestMain:
         assert json.loads(lines[-1])["summary"] is True
 
     def test_bench_writes_nothing_to_stderr(self, capsys):
-        # the LSB boxes leave the certified regime; the json says so and the
-        # library warns, but a routine CLI run stays quiet
+        # the LSB boxes leave the certified regime; the json says so, and
+        # neither the library nor the CLI warns about it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["bench", "--method", "coppersmith-lsb", "--bits", "40",

@@ -22,7 +22,6 @@ from factorlab.coppersmith import (
     theorem4_driver,
 )
 from factorlab.errors import (
-    BoundTooLargeWarning,
     Exhausted,
     NoIndependentPolynomial,
     NonInvertibleResidue,
@@ -38,19 +37,13 @@ def roots_of(sols):
     return [(s.x0, s.y0) for s in sols]
 
 
-def quiet_solve(prob, stats=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundTooLargeWarning)
-        return solve_bivariate(prob, stats)
-
-
 class TestSolveBivariate:
     def test_balanced_hint_example(self):
         # N = 2063 * 2087, both factors within 46 of isqrt(N) = 2074
         prob = BivariateProblem(N=4305481, P0=2074, Q0=2074, X=46, Y=46)
         expected = box_oracle(prob)
         assert (-11, 13, 2063, 2087) in expected
-        sols = quiet_solve(prob)
+        sols = solve_bivariate(prob)
         assert [(s.x0, s.y0, s.p, s.q) for s in sols] == expected
         assert (sols[0].x0, sols[0].y0) == (-11, 13)
 
@@ -63,7 +56,7 @@ class TestSolveBivariate:
         n, p, q = balanced_semiprime(rng, 48)
         ell = n.bit_length() // 4
         p0 = (p >> ell) << ell
-        sols = quiet_solve(
+        sols = solve_bivariate(
             BivariateProblem(N=n, P0=p0, Q0=n // p0, X=1 << (ell + 1), Y=1 << (ell + 1))
         )
         assert any(s.p == p or s.q == p for s in sols)
@@ -73,20 +66,24 @@ class TestSolveBivariate:
             solve_bivariate(BivariateProblem(N=4305481, P0=2074, Q0=2074, X=5, Y=5))
 
     def test_bound_warning_and_certified_flag(self):
+        # the flag is the only report of the regime: no warning either side
         small = BivariateProblem(N=4305481, P0=2063, Q0=2087, X=4, Y=4)
-        assert certified_regime(small)
-        stats = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", BoundTooLargeWarning)
-            solve_bivariate(small, stats)  # no warning inside the regime
-        assert stats["certified"] is True
-
         big = BivariateProblem(N=4305481, P0=2074, Q0=2074, X=2000, Y=2000)
-        assert not certified_regime(big)
-        stats = {}
-        with pytest.warns(BoundTooLargeWarning):
-            solve_bivariate(big, stats)
-        assert stats["certified"] is False
+        assert certified_regime(small) and not certified_regime(big)
+        for prob, certified in ((small, True), (big, False)):
+            stats = {}
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                solve_bivariate(prob, stats)
+            assert stats["certified"] is certified
+
+    def test_one_shot_failure_raises_and_splitter_still_solves(self):
+        prob = BivariateProblem(N=4305481, P0=2074, Q0=2074, X=46, Y=46)
+        with pytest.raises(NoIndependentPolynomial):
+            gated_polynomial(prob)
+        with pytest.raises(NoIndependentPolynomial):
+            solve_bivariate_single(prob)
+        assert (-11, 13) in roots_of(solve_bivariate(prob))
 
     def test_oracle_equivalence_random_boxes(self, rng):
         tested = 0
@@ -119,7 +116,7 @@ class TestSolveBivariate:
                 )
             expected = [(x, y) for x, y, _, _ in box_oracle(prob)]
             try:
-                got = roots_of(quiet_solve(prob))
+                got = roots_of(solve_bivariate(prob))
             except NoRoot:
                 got = []
             assert got == expected, prob
@@ -128,20 +125,20 @@ class TestSolveBivariate:
 
     def test_determinism(self):
         prob = BivariateProblem(N=4305481, P0=2074, Q0=2074, X=46, Y=46)
-        runs = [tuple((s.x0, s.y0, s.p, s.q) for s in quiet_solve(prob)) for _ in range(3)]
+        runs = [tuple((s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob)) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_huge_box_with_negative_divisors(self):
         # the box dwarfs N, so every divisor pair of both signs is in range
         prob = BivariateProblem(N=15, P0=4, Q0=4, X=10**6, Y=10**6)
-        got = [(s.x0, s.y0, s.p, s.q) for s in quiet_solve(prob)]
+        got = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob)]
         assert got == box_oracle(prob)
         assert (-1, 1, 3, 5) in got and (-5, -19, -1, -15) in got
 
     def test_root_product_invariant(self, rng):
         for _ in range(20):
             n, p, q = balanced_semiprime(rng, 36)
-            sols = quiet_solve(
+            sols = solve_bivariate(
                 BivariateProblem(N=n, P0=p, Q0=q, X=8, Y=8)
             )
             for s in sols:
@@ -172,7 +169,7 @@ class TestDegenerateScale:
         prob = BivariateProblem(N=big_n, P0=p0, Q0=q0, X=x, Y=y, m=m, n=n)
         expected = box_oracle(prob)
         try:
-            full = [(s.x0, s.y0, s.p, s.q) for s in quiet_solve(prob)]
+            full = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob)]
         except NoRoot:
             full = []
         assert full == expected
@@ -223,7 +220,7 @@ class TestUnivariateSplitter:
         )
         expected = box_oracle(prob)
         try:
-            got = [(s.x0, s.y0, s.p, s.q) for s in quiet_solve(prob)]
+            got = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob)]
         except NoRoot:
             got = []
         assert got == expected
@@ -250,7 +247,7 @@ class TestUnivariateSplitter:
         def roots(p0, q0):
             prob = BivariateProblem(N=p * q, P0=p0, Q0=q0, X=box, Y=box, m=m, n=m)
             try:
-                return [(s.x0, s.y0, s.p, s.q) for s in quiet_solve(prob)]
+                return [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob)]
             except NoRoot:
                 return []
 
@@ -266,9 +263,7 @@ class TestUnivariateSplitter:
             n, p, q = balanced_semiprime(rng, bits)
             k = n.bit_length() // 4
             stats = {}
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", BoundTooLargeWarning)
-                sols = solve_lsb_known(n, p % (1 << k), k, stats)
+            sols = solve_lsb_known(n, p % (1 << k), k, stats)
             assert any(s.p in (p, q) for s in sols)
             assert stats.get("column_scans", 0) == 0, (n, stats)
             assert stats["lattice_dim"] == 3
@@ -308,7 +303,7 @@ class TestGates:
             except (NoIndependentPolynomial, NoRoot):
                 continue
             try:
-                full = roots_of(quiet_solve(prob))
+                full = roots_of(solve_bivariate(prob))
             except NoRoot:
                 full = []
             assert one == full
@@ -340,9 +335,7 @@ class TestLsbKnown:
     def test_recovery_48_bits(self, rng):
         n, p, q = balanced_semiprime(rng, 48)
         k = n.bit_length() // 4
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundTooLargeWarning)
-            sols = solve_lsb_known(n, p % (1 << k), k)
+        sols = solve_lsb_known(n, p % (1 << k), k)
         assert any(s.p in (p, q) for s in sols)
 
 
@@ -368,9 +361,7 @@ class TestMsbKnown:
     def test_recovery_52_bits(self, rng):
         n, p, q = balanced_semiprime(rng, 52)
         ell = n.bit_length() // 4
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundTooLargeWarning)
-            sols = solve_msb_known(n, (p >> ell) << ell)
+        sols = solve_msb_known(n, (p >> ell) << ell)
         assert any(s.p in (p, q) for s in sols)
 
 
