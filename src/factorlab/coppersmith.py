@@ -447,7 +447,8 @@ def solve_lsb_known(
 
     The co-factor's low bits follow from N * x0_bits^(-1) mod 2^k; both
     factors are then affine in the modulus 2^k and the bilinear solver
-    recovers the high parts.
+    returns every root with |x| <= sqrt(N)/2^k + 1, |y| <= 2*sqrt(N)/2^k + 1.
+    That holds for every k: a modulus beyond the factors only shrinks the box.
     """
     if big_n % 2 == 0:
         raise ValueError("N must be odd")
@@ -458,14 +459,6 @@ def solve_lsb_known(
         raise NonInvertibleResidue(f"{x0_bits} is even, not invertible mod 2^{k}")
     x0_bits %= mod
     y0_bits = big_n * pow(x0_bits, -1, mod) % mod
-    if mod * mod > 2 * big_n:
-        # The modulus already covers the factors: direct division.
-        p = x0_bits
-        if 1 < p < big_n and big_n % p == 0:
-            q = big_n // p
-            if q % mod == y0_bits:
-                return [RootSolution(x0=0, y0=(q - y0_bits) // mod, p=p, q=q)]
-        raise NoRoot(f"{x0_bits} does not extend to a factor of {big_n}")
     x_bound = isqrt(big_n) // mod + 1
     y_bound = 2 * isqrt(big_n) // mod + 1
     prob = BivariateProblem(

@@ -2,8 +2,9 @@
 
 Gram-Schmidt runs over exact rationals, LLL keeps its size-reduction and
 Lovasz bookkeeping in integers (Gram determinants and scaled mu) with the
-classical O(n) swap updates, and determinants use fraction-free
-elimination, so every contract here is bit-exact and testable without
+classical O(n) swap updates, and bareiss is the one fraction-free
+elimination behind both the basis determinant and the polynomial
+resultant, so every contract here is bit-exact and testable without
 tolerances.
 """
 
@@ -107,27 +108,33 @@ def gram_schmidt(basis: Basis) -> GramSchmidtData:
     )
 
 
-def determinant(basis: Basis) -> int:
-    """|det| of the basis matrix via fraction-free (Bareiss) elimination."""
-    n = basis.n
-    a = [list(r) for r in basis.vectors]
+def bareiss(matrix):
+    """Signed determinant of a square matrix of ints or MultiPolys by
+    fraction-free (Bareiss) elimination: every division is exact, so the
+    entries stay in the ring.  A zero pivot column returns its zero entry."""
+    n = len(matrix)
+    a = [list(r) for r in matrix]
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if a[i][k] != 0:
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                raise DependentBasis("zero pivot column: determinant is 0")
+                return a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
-    det = sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1] * sign
+
+
+def determinant(basis: Basis) -> int:
+    """|det| of the basis matrix; DependentBasis when it is 0."""
+    det = bareiss(basis.vectors)
     if det == 0:
         raise DependentBasis("determinant is 0")
     return abs(det)

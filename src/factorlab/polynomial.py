@@ -1,14 +1,16 @@
 """Sparse multivariate integer polynomials with exact norms, Sylvester-matrix
-resultants and discriminants.  howgrave_predicate and multiple_bound_predicate
-are the tests' reference for the small-root solvers' integer gates."""
+resultants and discriminants.  A resultant is lattice.bareiss run on the
+Sylvester matrix; MultiPoly's // is the exact division its elimination steps
+need.  howgrave_predicate and multiple_bound_predicate are the tests'
+reference for the small-root solvers' integer gates."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import NotMonic, ZeroDegree, ZeroPolynomial
+from .lattice import bareiss
 
 __all__ = [
     "MultiPoly",
@@ -62,20 +64,14 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def degree(self, var: int) -> int:
         """Maximum exponent of the variable; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(e[var] for e in self.terms)
-
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
 
     def map_coeffs(self, fn) -> "MultiPoly":
         return MultiPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
@@ -118,18 +114,23 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, power: int) -> "MultiPoly":
-        if power < 0:
-            raise ValueError("negative powers not supported")
-        result = MultiPoly.const(self.nvars, 1)
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            power >>= 1
-            if power:
-                base = base * base
-        return result
+    def __floordiv__(self, other) -> "MultiPoly":
+        """Exact division (other must divide self); lex-leading-term loop."""
+        den = self._coerce(other)
+        if not den:
+            raise ZeroDivisionError("division by the zero polynomial")
+        quot: dict[tuple[int, ...], int] = {}
+        lead_e, lead_c = _lead(den)
+        rem = self
+        while rem:
+            re_, rc = _lead(rem)
+            qe = tuple(a - b for a, b in zip(re_, lead_e))
+            if any(e < 0 for e in qe) or rc % lead_c:
+                raise ArithmeticError("inexact polynomial division")
+            qc = rc // lead_c
+            quot[qe] = quot.get(qe, 0) + qc
+            rem = rem - den * MultiPoly(self.nvars, {qe: qc})
+        return MultiPoly(self.nvars, quot)
 
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
@@ -226,50 +227,6 @@ def _lead(f: MultiPoly) -> tuple[tuple[int, ...], int]:
     return exps, f.terms[exps]
 
 
-def _divexact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
-    """Exact polynomial division (den must divide num); lex-leading-term loop."""
-    if den.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    quot: dict[tuple[int, ...], int] = {}
-    lead_e, lead_c = _lead(den)
-    rem = num
-    while not rem.is_zero:
-        re_, rc = _lead(rem)
-        qe = tuple(a - b for a, b in zip(re_, lead_e))
-        if any(e < 0 for e in qe) or rc % lead_c:
-            raise ArithmeticError("inexact polynomial division")
-        qc = rc // lead_c
-        quot[qe] = quot.get(qe, 0) + qc
-        rem = rem - den * MultiPoly(num.nvars, {qe: qc})
-    return MultiPoly(num.nvars, quot)
-
-
-def _poly_det(matrix: list[list[MultiPoly]], nvars: int) -> MultiPoly:
-    """Determinant of a square polynomial matrix by fraction-free (Bareiss)
-    elimination with exact division."""
-    n = len(matrix)
-    if n == 0:
-        return MultiPoly.const(nvars, 1)
-    a = [row[:] for row in matrix]
-    sign = 1
-    prev = MultiPoly.const(nvars, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(nvars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = _divexact(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-            a[i][k] = MultiPoly.zero(nvars)
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign
-
-
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: int) -> list[list[MultiPoly]]:
     """(k+m) x (k+m) semi-circulant matrix for eliminating `var`: deg(g)
     shifted coefficient columns of f followed by deg(f) columns of g,
@@ -300,7 +257,7 @@ def resultant(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
     resultant: vanishing iff a shared factor, Res(g, f) = (-1)^(k*m)
     Res(f, g), and multiplicativity in each argument.
     """
-    return _poly_det(sylvester_matrix(f, g, var), f.nvars)
+    return bareiss(sylvester_matrix(f, g, var))
 
 
 def discriminant(f: MultiPoly, var: int) -> MultiPoly:

@@ -7,7 +7,7 @@ residue-class route to factoring.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -81,37 +81,36 @@ def enumerate_pairs(n: int, m: int) -> ResidueClassSet:
     return ResidueClassSet(n, m, frozenset(pairs))
 
 
-def algorithm_one(n: int, m: int) -> ResidueClassSet:
-    """Probable residue classes for a prime modulus via square differences.
+def _lift_pairs(lifts) -> Iterator[tuple[int, int]]:
+    """The ordered divisor pairs (c, cd // c), c ascending, of each positive
+    lift cd in turn: the one walk behind theorem4_pairs and algorithm_one."""
+    for cd in lifts:
+        if cd == 1:
+            yield 1, 1
+        elif cd > 1:
+            for c in trial_factor(cd, cd).divisors():
+                yield c, cd // c
 
-    For every lift cd = r0 + r1*m below m^2 (r0 = n mod m), scan
-    x in [ceil(2*sqrt(cd)), 2m) for x^2 - 4cd a perfect square y^2; then
-    c = (x+y)/2, d = (x-y)/2 realizes c*d = cd.  The reduced pairs are kept;
-    the true pair (p mod m, q mod m) is always among them.
+
+def algorithm_one(n: int, m: int) -> ResidueClassSet:
+    """Probable residue classes for a prime modulus.
+
+    Every lift cd = r0 + j*m below m^2 (r0 = n mod m) is split as c*d with
+    c <= d and c + d < 2m: these are the square differences
+    (c + d)^2 - 4cd = (d - c)^2 of the paper's scan over x = c + d < 2m.
+    The reduced pairs with both residues nonzero are kept; the true pair
+    (p mod m, q mod m) is always among them.
     """
     if not is_prime(m):
         raise NonPrimeModulus(f"modulus {m} is not prime")
     g = gcd(n, m)
     if g > 1:
         raise GcdFactorFound(g)
-    r0 = n % m
     pairs = set()
-    cd = r0
-    while cd < m * m:
-        if cd > 0:
-            x = isqrt(4 * cd)
-            if x * x < 4 * cd:
-                x += 1
-            while x < 2 * m:
-                y = is_perfect_square(x * x - 4 * cd)
-                if y is not None and (x - y) % 2 == 0:
-                    c = ((x + y) // 2) % m
-                    d = ((x - y) // 2) % m
-                    if c != 0 and d != 0:
-                        lo, hi = (c, d) if c <= d else (d, c)
-                        pairs.add(ResiduePair(lo, hi, m))
-                x += 1
-        cd += m
+    for c, d in _lift_pairs(range(n % m, m * m, m)):
+        if c <= d and c + d < 2 * m and c % m and d % m:
+            lo, hi = sorted((c % m, d % m))
+            pairs.add(ResiduePair(lo, hi, m))
     return ResidueClassSet(n, m, frozenset(pairs))
 
 
@@ -185,16 +184,7 @@ def theorem4_pairs(n: int, m: int) -> list[ResiduePair]:
     if m < 2:
         raise ValueError("modulus must be >= 2")
     r = n % m
-    pairs: list[ResiduePair] = []
-    for cd in (r, r + m):
-        if cd == 0:
-            continue
-        if cd == 1:
-            pairs.append(ResiduePair(1, 1, m))
-            continue
-        for c in trial_factor(cd, cd).divisors():
-            pairs.append(ResiduePair(c, cd // c, m))
-    return pairs
+    return [ResiduePair(c, d, m) for c, d in _lift_pairs((r, r + m))]
 
 
 def pair_driver(n: int, m: int, pairs: Callable, solve: Callable) -> Factorization:

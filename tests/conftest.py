@@ -11,7 +11,7 @@ from factorlab.arith import is_perfect_square, isqrt, next_prime, random_prime
 from factorlab.coppersmith import BivariateProblem
 from factorlab.errors import Exhausted, TrivialOnly
 from factorlab.fermat import FermatResult
-from factorlab.residue import _split
+from factorlab.residue import ResidueClassSet, ResiduePair, _split
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -81,6 +81,28 @@ def reference_landry_pepin(n: int, m: int, mod2: int, c: int, d: int, t_bound: i
                 if 1 < root < n and n % root == 0:
                     return _split(n, root)
     raise Exhausted(f"no factor within t <= {t_bound}")
+
+
+def reference_algorithm_one(n: int, m: int) -> ResidueClassSet:
+    """The paper's square-difference scan, written out: for every lift
+    cd = r0 + j*m below m^2 (r0 = n mod m) and every x in
+    [ceil(2*sqrt(cd)), 2m) with x^2 - 4cd = y^2, keep the reduced pair
+    ((x+y)/2 mod m, (x-y)/2 mod m) when both residues are nonzero.  The
+    oracle for residue.algorithm_one on a prime m coprime to n."""
+    pairs = set()
+    for cd in range(n % m, m * m, m):
+        if cd == 0:
+            continue
+        x_lo = isqrt(4 * cd)
+        if x_lo * x_lo < 4 * cd:
+            x_lo += 1
+        for x in range(x_lo, 2 * m):
+            y = is_perfect_square(x * x - 4 * cd)
+            if y is not None and (x - y) % 2 == 0:
+                c, d = ((x + y) // 2) % m, ((x - y) // 2) % m
+                if c != 0 and d != 0:
+                    pairs.add(ResiduePair(min(c, d), max(c, d), m))
+    return ResidueClassSet(n, m, frozenset(pairs))
 
 
 def outcome(fn, *args):

@@ -240,7 +240,11 @@ class TestMain:
         assert main(["factor", "--method", "triangular", "--n", "2599"]) == 0
         assert "23*113" in capsys.readouterr().out
         assert main(["factor", "--method", "standard", "--n", "13"]) == 2
-        capsys.readouterr()
+        assert main(["factor", "--method", "triangular", "--n", "2599", "--budget", "2"]) == 2
+        # 3063 = 3 * 1021: the cofactor sits at y0 = 7, outside the box |y| <= 1
+        assert main(["factor", "--method", "coppersmith-lsb", "--n", "3063",
+                     "--lsb-value", "3", "--lsb-bits", "7"]) == 2
+        assert "no-root" in capsys.readouterr().out
         assert main(["factor", "--method", "ratio", "--n", "15"]) == 1  # missing --r
         assert "requires --r" in capsys.readouterr().err
 

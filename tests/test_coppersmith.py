@@ -2,10 +2,10 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from factorlab.arith import is_prime, next_prime, random_prime
+from factorlab.arith import is_prime, isqrt, next_prime, random_prime
 from factorlab.coppersmith import (
     BivariateProblem,
     TrivariateProblem,
@@ -326,11 +326,35 @@ class TestLsbKnown:
             solve_lsb_known(2598, 7, 4)
 
     def test_degenerate_large_modulus(self):
-        # 2^k beyond q: the residue must be the factor itself
+        # 2^k beyond q: the box shrinks to |x|, |y| <= 1
         sols = solve_lsb_known(2599, 23, 9)
         assert roots_of(sols) == [(0, 0)] and sols[0].p == 23
         with pytest.raises(NoRoot):
             solve_lsb_known(2599, 21, 9)
+        # 57 = 3 * 19 and 19 = 3 (mod 16): the box holds both orders
+        sols = solve_lsb_known(57, 3, 4)
+        assert [(s.x0, s.y0, s.p, s.q) for s in sols] == [(0, 1, 3, 19), (1, 0, 19, 3)]
+
+    @given(
+        n=st.integers(min_value=1, max_value=2047).map(lambda h: 2 * h + 1),
+        k=st.integers(min_value=1, max_value=13),
+        hint=st.integers(min_value=0, max_value=2**12),
+    )
+    @example(n=57, k=4, hint=1)
+    @settings(max_examples=300)
+    def test_large_modulus_matches_box_scan(self, n, k, hint):
+        assume(4**k > 2 * n)
+        mod = 1 << k
+        x0 = (2 * hint + 1) % mod
+        prob = BivariateProblem(
+            N=n, P0=x0, Q0=n * pow(x0, -1, mod) % mod,
+            X=isqrt(n) // mod + 1, Y=2 * isqrt(n) // mod + 1, m=mod, n=mod,
+        )
+        try:
+            got = [(s.x0, s.y0, s.p, s.q) for s in solve_lsb_known(n, x0, k)]
+        except NoRoot:
+            got = []
+        assert got == box_oracle(prob)
 
     def test_recovery_48_bits(self, rng):
         n, p, q = balanced_semiprime(rng, 48)

@@ -186,6 +186,9 @@ class TestTriangular:
         res = fermat_triangular(2599)
         assert (res.x, res.y, res.p, res.q, res.steps) == (136, 90, 23, 113, 3)
         assert res.method == "triangular"
+        assert fermat_triangular(2599, budget=3).steps == 3
+        with pytest.raises(Exhausted):
+            fermat_triangular(2599, budget=2)
 
     def test_sequence_values_2599(self):
         seq = triangular_squares(2599)

@@ -1,12 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from factorlab.errors import DependentBasis, DimensionTooLarge
 from factorlab.lattice import (
     HERMITE_GAMMA_NTH_POWER,
     Basis,
+    bareiss,
     determinant,
     gram_schmidt,
     hadamard_check,
@@ -78,6 +82,41 @@ class TestGramSchmidt:
             assert prod == det * det
 
 
+def leibniz(rows: list[list[int]]) -> int:
+    """Signed determinant as the sum over permutations: the oracle for
+    fraction-free elimination."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def square_matrices(draw) -> list[list[int]]:
+    """1-4-dimensional integer matrices, rich in zeros, sometimes with a
+    whole zero row or column forced in."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-(10**6), max_value=10**6),
+    )
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    zero_row = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    zero_col = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    if zero_row is not None:
+        rows[zero_row] = [0] * n
+    if zero_col is not None:
+        for row in rows:
+            row[zero_col] = 0
+    return rows
+
+
 class TestDeterminant:
     def test_examples(self):
         assert determinant(Basis.from_rows([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])) == 1
@@ -91,6 +130,18 @@ class TestDeterminant:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Basis.from_rows([(1, 2, 3), (4, 5, 6)])
+
+    @given(rows=square_matrices())
+    @example(rows=[[0, 1], [0, 2]])  # zero pivot column at k = 0
+    @example(rows=[[1, 2, 3], [2, 4, 5], [3, 6, 7]])  # ... and at k = 1
+    def test_matches_leibniz_expansion(self, rows):
+        expected = leibniz(rows)
+        assert bareiss(rows) == expected
+        if expected == 0:
+            with pytest.raises(DependentBasis):
+                determinant(Basis.from_rows(rows))
+        else:
+            assert determinant(Basis.from_rows(rows)) == abs(expected)
 
 
 class TestLLL:

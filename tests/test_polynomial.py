@@ -60,6 +60,19 @@ class TestMultiPolyBasics:
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
 
+    @given(small_polys, small_polys)
+    @settings(max_examples=100)
+    def test_floordiv_undoes_mul(self, a, b):
+        assert bool(a) is not a.is_zero
+        if b:
+            assert (a * b) // b == a
+
+    def test_floordiv_errors(self):
+        with pytest.raises(ArithmeticError):
+            parse_poly("x1 + 1") // parse_poly("x1 - 1")
+        with pytest.raises(ZeroDivisionError):
+            parse_poly("x1 + 1") // MultiPoly.zero(1)
+
     def test_evaluate_examples(self):
         assert parse_poly("x1*x2 + 1", 2).evaluate((2, 3)) == 7
         assert parse_poly("x1^2 - 25").evaluate((5,)) == 0

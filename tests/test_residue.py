@@ -16,7 +16,7 @@ from factorlab.residue import (
     theorem4_pairs,
 )
 
-from conftest import outcome, reference_landry_pepin
+from conftest import outcome, reference_algorithm_one, reference_landry_pepin
 
 # moduli that share factors with several sieve moduli
 SIEVE_SHARED = (63, 64, 65, 210, 143)
@@ -103,6 +103,15 @@ class TestAlgorithmOne:
                 true_pair = tuple(sorted((p % m, q % m)))
                 assert true_pair in got.as_tuples(), (n, m)
                 assert set(got.as_tuples()) <= set(enumerate_pairs(n, m).as_tuples())
+
+    @given(
+        m=st.sampled_from([p for p in range(2, 60) if is_prime(p)]),
+        n=st.integers(min_value=1, max_value=10**6 - 1),
+    )
+    @settings(max_examples=300)
+    def test_matches_square_difference_scan(self, m, n):
+        assume(n % m)
+        assert algorithm_one(n, m) == reference_algorithm_one(n, m)
 
 
 class TestLandryPepin:
