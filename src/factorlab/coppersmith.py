@@ -16,6 +16,10 @@ says always suffices.  A half that missed anyway, and every interval with
 no certified width (tiny N), is scanned column by column, so the returned
 root set is exactly the set of in-box roots regardless of box size.
 
+Only the first chunk of a sign-pure interval reduces N, f and t*f; every
+later chunk and half warm-starts from the previous reduced basis, shifted
+to its own centre, which keeps the determinant the certificate rests on.
+
 The one-shot primitive (gated_polynomial, solve_bivariate_single,
 empirical_envelope) keeps the bivariate route: rows are the scaled
 coefficient vectors of f together with working-modulus multiples of the
@@ -153,7 +157,7 @@ def default_box_bound(big_n: int) -> int:
 
 
 def _gated(rows: list[list[int]], scales: tuple[int, ...], bound_sq: int):
-    """Reduce `rows` and yield, in reduced order, each vector v with
+    """Reduce `rows` in place and yield, in reduced order, each vector v with
     ||v||^2 * weight(v) < bound_sq (the Howgrave-Graham root gate) as
     (||v||^2, v with each column divided by its entry in `scales`)."""
     reduced, _ = lll_rows(rows)
@@ -291,38 +295,54 @@ def _univariate_interval(
     xhi: int,
     acc: dict[tuple[int, int], tuple[int, int]],
     stats: dict,
+    warm: list,
 ) -> bool:
     """One Howgrave-Graham attempt on the sign-pure interval [xlo, xhi].
 
     Recentred at xc with p = m*t + p0c, every in-interval root has
     f(t) = lead*t + a = 0 (mod p), where a = p0c * m^(-1) mod N (lead = 1)
     or, when m is not invertible mod N, a = p0c mod N (lead = m, inv = 1).
-    The rows, coefficient vectors of N, f and t*f with t scaled by the
-    half-width h, span polynomials that all vanish modulo p at the root,
-    and every |p| in the interval is at least its smaller end, bound.  A
-    reduced vector v with ||v||_1 <= sqrt(weight(v)) * ||v|| < bound
-    therefore gives a g with g(t0) = 0 over the integers, and its integer
-    roots are exact.  Returns False, leaving acc alone, when no reduced
+    The rows, coefficient vectors with t scaled by the half-width h, span
+    polynomials that all vanish modulo p at the root, and every |p| in the
+    interval is at least its smaller end, bound.  A reduced vector v with
+    ||v||_1 <= sqrt(weight(v)) * ||v|| < bound therefore gives a g with
+    g(t0) = 0 over the integers, and its integer roots are exact.
+
+    `warm` is empty before the first attempt in a sign-pure interval, which
+    reduces N, f and t*f, and afterwards holds [centre, reduced polynomials]
+    of the last attempt.  A later attempt reduces those g(t + s), s the
+    distance between the centres: the shift is unimodular and keeps every
+    polynomial vanishing modulo p at the root, so the determinant
+    N * lead^2 * h^3 behind the certificate is unchanged (for lead = 1 so is
+    the lattice), and LLL starts from an almost reduced basis instead of
+    walking down from N.  Returns False, leaving acc alone, when no reduced
     vector clears the gate.
     """
     big_n, m = prob.N, prob.m
     xc = (xlo + xhi) // 2
-    p0c = m * xc + prob.P0
     half = max(xhi - xc, xc - xlo, 1)
     bound = min(abs(m * xlo + prob.P0), abs(m * xhi + prob.P0))
     stats["boxes"] = stats.get("boxes", 0) + 1
-    a = p0c * inv % big_n
+    if warm:
+        centre, polys = warm
+        s = xc - centre
+    else:
+        a = (m * xc + prob.P0) * inv % big_n
+        polys, s = ((big_n, 0, 0), (a, lead, 0), (0, a, lead)), 0
     rows = [
-        [big_n, 0, 0],
-        [a, lead * half, 0],
-        [0, a * half, lead * half * half],
+        [g0 + (g1 + g2 * s) * s, (g1 + 2 * g2 * s) * half, g2 * half * half]
+        for g0, g1, g2 in polys
     ]
-    for _, (g0, g1, g2) in _gated(rows, (1, half, half * half), bound * bound):
-        stats["lattice_dim"] = 3
-        for xr in _quad_roots(g2, g1, g0, xlo - xc, xhi - xc):
-            _record(prob, xr + xc, acc)
-        return True
-    return False
+    scales = (1, half, half * half)
+    gated = next(_gated(rows, scales, bound * bound), None)
+    warm[:] = xc, [list(map(floordiv, row, scales)) for row in rows]
+    if gated is None:
+        return False
+    stats["lattice_dim"] = 3
+    g0, g1, g2 = gated[1]
+    for xr in _quad_roots(g2, g1, g0, xlo - xc, xhi - xc):
+        _record(prob, xr + xc, acc)
+    return True
 
 
 def _solve_interval(
@@ -372,13 +392,16 @@ def _solve_interval(
     # that most of them pass, and either half of a chunk that misses lies
     # within h_c of its centre, where the gate cannot fail.
     step = 4 * h_c + 1
+    warm: list = []
     for clo in range(xlo, xhi + 1, step):
         chi = min(xhi, clo + step - 1)
-        if _univariate_interval(prob, lead, inv, clo, chi, acc, stats):
+        if _univariate_interval(prob, lead, inv, clo, chi, acc, stats, warm):
             continue
         mid = (clo + chi) // 2
         for lo, hi in ((clo, mid), (mid + 1, chi)):
-            if lo <= hi and not _univariate_interval(prob, lead, inv, lo, hi, acc, stats):
+            if lo <= hi and not _univariate_interval(
+                prob, lead, inv, lo, hi, acc, stats, warm
+            ):
                 _scan_columns(prob, lo, hi, acc, stats)
 
 
@@ -449,6 +472,10 @@ def solve_lsb_known(
     factors are then affine in the modulus 2^k and the bilinear solver
     returns every root with |x| <= sqrt(N)/2^k + 1, |y| <= 2*sqrt(N)/2^k + 1.
     That holds for every k: a modulus beyond the factors only shrinks the box.
+    The box assumes balanced factors, so a pair outside it is not found even
+    when the hint is a whole factor: for N = 3063 = 3 * 1021 with the low
+    7 bits of 3, the co-factor 1021 lies at y = 7, outside Y = 1, and NoRoot
+    is raised.
     """
     if big_n % 2 == 0:
         raise ValueError("N must be odd")

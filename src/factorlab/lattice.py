@@ -41,6 +41,10 @@ HERMITE_GAMMA_NTH_POWER: dict[int, Fraction] = {
     8: Fraction(256),
 }
 
+# The default Lovasz parameter; the only one the solvers use, so lll_rows
+# checks a delta against (1/4, 1] only when a caller passes another.
+LLL_DELTA = Fraction(3, 4)
+
 
 @dataclass(frozen=True)
 class Basis:
@@ -142,16 +146,17 @@ def determinant(basis: Basis) -> int:
 
 def lll_rows(
     rows: list[list[int]],
-    delta: Fraction = Fraction(3, 4),
+    delta: Fraction = LLL_DELTA,
     transform: bool = False,
 ) -> tuple[list[list[int]], list[list[int]] | None]:
     """All-integer LLL core (Gram determinants d_i and scaled coefficients
     lambda[i][j] = d_{j+1} * mu[i][j] stay in Z, so no rational arithmetic
-    is needed).  Mutates and returns `rows`; optionally tracks the
-    unimodular transform."""
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta <= 1:
-        raise ValueError("delta must lie in (1/4, 1]")
+    is needed).  Reduces `rows` in place and returns it; optionally tracks
+    the unimodular transform."""
+    if delta is not LLL_DELTA:
+        delta = Fraction(delta)
+        if not Fraction(1, 4) < delta <= 1:
+            raise ValueError("delta must lie in (1/4, 1]")
     num, den = delta.numerator, delta.denominator
     n = len(rows)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transform else None
@@ -209,7 +214,7 @@ def lll_rows(
 
 
 def lll_reduce_with_transform(
-    basis: Basis, delta: Fraction = Fraction(3, 4)
+    basis: Basis, delta: Fraction = LLL_DELTA
 ) -> tuple[Basis, tuple[tuple[int, ...], ...]]:
     """LLL-reduce the basis; also return the unimodular transform U with
     U @ basis == reduced.
@@ -221,7 +226,7 @@ def lll_reduce_with_transform(
     return Basis.from_rows(rows), tuple(tuple(r) for r in u)
 
 
-def lll_reduce(basis: Basis, delta: Fraction = Fraction(3, 4)) -> Basis:
+def lll_reduce(basis: Basis, delta: Fraction = LLL_DELTA) -> Basis:
     """LLL-reduced basis spanning the same lattice."""
     rows, _ = lll_rows([list(r) for r in basis.vectors], delta)
     return Basis.from_rows(rows)

@@ -1,5 +1,6 @@
 import random
 import warnings
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,6 +22,7 @@ from factorlab.coppersmith import (
     certified_regime,
     theorem4_driver,
 )
+from factorlab.coppersmith import _howgrave_halfwidth, _univariate_interval
 from factorlab.errors import (
     Exhausted,
     NoIndependentPolynomial,
@@ -28,6 +30,7 @@ from factorlab.errors import (
     NoRoot,
     NotCoprime,
 )
+from factorlab.lattice import Basis, determinant
 from factorlab.polynomial import multiple_bound_predicate, resultant, scale_vars
 
 from conftest import balanced_semiprime, box_oracle
@@ -267,6 +270,102 @@ class TestUnivariateSplitter:
             assert any(s.p in (p, q) for s in sols)
             assert stats.get("column_scans", 0) == 0, (n, stats)
             assert stats["lattice_dim"] == 3
+
+
+class TestWarmStartedSplitter:
+    """36-48-bit boxes several certified chunks wide: every chunk after the
+    first of a sign-pure interval reduces the previous reduced basis,
+    shifted, and the root set stays the box scan's."""
+
+    @staticmethod
+    def _box(case: str, bits: int, width: int, rng: random.Random) -> BivariateProblem:
+        """A box about 2^width columns wide on each side of its roots."""
+        if case == "lsb":
+            n, p, q = balanced_semiprime(rng, bits)
+            mod = 1 << (bits // 2 - width)
+            x0 = p % mod
+            return BivariateProblem(
+                N=n, P0=x0, Q0=n * pow(x0, -1, mod) % mod,
+                X=isqrt(n) // mod + 1, Y=2 * isqrt(n) // mod + 1, m=mod, n=mod,
+            )
+        if case == "residue":
+            n, p, q = balanced_semiprime(rng, bits)
+            m = next_prime(rng.randrange(1 << (bits // 2 - width - 1), 1 << (bits // 2 - width)))
+            box = 3 * isqrt(n) // (2 * m) + 2
+            return BivariateProblem(N=n, P0=p % m, Q0=q % m, X=box, Y=box, m=m, n=m)
+        if case == "shared":
+            # N = f*p*q and f | m: m is not invertible mod N (lead = m)
+            f = rng.choice([3, 5])
+            n, p, q = balanced_semiprime(rng, bits)
+            m = f * rng.randrange(1, 5)
+            box = min(1 << width, p // (4 * m))
+            p0 = p - m * rng.randrange(box)
+            return BivariateProblem(
+                N=f * n, P0=p0, Q0=f * q % m, X=box, Y=2 * f * q // m, m=m, n=m
+            )
+        if case == "wrap":
+            # The box runs from p ~ sqrt(N) up to p = N (the root (N, 1)),
+            # which is the centre of the last, one-column chunk: there the
+            # fresh a = N * m^(-1) mod N is 0, while the previous chunk's
+            # shifted basis carries a + s = N.
+            n, p, q = balanced_semiprime(rng, bits)
+            low = isqrt(n)
+            while True:
+                step = 4 * _howgrave_halfwidth(n, 1, low) + 1
+                k = rng.randrange(3, 8) * step
+                m = (n - low) // (2 * k)
+                low = n - 2 * m * k  # the smallest p in the box
+                if gcd(m, n) == 1 and 4 * _howgrave_halfwidth(n, 1, low) + 1 == step:
+                    return BivariateProblem(
+                        N=n, P0=n - m * k, Q0=0, X=k, Y=n // low + 1, m=m, n=1
+                    )
+        # straddle: m | p + q puts the roots p and -q on either side of p = 0
+        m = rng.randrange(1 << (bits // 2 - width - 1), 1 << (bits // 2 - width))
+        p = random_prime(rng, bits // 2)
+        q = p
+        while q == p or not is_prime(q):
+            q = (-p) % m + m * rng.randrange(1 << (width - 1), 1 << width)
+        box = max(p, q) // m + 2
+        return BivariateProblem(N=p * q, P0=p % m, Q0=q % m, X=box, Y=4 * box, m=m, n=m)
+
+    @given(
+        case=st.sampled_from(["lsb", "residue", "shared", "wrap", "straddle"]),
+        bits=st.integers(min_value=36, max_value=48),
+        width=st.integers(min_value=9, max_value=11),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_root_sets_match_box_oracle(self, case, bits, width, seed):
+        prob = self._box(case, bits, width, random.Random(seed))
+        stats = {}
+        try:
+            got = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, stats)]
+        except NoRoot:
+            got = []
+        assert got == box_oracle(prob)
+        assert stats["boxes"] >= 3 and stats.get("column_scans", 0) == 0, stats
+
+    def test_shift_spans_the_fresh_lattice(self, rng):
+        # lead = 1: the chunk basis shifted by s and reduced has the fresh
+        # determinant N and vanishes mod N at t = -a_new, so it spans
+        # exactly the lattice of N, f and t*f at the new centre.
+        n, p, q = balanced_semiprime(rng, 48)
+        m = 1 << 11
+        prob = BivariateProblem(N=n, P0=p % m, Q0=q % m, X=1, Y=1, m=m, n=m)
+        inv = pow(m, -1, n)
+        for s in (1, 37, 201, -90, 5000):
+            warm = []
+            _univariate_interval(prob, 1, inv, 100, 180, {}, {}, warm)
+            _univariate_interval(prob, 1, inv, 100 + s, 180 + s, {}, {}, warm)
+            centre, polys = warm
+            assert centre == 140 + s
+            a_new = (m * centre + prob.P0) * inv % n
+            fresh = [(n, 0, 0), (a_new, 1, 0), (0, a_new, 1)]
+            assert determinant(Basis.from_rows(polys)) == determinant(
+                Basis.from_rows(fresh)
+            )
+            for g0, g1, g2 in polys:
+                assert (g0 - g1 * a_new + g2 * a_new * a_new) % n == 0
 
 
 class TestGates:

@@ -158,8 +158,12 @@ class TestLLL:
         assert sum(x * x for x in shortest) == 1
 
     def test_delta_validation(self):
-        with pytest.raises(ValueError):
-            lll_reduce(Basis.from_rows([(1, 0), (0, 1)]), Fraction(1, 4))
+        for delta in (Fraction(1, 4), Fraction(5, 4), 2):
+            with pytest.raises(ValueError):
+                lll_reduce(Basis.from_rows([(1, 0), (0, 1)]), delta)
+        # the default and an equal value passed explicitly reduce alike
+        basis = Basis.from_rows([(4, 1), (7, 2)])
+        assert lll_reduce(basis) == lll_reduce(basis, Fraction(3, 4)) == lll_reduce(basis, 0.75)
 
     def test_dependent_rejected(self):
         with pytest.raises(DependentBasis):
