@@ -6,80 +6,11 @@ reduction, sparse polynomial resultants, and bilinear small-root solvers
 for factoring with partially known factors.
 """
 
-from .arith import (
-    Factorization,
-    divisor_count,
-    ext_gcd,
-    is_perfect_square,
-    is_prime,
-    isqrt,
-    mod_inverse,
-    mod_sqrt,
-    next_prime,
-    random_prime,
-    trial_factor,
-)
-from .coppersmith import (
-    BivariateProblem,
-    RootSolution,
-    TrivariateProblem,
-    default_box_bound,
-    empirical_envelope,
-    gated_polynomial,
-    solve_bivariate,
-    solve_bivariate_single,
-    solve_coprime_moduli,
-    solve_lsb_known,
-    solve_msb_known,
-    solve_trivariate,
-    certified_regime,
-    theorem4_driver,
-)
-from .fermat import (
-    FermatResult,
-    RatioBounds,
-    RatioGridEntry,
-    fermat_ratio,
-    fermat_standard,
-    fermat_triangular,
-    predict_steps,
-    ratio_bounds_check,
-    ratio_grid,
-    render_ratio,
-)
-from .lattice import (
-    Basis,
-    GramSchmidtData,
-    determinant,
-    gram_schmidt,
-    hadamard_check,
-    hermite_bound,
-    lll_reduce,
-    lll_reduce_with_transform,
-    shortest_vector_exhaustive,
-)
-from .polynomial import (
-    MultiPoly,
-    PolyNorms,
-    discriminant,
-    format_poly,
-    howgrave_predicate,
-    multiple_bound_predicate,
-    norms,
-    parse_poly,
-    resultant,
-    scale_vars,
-    sylvester_matrix,
-)
-from .residue import (
-    ResidueClassSet,
-    ResiduePair,
-    algorithm_one,
-    enumerate_pairs,
-    landry_pepin,
-    pair_driver,
-    residue_driver,
-    theorem4_pairs,
-)
+from .arith import *  # noqa: F401,F403
+from .coppersmith import *  # noqa: F401,F403
+from .fermat import *  # noqa: F401,F403
+from .lattice import *  # noqa: F401,F403
+from .polynomial import *  # noqa: F401,F403
+from .residue import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

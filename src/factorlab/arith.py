@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import NonPrimeModulus
 
 __all__ = [
     "Factorization",
+    "as_fraction",
     "divisor_count",
     "ext_gcd",
-    "gcd",
     "is_perfect_square",
     "is_prime",
     "isqrt",
@@ -197,6 +199,21 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_u, old_v = -old_r, -old_u, -old_v
     return old_r, old_u, old_v
+
+
+def as_fraction(value) -> Fraction:
+    """The exact value of a rational input: an int, Fraction or Decimal as it
+    is, a float as printed (0.99 is 99/100, not its binary expansion), and a
+    string like "3/2" or "0.707".  A zero denominator is a ValueError like
+    any other malformed number."""
+    if isinstance(value, float):
+        value = str(value)
+    elif not isinstance(value, (str, int, Fraction, Decimal)):
+        raise TypeError(f"cannot interpret {value!r} as an exact ratio")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def mod_inverse(a: int, m: int) -> int:

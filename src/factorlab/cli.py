@@ -14,7 +14,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import arith, coppersmith, fermat, lattice
@@ -41,16 +41,18 @@ METHOD_FLAGS = {
 }
 METHODS = tuple(METHOD_FLAGS)
 
-JSON_KEYS = (
-    "n",
-    "method",
-    "params",
-    "outcome",
-    "factors",
-    "steps",
-    "lattice_dim",
-    "certified",
-    "time_ms",
+# The hints `bench` plants from the generated p, given ell = N.bit_length() // 4:
+# p's leading bits for coppersmith-msb and its ell low bits for coppersmith-lsb.
+PLANTED_HINTS = {
+    "p0": lambda p, ell: (p >> ell) << ell,
+    "lsb_value": lambda p, ell: p % (1 << ell),
+    "lsb_bits": lambda p, ell: ell,
+}
+# `bench` passes --r and --mod on as given and plants the hints, so it can run
+# only the methods that require no other flag.
+BENCH_METHODS = tuple(
+    method for method, flags in METHOD_FLAGS.items()
+    if set(flags) <= {"r", "mod", *PLANTED_HINTS}
 )
 
 
@@ -97,24 +99,12 @@ class RunReport:
     time_ms: float = 0.0
 
     def to_json_obj(self) -> dict:
-        def enc(v):
-            if isinstance(v, bool) or v is None:
-                return v
-            if isinstance(v, int):
-                return str(v)
-            return v
-
-        return {
-            "n": enc(self.n),
-            "method": self.method,
-            "params": {k: enc(v) for k, v in self.params.items()},
-            "outcome": self.outcome,
-            "factors": [str(f) for f in self.factors] if self.factors else None,
-            "steps": self.steps,
-            "lattice_dim": self.lattice_dim,
-            "certified": self.certified,
-            "time_ms": self.time_ms,
-        }
+        """The fields in JSON_KEYS order; the integers in DECIMAL_FIELDS are
+        decimal strings, which any JSON reader keeps exact."""
+        obj = {key: getattr(self, key) for key in JSON_KEYS}
+        for key in DECIMAL_FIELDS:
+            obj[key] = _decimal(obj[key])
+        return obj
 
     def to_text(self) -> str:
         if self.factors:
@@ -124,6 +114,21 @@ class RunReport:
                 extra += f" certified={self.certified}"
             return f"{self.n} = {facs}{extra} ({self.time_ms:.2f} ms)"
         return f"{self.n}: {self.outcome} ({self.time_ms:.2f} ms)"
+
+
+JSON_KEYS = tuple(field.name for field in fields(RunReport))
+DECIMAL_FIELDS = ("n", "params", "factors")
+
+
+def _decimal(value):
+    """An int, or each int in a dict or tuple, as a decimal string."""
+    if isinstance(value, dict):
+        return {k: _decimal(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_decimal(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return value
 
 
 class UsageError(Exception):
@@ -136,22 +141,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def _fraction(text: str) -> Fraction:
-    """The exact value of a rational flag (--r, --lower, --upper, --delta);
-    a zero denominator is a ValueError like any other malformed number."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def _factorization_tuple(fac: arith.Factorization) -> tuple[int, ...]:
-    out: list[int] = []
-    for f, e in fac.parts:
-        out.extend([f] * e)
-    return tuple(out)
 
 
 def run(config: RunConfig) -> RunReport:
@@ -167,37 +156,31 @@ def run(config: RunConfig) -> RunReport:
         if getattr(config, name) is None:
             raise UsageError(f"method {method!r} requires --{name.replace('_', '-')}")
         params[name] = getattr(config, name)
-    steps = None
-    factors: tuple[int, ...] | None = None
+    if n < 2:
+        raise UsageError("N must be >= 2")
+    factors = steps = None
     outcome = "factored"
     stats: dict = {}
     started = time.perf_counter()
     try:
         if method == "standard":
-            res = fermat.fermat_standard(n, config.budget)
-            factors, steps = (res.p, res.q), res.steps
+            result = fermat.fermat_standard(n, config.budget)
         elif method == "triangular":
-            res = fermat.fermat_triangular(n, config.budget)
-            factors, steps = (res.p, res.q), res.steps
+            result = fermat.fermat_triangular(n, config.budget)
         elif method == "ratio":
-            res = fermat.fermat_ratio(n, _fraction(config.r), config.budget)
-            factors, steps = (res.p, res.q), res.steps
+            result = fermat.fermat_ratio(n, config.r, config.budget)
         elif method == "residue":
-            fac = residue_driver(n, config.mod, config.t_bound)
-            factors = _factorization_tuple(fac)
+            result = residue_driver(n, config.mod, config.t_bound)
         elif method == "landry-pepin":
             t_bound = config.t_bound
             if t_bound is None:
                 t_bound = default_t_bound(n, config.mod, config.mod2, config.c, config.d)
             params["t_bound"] = t_bound
-            fac = landry_pepin(n, config.mod, config.mod2, config.c, config.d, t_bound)
-            factors = _factorization_tuple(fac)
+            result = landry_pepin(n, config.mod, config.mod2, config.c, config.d, t_bound)
         elif method == "coppersmith-msb":
-            sols = coppersmith.solve_msb_known(n, config.p0, stats)
-            factors = _pick_factor_pair(n, sols)
+            result = coppersmith.solve_msb_known(n, config.p0, stats)
         elif method == "coppersmith-lsb":
-            sols = coppersmith.solve_lsb_known(n, config.lsb_value, config.lsb_bits, stats)
-            factors = _pick_factor_pair(n, sols)
+            result = coppersmith.solve_lsb_known(n, config.lsb_value, config.lsb_bits, stats)
         elif method == "trivariate":
             bound = coppersmith.default_box_bound(n)
             prob = coppersmith.TrivariateProblem(
@@ -209,12 +192,11 @@ def run(config: RunConfig) -> RunReport:
                 X=bound,
                 Y=bound,
             )
-            sols = coppersmith.solve_trivariate(prob, stats)
-            params["z0"] = sols[0].z0
-            factors = _pick_factor_pair(n, sols)
+            result = coppersmith.solve_trivariate(prob, stats)
+            params["z0"] = result[0].z0
         elif method == "theorem4":
-            fac = coppersmith.theorem4_driver(n, config.mod, stats)
-            factors = _factorization_tuple(fac)
+            result = coppersmith.theorem4_driver(n, config.mod, stats)
+        factors, steps = _factors(n, result)
     except (Exhausted, MultiplierCollision):
         outcome = "exhausted"
     except NoRoot:
@@ -241,10 +223,17 @@ def run(config: RunConfig) -> RunReport:
     )
 
 
-def _pick_factor_pair(n: int, sols) -> tuple[int, ...]:
-    for sol in sols:
+def _factors(n: int, result) -> tuple[tuple[int, ...], int | None]:
+    """(factors, steps) of a method's result: a FermatResult's pair and scan
+    steps, a Factorization's prime powers written out, or, for a solver's
+    root list, the first proper factor p as (p, n // p) ascending."""
+    if isinstance(result, fermat.FermatResult):
+        return (result.p, result.q), result.steps
+    if isinstance(result, arith.Factorization):
+        return tuple(f for f, e in result.parts for _ in range(e)), None
+    for sol in result:
         if 1 < sol.p < n:
-            return tuple(sorted((sol.p, n // sol.p)))
+            return tuple(sorted((sol.p, n // sol.p))), None
     raise NoRoot(f"only trivial roots found for {n}")
 
 
@@ -288,7 +277,7 @@ def bench(config: RunConfig):
     seed emit identical reports apart from the wall-time fields.
     """
     rng = random.Random(config.seed)
-    ratio = _fraction(config.r) if config.r else Fraction(2)
+    ratio = arith.as_fraction(config.r or 2)
     reports = []
     for idx in range(config.instances):
         if config.profile == "gap":
@@ -305,13 +294,9 @@ def bench(config: RunConfig):
             budget=config.budget,
             mod=config.mod,
         )
-        if config.method == "coppersmith-msb":
-            ell = n.bit_length() // 4
-            sub.p0 = (p >> ell) << ell
-        elif config.method == "coppersmith-lsb":
-            ell = n.bit_length() // 4
-            sub.lsb_bits = ell
-            sub.lsb_value = p % (1 << ell)
+        for name in METHOD_FLAGS.get(config.method, ()):  # run rejects an unknown method
+            if name in PLANTED_HINTS:
+                setattr(sub, name, PLANTED_HINTS[name](p, n.bit_length() // 4))
         report = run(sub)
         report.params.update(
             profile=config.profile, bits=config.bits, seed=config.seed,
@@ -336,9 +321,7 @@ def bench(config: RunConfig):
 
 
 def grid_lines(config: RunConfig) -> list[str]:
-    entries = fermat.ratio_grid(
-        _fraction(config.lower), _fraction(config.upper), config.count
-    )
+    entries = fermat.ratio_grid(config.lower, config.upper, config.count)
     lines = []
     for e in entries:
         if config.fmt == "json-lines":
@@ -370,8 +353,7 @@ def lattice_lines(config: RunConfig) -> list[str]:
         basis = lattice.Basis.from_rows(rows)
     except ValueError as exc:
         raise UsageError(f"bad --rows: {exc}") from exc
-    delta = _fraction(config.delta)
-    reduced, transform = lattice.lll_reduce_with_transform(basis, delta)
+    reduced, transform = lattice.lll_reduce_with_transform(basis, config.delta)
     det = lattice.determinant(basis)
     first_norm_sq = sum(x * x for x in reduced.vectors[0])
     if config.fmt == "json-lines":
@@ -441,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_factor.add_argument("--budget", type=int)
 
     p_bench = sub.add_parser("bench", help="seeded semiprime benchmark")
-    p_bench.add_argument("--method", required=True, choices=METHODS)
+    p_bench.add_argument("--method", required=True, choices=BENCH_METHODS)
     p_bench.add_argument("--profile", choices=("gap", "ratio"))
     p_bench.add_argument("--bits", type=int)
     p_bench.add_argument("--instances", type=int)
@@ -470,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    names = {field.name for field in fields(RunConfig)}
+    values = {k: v for k, v in vars(args).items() if k in names and v is not None}
     return RunConfig(**values)
 
 

@@ -11,11 +11,10 @@ lengths can be compared to the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import is_perfect_square, square_candidates
+from .arith import as_fraction, is_perfect_square, square_candidates
 from .errors import (
     Exhausted,
     MultiplierCollision,
@@ -173,19 +172,10 @@ class RatioGridEntry:
             raise ValueError("r*s must equal 1")
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        # Take the printed decimal, not the binary expansion.
-        return Fraction(str(value))
-    if isinstance(value, (str, int, Fraction, Decimal)):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact ratio")
-
-
 def ratio_grid(lower, upper, count: int) -> list[RatioGridEntry]:
     """Uniform subdivision r_i = lower + i*(upper-lower)/count, s_i = 1/r_i,
     for i = 0..count-1, carried as exact rationals."""
-    lo, hi = _as_fraction(lower), _as_fraction(upper)
+    lo, hi = as_fraction(lower), as_fraction(upper)
     if not 0 < lo < hi:
         raise ValueError("need 0 < lower < upper")
     if count < 1:
@@ -215,7 +205,7 @@ def fermat_ratio(n: int, ratio, budget: int | None = None) -> FermatResult:
     near-balanced, then strips the multipliers from the recovered pair via
     gcd with n.
     """
-    r = _as_fraction(ratio)
+    r = as_fraction(ratio)
     if r < 1:
         raise ValueError("ratio must be >= 1")
     a, b = r.numerator, r.denominator

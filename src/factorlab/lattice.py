@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import as_fraction
 from .errors import DependentBasis, DimensionTooLarge
 
 __all__ = [
@@ -152,9 +153,9 @@ def lll_rows(
     """All-integer LLL core (Gram determinants d_i and scaled coefficients
     lambda[i][j] = d_{j+1} * mu[i][j] stay in Z, so no rational arithmetic
     is needed).  Reduces `rows` in place and returns it; optionally tracks
-    the unimodular transform."""
+    the unimodular transform.  A delta other than LLL_DELTA is read by as_fraction."""
     if delta is not LLL_DELTA:
-        delta = Fraction(delta)
+        delta = as_fraction(delta)
         if not Fraction(1, 4) < delta <= 1:
             raise ValueError("delta must lie in (1/4, 1]")
     num, den = delta.numerator, delta.denominator

@@ -1,4 +1,6 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from factorlab.arith import (
     Factorization,
+    as_fraction,
     divisor_count,
     ext_gcd,
     is_perfect_square,
@@ -181,6 +184,8 @@ class TestTrialFactor:
 
     def test_invariant_enforcement(self):
         with pytest.raises(ValueError):
+            trial_factor(1, 10)
+        with pytest.raises(ValueError):
             Factorization(6, ((2, 1), (2, 1)))
         with pytest.raises(ValueError):
             Factorization(6, ((2, 1), (5, 1)))
@@ -223,3 +228,30 @@ class TestPrimality:
         for bits in (8, 16, 32):
             p = random_prime(rng, bits)
             assert p.bit_length() == bits and is_prime(p)
+        with pytest.raises(ValueError):
+            random_prime(rng, 1)
+
+
+class TestAsFraction:
+    @pytest.mark.parametrize(
+        "value, exact",
+        [
+            ("3/2", Fraction(3, 2)),
+            ("0.707", Fraction(707, 1000)),
+            (2, Fraction(2)),
+            (Fraction(5, 3), Fraction(5, 3)),
+            (Decimal("0.99"), Fraction(99, 100)),
+            (0.99, Fraction(99, 100)),  # as printed, not 0.99's binary value
+        ],
+    )
+    def test_exact_value(self, value, exact):
+        assert as_fraction(value) == exact
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
+            as_fraction("1/0")
+
+    @pytest.mark.parametrize("value", [None, [3, 2], (3, 2), 1j])
+    def test_other_types_are_rejected(self, value):
+        with pytest.raises(TypeError):
+            as_fraction(value)

@@ -9,8 +9,12 @@ from pathlib import Path
 import pytest
 
 from factorlab.cli import (
+    BENCH_METHODS,
     JSON_KEYS,
+    METHOD_FLAGS,
+    METHODS,
     RunConfig,
+    UsageError,
     _config_from_args,
     bench,
     build_parser,
@@ -46,12 +50,21 @@ class TestRun:
         assert report.factors == (3, 5)
 
     def test_ratio_requires_r(self):
-        from factorlab.cli import UsageError
-
         with pytest.raises(UsageError):
             run(factor_config(method="ratio", n=20909))
         report = run(factor_config(method="ratio", n=20909, r="2"))
         assert report.factors == (103, 203)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (factor_config(method="nosuch", n=15), "unknown method 'nosuch'"),
+            (factor_config(method="standard"), "--n is required"),
+        ],
+    )
+    def test_unknown_method_or_no_n_is_a_usage_error(self, config, message):
+        with pytest.raises(UsageError, match=message):
+            run(config)
 
     def test_residue_method(self):
         report = run(factor_config(method="residue", n=10807, mod=10))
@@ -117,6 +130,8 @@ class TestRun:
             run(factor_config(method="coppersmith-msb", n=4305481, p0=3000)).outcome
             == "no-root"
         )
+        # the only root in the box around p0 = 1 is the trivial p = 1, q = N
+        assert run(factor_config(method="coppersmith-msb", n=2599, p0=1)).outcome == "no-root"
 
     def test_factors_always_multiply_back(self):
         report = run(factor_config(method="triangular", n=2599))
@@ -182,6 +197,13 @@ class TestBench:
             ell = r.n.bit_length() // 4
             assert r.params["p0"] == (r.params["p"] >> ell) << ell
 
+    @pytest.mark.parametrize("field", ["profile", "method"])
+    def test_unknown_profile_or_method_is_a_usage_error(self, field):
+        config = RunConfig(command="bench", method="standard", bits=24, instances=1, seed=1)
+        setattr(config, field, "nosuch")
+        with pytest.raises(UsageError, match=f"unknown {field} 'nosuch'"):
+            bench(config)
+
     def test_instances_labeled_with_construction(self):
         reports, _ = bench(
             RunConfig(command="bench", method="standard", profile="gap", bits=24,
@@ -228,6 +250,19 @@ class TestCommands:
         assert obj["det"] == "1"
         assert obj["first_vector_norm_sq"] == "1"
         assert obj["hadamard_ok"] is True
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (None, "lattice requires --rows"),
+            ("", "lattice requires --rows"),
+            ("1,0;0", "bad --rows"),  # ragged
+            (";", "bad --rows"),  # no row
+        ],
+    )
+    def test_lattice_rows_errors(self, rows, message):
+        with pytest.raises(UsageError, match=message):
+            lattice_lines(RunConfig(command="lattice", rows=rows))
 
     def test_demo_walkthrough(self):
         text = "\n".join(demo_lines())
@@ -286,6 +321,18 @@ class TestMain:
              "--c", "1", "--d", "0"],  # gcd(0, 1) = 1, but d = 0
             ["--method", "residue", "--n", "0", "--mod", "10"],
             ["--method", "residue", "--n", "-15", "--mod", "6"],
+            ["--method", "landry-pepin", "--n", "1", "--mod", "10", "--mod2", "10",
+             "--c", "1", "--d", "7"],
+            ["--method", "landry-pepin", "--n", "0", "--mod", "10", "--mod2", "10",
+             "--c", "1", "--d", "7"],
+            ["--method", "landry-pepin", "--n", "-10807", "--mod", "10", "--mod2", "10",
+             "--c", "1", "--d", "7"],
+            ["--method", "coppersmith-msb", "--n", "1", "--p0", "1"],
+            ["--method", "coppersmith-lsb", "--n", "1", "--lsb-value", "7",
+             "--lsb-bits", "4"],
+            ["--method", "trivariate", "--n", "1", "--p0", "1", "--mult", "1"],
+            ["--method", "coppersmith-lsb", "--n", "-2599", "--lsb-value", "7",
+             "--lsb-bits", "4"],
         ],
     )
     def test_precondition_errors_are_usage_errors(self, capsys, args):
@@ -294,6 +341,8 @@ class TestMain:
         err_lines = captured.err.strip().splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
         assert "Traceback" not in captured.err + captured.out
+        if int(args[args.index("--n") + 1]) < 2:  # rejected once, before dispatch
+            assert err_lines == ["error: N must be >= 2"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -326,6 +375,22 @@ class TestMain:
         err_lines = captured.err.strip().splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bench_offers_only_the_methods_it_can_run(self, capsys, method):
+        argv = ["bench", "--method", method, "--bits", "24", "--instances", "1",
+                "--seed", "1"]
+        mod = ["--mod", "10"] if "mod" in METHOD_FLAGS[method] else []
+        code = main(argv + mod)
+        captured = capsys.readouterr()
+        if method in BENCH_METHODS:
+            assert code in (0, 2) and captured.err == ""
+        else:
+            assert method in ("landry-pepin", "trivariate")  # need --mod2 --c --d, --mult
+            assert code == 1 and captured.out == ""
+            err_lines = captured.err.splitlines()
+            assert len(err_lines) == 1
+            assert err_lines[0].startswith("error: argument --method: invalid choice")
 
     @pytest.mark.parametrize(
         "argv, required, fmt",

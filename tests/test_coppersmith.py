@@ -152,6 +152,8 @@ class TestSolveBivariate:
             BivariateProblem(N=15, P0=3, Q0=5, X=0, Y=1)
         with pytest.raises(ValueError):
             BivariateProblem(N=0, P0=3, Q0=5, X=1, Y=1)
+        with pytest.raises(ValueError):
+            BivariateProblem(N=15, P0=3, Q0=5, X=1, Y=1, m=0)
 
 
 class TestDegenerateScale:
@@ -423,6 +425,8 @@ class TestLsbKnown:
             solve_lsb_known(2599, 6, 4)
         with pytest.raises(ValueError):
             solve_lsb_known(2598, 7, 4)
+        with pytest.raises(ValueError):
+            solve_lsb_known(2599, 7, 0)
 
     def test_degenerate_large_modulus(self):
         # 2^k beyond q: the box shrinks to |x|, |y| <= 1
@@ -548,6 +552,12 @@ class TestTrivariate:
             assert got == want
             if got:
                 assert all(s.z0 == 1 for s in solve_trivariate(tri))
+
+    @pytest.mark.parametrize("mult, z_range", [(0, (1, 2)), (5, (0, 1))])
+    def test_validation(self, mult, z_range):
+        with pytest.raises(ValueError):
+            TrivariateProblem(N=2599, P0=23, M=mult, a_range=(0,), z_range=z_range,
+                              X=8, Y=8)
 
     def test_excluded_z0_exhausts(self):
         n, p, q, mult, a = self._construct(z0=7)

@@ -189,6 +189,8 @@ class TestTriangular:
         assert fermat_triangular(2599, budget=3).steps == 3
         with pytest.raises(Exhausted):
             fermat_triangular(2599, budget=2)
+        with pytest.raises(ValueError):
+            fermat_triangular(2598)
 
     def test_sequence_values_2599(self):
         seq = triangular_squares(2599)
@@ -263,6 +265,8 @@ class TestRatioGrid:
             assert e.r == Fraction("0.707") + i * step
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            ratio_grid("1/0", 1, 3)
         with pytest.raises(ValueError):
             ratio_grid(1, "0.707", 21)
         with pytest.raises(ValueError):
@@ -302,6 +306,10 @@ class TestRatioMethod:
             fermat_ratio(1009, 2, budget=100_000)
 
     def test_cap(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            fermat_ratio(20909, "1/0")
+        with pytest.raises(ValueError):
+            fermat_ratio(2, 1)  # n below 3
         with pytest.raises(ValueError):
             fermat_ratio(10403, Fraction(10**5, 3))
         with pytest.raises(ValueError):

@@ -158,7 +158,7 @@ class TestLLL:
         assert sum(x * x for x in shortest) == 1
 
     def test_delta_validation(self):
-        for delta in (Fraction(1, 4), Fraction(5, 4), 2):
+        for delta in (Fraction(1, 4), Fraction(5, 4), 2, "1/0"):
             with pytest.raises(ValueError):
                 lll_reduce(Basis.from_rows([(1, 0), (0, 1)]), delta)
         # the default and an equal value passed explicitly reduce alike

@@ -50,6 +50,12 @@ class TestEnumeratePairs:
             enumerate_pairs(15, 5)
         assert info.value.factor == 5
 
+    @pytest.mark.parametrize("pairs", [enumerate_pairs, theorem4_pairs])
+    @pytest.mark.parametrize("m", [1, 0, -5])
+    def test_modulus_below_two(self, pairs, m):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            pairs(2599, m)
+
     def test_matches_brute_force(self, rng):
         for _ in range(150):
             n = rng.randrange(2, 10**5)
@@ -87,6 +93,11 @@ class TestAlgorithmOne:
     def test_requires_prime_modulus(self):
         with pytest.raises(NonPrimeModulus):
             algorithm_one(2599, 6)
+
+    def test_shared_factor_short_circuits(self):
+        with pytest.raises(GcdFactorFound) as info:
+            algorithm_one(2599, 23)
+        assert info.value.factor == 23
 
     def test_contains_true_pair_and_subset(self, rng):
         primes_to_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -261,6 +272,12 @@ class TestPairDriver:
             assert f >= 2
             product *= f**e
         assert product == n
+
+    @pytest.mark.parametrize("driver", [theorem4_driver, residue_driver])
+    @pytest.mark.parametrize("n", [1, 0, -15])
+    def test_n_below_two_is_rejected(self, driver, n):
+        with pytest.raises(ValueError, match="N must be >= 2"):
+            driver(n, 10)
 
     def test_skips_mirrored_pairs(self):
         tried = []
