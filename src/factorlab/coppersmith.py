@@ -477,6 +477,8 @@ def solve_lsb_known(
     7 bits of 3, the co-factor 1021 lies at y = 7, outside Y = 1, and NoRoot
     is raised.
     """
+    if big_n < 2:
+        raise ValueError("N must be >= 2")
     if big_n % 2 == 0:
         raise ValueError("N must be odd")
     if k < 1:

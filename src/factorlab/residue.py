@@ -130,6 +130,8 @@ def _check_moduli(m: int, mod2: int) -> None:
 def default_t_bound(n: int, m: int, mod2: int, c: int, d: int) -> int:
     """Scan length for landry_pepin that covers z = d*p + c*q up to
     3*max(c, d)*sqrt(n)."""
+    if n < 2:
+        raise ValueError("N must be >= 2")
     _check_moduli(m, mod2)
     return 3 * max(c, d) * isqrt(n) // (m * mod2) + 2
 
@@ -146,6 +148,8 @@ def landry_pepin(
     discriminant signs and all four root sign combinations are tried, at the
     t that square_candidates lets through.
     """
+    if n < 2:
+        raise ValueError("N must be >= 2")
     _check_moduli(m, mod2)
     if t_bound < 0:
         raise ValueError("t_bound must be >= 0")

@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from factorlab.arith import is_perfect_square, isqrt, next_prime, random_prime
 from factorlab.coppersmith import BivariateProblem
-from factorlab.errors import Exhausted, TrivialOnly
+from factorlab.errors import DependentBasis, Exhausted, TrivialOnly
 from factorlab.fermat import FermatResult
 from factorlab.residue import ResidueClassSet, ResiduePair, _split
 
@@ -103,6 +103,58 @@ def reference_algorithm_one(n: int, m: int) -> ResidueClassSet:
                 if c != 0 and d != 0:
                     pairs.add(ResiduePair(min(c, d), max(c, d), m))
     return ResidueClassSet(n, m, frozenset(pairs))
+
+
+def reference_lll_rows(rows: list[list[int]]) -> list[list[int]]:
+    """The general integral LLL kernel at delta = 3/4 (Cohen, Alg. 2.6.7),
+    with Gram determinants d and scaled lam[i][j] = d[j+1] * mu[i][j] in
+    lists: the oracle for lattice.lll_rows (same rows, same exceptions).
+    Reduces `rows` in place and returns it."""
+    n = len(rows)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        row_i = rows[i]
+        for j in range(i + 1):
+            s = sum(a * b for a, b in zip(row_i, rows[j]))
+            for t in range(j):
+                s = (d[t + 1] * s - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = s
+            else:
+                if s <= 0:
+                    raise DependentBasis(f"row {i} is in the span of the earlier rows")
+                d[i + 1] = s
+
+    def size_reduce(k: int, j: int) -> None:
+        dj = d[j + 1]
+        if 2 * abs(lam[k][j]) > dj:
+            q = (2 * lam[k][j] + dj) // (2 * dj)
+            rows[k] = [a - q * c for a, c in zip(rows[k], rows[j])]
+            lam[k][j] -= q * dj
+            for t in range(j):
+                lam[k][t] -= q * lam[j][t]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        lam_k = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * lam_k * lam_k:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+        else:
+            rows[k - 1], rows[k] = rows[k], rows[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            d_new = (d[k - 1] * d[k + 1] + lam_k * lam_k) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_k * t) // d[k]
+                lam[i][k - 1] = (d_new * t + lam_k * lam[i][k]) // d[k + 1]
+            d[k] = d_new
+            k = max(k - 1, 1)
+    return rows
 
 
 def outcome(fn, *args):

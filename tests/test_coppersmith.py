@@ -427,6 +427,9 @@ class TestLsbKnown:
             solve_lsb_known(2598, 7, 4)
         with pytest.raises(ValueError):
             solve_lsb_known(2599, 7, 0)
+        for n in (-2599, 1, -1):
+            with pytest.raises(ValueError, match="N must be >= 2"):
+                solve_lsb_known(n, 7, 4)
 
     def test_degenerate_large_modulus(self):
         # 2^k beyond q: the box shrinks to |x|, |y| <= 1

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorlab.errors import DependentBasis, DimensionTooLarge
@@ -17,8 +17,11 @@ from factorlab.lattice import (
     hermite_bound,
     lll_reduce,
     lll_reduce_with_transform,
+    lll_rows,
     shortest_vector_exhaustive,
 )
+
+from conftest import outcome, reference_lll_rows
 
 
 def random_basis(rng: random.Random, max_n: int = 6, bound: int = 2**20) -> Basis:
@@ -195,6 +198,92 @@ class TestLLL:
                 sv = shortest_vector_exhaustive(reduced, 3)
                 lam1_sq = sum(x * x for x in sv)
                 assert b1 <= 2 ** (n - 1) * lam1_sq
+
+
+ENTRY = st.integers(min_value=-(2**70), max_value=2**70)
+MATRIX3 = st.lists(st.lists(ENTRY, min_size=3, max_size=3), min_size=3, max_size=3)
+# small entries meet the boundaries: 2*|lambda| = d and Lovasz with equality
+SMALL3 = st.lists(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3),
+    min_size=3,
+    max_size=3,
+)
+
+
+@st.composite
+def splitter_bases(draw):
+    """The splitter's fresh basis N, f, t*f with f = lead*t + a and t scaled
+    by h, or, when warm, the reduced polynomials of one shifted by s and
+    rescaled by a new half-width: g(t + s) with t scaled by h2."""
+    big_n = draw(st.integers(min_value=2, max_value=2**70))
+    a = draw(st.integers(min_value=0, max_value=big_n - 1))
+    lead = draw(st.sampled_from([1, draw(st.integers(min_value=2, max_value=2**12))]))
+    h = draw(st.integers(min_value=1, max_value=2**16))
+    rows = [[big_n, 0, 0], [a, lead * h, 0], [0, a * h, lead * h * h]]
+    if not draw(st.booleans()):
+        return rows
+    reference_lll_rows(rows)
+    polys = [[r[0], r[1] // h, r[2] // (h * h)] for r in rows]
+    h2 = draw(st.integers(min_value=1, max_value=2 * h))
+    s = draw(st.integers(min_value=-4 * h, max_value=4 * h))
+    return [
+        [g0 + (g1 + g2 * s) * s, (g1 + 2 * g2 * s) * h2, g2 * h2 * h2]
+        for g0, g1, g2 in polys
+    ]
+
+
+@st.composite
+def nearly_reduced_bases(draw):
+    """A reduced basis with one row moved by a small multiple of another, or
+    two rows swapped."""
+    rows = draw(MATRIX3)
+    try:
+        reference_lll_rows(rows)
+    except DependentBasis:
+        return rows
+    i, j = draw(st.permutations(range(3)))[:2]
+    c = draw(st.integers(min_value=-2, max_value=2))
+    if c:
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    else:
+        rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+@st.composite
+def dependent_bases(draw):
+    """A zero row, or one row an integer combination of the other two."""
+    rows = draw(MATRIX3)
+    i = draw(st.integers(min_value=0, max_value=2))
+    x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    j, k = [r for r in range(3) if r != i]
+    rows[i] = [x * u + y * v for u, v in zip(rows[j], rows[k])]
+    return rows
+
+
+class TestDim3Kernel:
+    @given(
+        rows=st.one_of(
+            MATRIX3, SMALL3, splitter_bases(), nearly_reduced_bases(), dependent_bases()
+        )
+    )
+    @example(rows=[[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    @example(rows=[[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    @example(rows=[[1, 2, 3], [0, 1, 1], [1, 3, 4]])
+    @example(rows=[[5, 0, 0], [0, 5, 0], [0, 0, 5]])
+    @example(rows=[[2, -2, 0], [1, -1, -2], [-3, 1, 3]])  # Lovasz equality at k = 2
+    @settings(max_examples=500)
+    def test_matches_general_kernel(self, rows):
+        # lll_rows on 3x3 bases runs the unrolled kernel: the same rows as
+        # the general one, reduced in the caller's list, or the same error
+        expected = outcome(reference_lll_rows, [list(r) for r in rows])
+        given_rows = [list(r) for r in rows]
+        got = outcome(lll_rows, given_rows)
+        if isinstance(expected, list):
+            assert got[0] is given_rows and got[1] is None
+            assert given_rows == expected
+        else:
+            assert got == expected
 
 
 class TestHadamard:

@@ -9,6 +9,7 @@ from factorlab.coppersmith import theorem4_driver
 from factorlab.errors import Exhausted, GcdFactorFound, NonPrimeModulus
 from factorlab.residue import (
     algorithm_one,
+    default_t_bound,
     enumerate_pairs,
     landry_pepin,
     pair_driver,
@@ -159,6 +160,11 @@ class TestLandryPepin:
             landry_pepin(10807, 10, 10, 1, 7, t_bound=-1)
         with pytest.raises(ValueError):
             landry_pepin(2599, 10, 1, 1, 0, t_bound=5)
+        for n in (-10807, 1, 0):
+            with pytest.raises(ValueError, match="N must be >= 2"):
+                landry_pepin(n, 10, 10, 1, 7, 8)
+            with pytest.raises(ValueError, match="N must be >= 2"):
+                default_t_bound(n, 10, 10, 1, 7)
 
     def test_composite_parts_are_not_certified(self):
         fac = landry_pepin(292248, 25, 25, 27, 36, 105)
