@@ -2,23 +2,27 @@
 f(x, y) = (m*x + P0)(n*y + Q0) - N.
 
 The splitter (solve_bivariate) works on x alone.  After the x interval is
-narrowed against the window of admissible co-factors, each sub-interval
-recentred at xc solves the univariate f(t) = t + (m*xc + P0)*m^(-1) mod N,
-which vanishes modulo p = m*(xc + t) + P0 at every in-interval root (with
-f(t) = m*t + m*xc + P0 when m is not invertible mod N).  A dimension-3
-Howgrave-Graham basis over 1, t, t^2 yields a quadratic with those roots
-over the integers once a reduced vector passes the exact norm gate against
-the interval's smallest |p|; its integer roots follow from the
-discriminant and are checked by division.  The worst-case LLL bound gives a
-certified half-width h_c for every interval: chunks of half-width 2*h_c are
-tried first and a chunk that misses is halved once, which the certificate
-says always suffices.  A half that missed anyway, and every interval with
-no certified width (tiny N), is scanned column by column, so the returned
-root set is exactly the set of in-box roots regardless of box size.
+narrowed against the window of admissible co-factors, each sign-pure
+interval is walked outward from its smaller-|p| end.  An attempt centred at
+xc solves the univariate f(t) = t + (m*xc + P0)*m^(-1) mod N, which
+vanishes modulo p = m*(xc + t) + P0 at every root (with f(t) = m*t + m*xc +
+P0 when m is not invertible mod N).  A dimension-3 Howgrave-Graham basis
+over 1, t, t^2 is reduced, and a reduced g = g0 + g1*t + g2*t^2 vouches for
+every column within its reach r, the largest r with
+|g0| + |g1|*r + |g2|*r^2 below the walk's smallest |p|: there |g| < |p| and
+p divides g at a root, so the roots are g's integer roots, which follow
+from the discriminant and are checked by division.  The worst-case LLL
+bound gives a certified half-width that grows linearly with |p|; each
+attempt is centred 3/2 of it past the walk's position, and the next one
+starts just past the reach.  An attempt that falls short is halved, and
+each half lies within the certified width, which the certificate says
+always suffices.  A half that missed anyway, and every interval with no
+certified width (tiny N), is scanned column by column, so the returned root
+set is exactly the set of in-box roots regardless of box size.
 
-Only the first chunk of a sign-pure interval reduces N, f and t*f; every
-later chunk and half warm-starts from the previous reduced basis, shifted
-to its own centre, which keeps the determinant the certificate rests on.
+Only the first attempt in a sign-pure interval reduces N, f and t*f; every
+later attempt warm-starts from the previous reduced basis, shifted to its
+own centre, which keeps the determinant the certificate rests on.
 
 The one-shot primitive (gated_polynomial, solve_bivariate_single,
 empirical_envelope) keeps the bivariate route: rows are the scaled
@@ -30,8 +34,9 @@ polynomial in x.  Its certified regime (X*Y bounded by the 2/3 power of the
 scaled height) is what solve_bivariate reports as `certified`; the splitter
 itself needs no such bound.
 
-Both lattices end in one step, _gated: reduce, keep the vectors that pass
-the Howgrave-Graham gate, and undo the column scaling.
+Both lattices state the Howgrave-Graham test one way: a reduced vector's
+l1 norm bounds |g| at every point it vouches for, and must stay below the
+modulus that divides g there.
 """
 
 from __future__ import annotations
@@ -156,17 +161,6 @@ def default_box_bound(big_n: int) -> int:
     return 1 << (big_n.bit_length() // 4 + 1)
 
 
-def _gated(rows: list[list[int]], scales: tuple[int, ...], bound_sq: int):
-    """Reduce `rows` in place and yield, in reduced order, each vector v with
-    ||v||^2 * weight(v) < bound_sq (the Howgrave-Graham root gate) as
-    (||v||^2, v with each column divided by its entry in `scales`)."""
-    reduced, _ = lll_rows(rows)
-    for vec in reduced:
-        l2 = sum(map(mul, vec, vec))
-        if l2 * (len(vec) - vec.count(0)) < bound_sq:
-            yield l2, list(map(floordiv, vec, scales))
-
-
 def _gated_vector(prob: BivariateProblem) -> tuple[
     tuple[int, int, int, int], tuple[int, int, int, int], tuple[int, int, int]
 ]:
@@ -190,9 +184,13 @@ def _gated_vector(prob: BivariateProblem) -> tuple[
     ]
     w_sq = w_height * w_height
     scales = (1, x_bound, y_bound, x_bound * y_bound)
-    for l2, (g00, g10, g01, g11) in _gated(rows, scales, modulus * modulus):
-        if (l2 << 6) >= w_sq:  # multiple-of-f gate at degree 1
+    for vec in lll_rows(rows)[0]:
+        # Howgrave-Graham: modulus divides g(x0, y0) and |g(x0, y0)| <= ||v||_1
+        if sum(map(abs, vec)) >= modulus:
             continue
+        if (sum(map(mul, vec, vec)) << 6) >= w_sq:  # multiple-of-f gate at degree 1
+            continue
+        g00, g10, g01, g11 = map(floordiv, vec, scales)
         u2 = c11 * g10 - c10 * g11
         u1 = c11 * g00 + c01 * g10 - c10 * g01 - c00 * g11
         u0 = c01 * g00 - c00 * g01
@@ -273,8 +271,8 @@ def _howgrave_halfwidth(big_n: int, lead: int, bound: int) -> int:
     """Largest half-width h with 216 * N^2 * lead^4 * h^6 < bound^6.
 
     At delta = 3/4 LLL returns a first vector with ||v||^2 <= 2 * det^(2/3),
-    where det = N * lead^2 * h^3, so up to this h the univariate gate
-    ||v||^2 * weight(v) < bound^2 cannot fail.
+    where det = N * lead^2 * h^3, so up to this h the first reduced vector
+    has ||v||_1 <= sqrt(3) * ||v|| < bound: its reach is at least h.
     """
     h6 = (bound**6 - 1) // (216 * big_n * big_n * lead**4)
     lo, hi = 0, 1 << (h6.bit_length() // 6 + 1)  # lo^6 <= h6 < hi^6
@@ -287,62 +285,107 @@ def _howgrave_halfwidth(big_n: int, lead: int, bound: int) -> int:
     return lo
 
 
+def _reach(c0: int, c1: int, c2: int, bound: int, limit: int) -> int:
+    """The largest r <= limit with c0 + c1*r + c2*r^2 < bound, for
+    c0, c1, c2, limit >= 0; -1 when c0 >= bound.
+
+    With |g0|, |g1|, |g2| for c0, c1, c2 this is how far from its centre
+    g(t) = g0 + g1*t + g2*t^2 stays below bound in absolute value.
+    """
+    room = bound - 1 - c0  # c1*r + c2*r^2 <= room
+    if room < 0:
+        return -1
+    if c2:
+        # floor((isqrt(D) - c1) / k) is the floor of the real root
+        # (sqrt(D) - c1) / k, since floor(floor(y) / k) = floor(y / k)
+        r = (isqrt(c1 * c1 + 4 * c2 * room) - c1) // (2 * c2)
+    elif c1:
+        r = room // c1
+    else:
+        return limit
+    return min(r, limit)
+
+
 def _univariate_interval(
     prob: BivariateProblem,
     lead: int,
     inv: int,
-    xlo: int,
-    xhi: int,
+    s: int,
+    half: int,
+    end: int,
     acc: dict[tuple[int, int], tuple[int, int]],
     stats: dict,
     warm: list,
-) -> bool:
-    """One Howgrave-Graham attempt on the sign-pure interval [xlo, xhi].
+) -> int | None:
+    """One Howgrave-Graham attempt for the columns from s towards end.
 
-    Recentred at xc with p = m*t + p0c, every in-interval root has
-    f(t) = lead*t + a = 0 (mod p), where a = p0c * m^(-1) mod N (lead = 1)
-    or, when m is not invertible mod N, a = p0c mod N (lead = m, inv = 1).
-    The rows, coefficient vectors with t scaled by the half-width h, span
-    polynomials that all vanish modulo p at the root, and every |p| in the
-    interval is at least its smaller end, bound.  A reduced vector v with
-    ||v||_1 <= sqrt(weight(v)) * ||v|| < bound therefore gives a g with
-    g(t0) = 0 over the integers, and its integer roots are exact.
+    The lattice is centred at xc = s + half (s - half when end < s).
+    Recentred there with p = m*t + p0c, every root has f(t) = lead*t + a = 0
+    (mod p), where a = p0c * m^(-1) mod N (lead = 1) or, when m is not
+    invertible mod N, a = p0c mod N (lead = m, inv = 1).  The rows,
+    coefficient vectors with t scaled by half, span polynomials g that all
+    vanish modulo p at the root.  The walk runs away from the smaller |p|,
+    so every column from s on has |p| >= bound = |p(s)|.  Within the reach
+    r of a reduced g, |g(t)| <= |g0| + |g1|*|t| + |g2|*t^2 < bound <= |p|,
+    so g(t0) = 0 over the integers there and its integer roots are exact.
 
     `warm` is empty before the first attempt in a sign-pure interval, which
     reduces N, f and t*f, and afterwards holds [centre, reduced polynomials]
-    of the last attempt.  A later attempt reduces those g(t + s), s the
+    of the last attempt.  A later attempt reduces those g(t + d), d the
     distance between the centres: the shift is unimodular and keeps every
     polynomial vanishing modulo p at the root, so the determinant
-    N * lead^2 * h^3 behind the certificate is unchanged (for lead = 1 so is
-    the lattice), and LLL starts from an almost reduced basis instead of
-    walking down from N.  Returns False, leaving acc alone, when no reduced
-    vector clears the gate.
+    N * lead^2 * half^3 behind the certificate is unchanged (for lead = 1 so
+    is the lattice), and LLL starts from an almost reduced basis instead of
+    walking down from N.
+
+    Returns the last column, towards end, that the reach covers, after
+    recording the roots from s to it; None, leaving acc alone, when no
+    reduced polynomial reaches back to s.
     """
     big_n, m = prob.N, prob.m
-    xc = (xlo + xhi) // 2
-    half = max(xhi - xc, xc - xlo, 1)
-    bound = min(abs(m * xlo + prob.P0), abs(m * xhi + prob.P0))
+    step = 1 if end >= s else -1
+    xc = s + step * half
+    bound = abs(m * s + prob.P0)
     stats["boxes"] = stats.get("boxes", 0) + 1
     if warm:
         centre, polys = warm
-        s = xc - centre
+        d = xc - centre
     else:
         a = (m * xc + prob.P0) * inv % big_n
-        polys, s = ((big_n, 0, 0), (a, lead, 0), (0, a, lead)), 0
+        polys, d = ((big_n, 0, 0), (a, lead, 0), (0, a, lead)), 0
+    scale = max(half, 1)
+    scale_sq = scale * scale
     rows = [
-        [g0 + (g1 + g2 * s) * s, (g1 + 2 * g2 * s) * half, g2 * half * half]
+        [g0 + (g1 + g2 * d) * d, (g1 + 2 * g2 * d) * scale, g2 * scale_sq]
         for g0, g1, g2 in polys
     ]
-    scales = (1, half, half * half)
-    gated = next(_gated(rows, scales, bound * bound), None)
-    warm[:] = xc, [list(map(floordiv, row, scales)) for row in rows]
-    if gated is None:
-        return False
+    ahead = abs(end - xc)
+    limit = max(ahead, half)
+    polys, best, reach = [], None, -1
+    for v0, v1, v2 in lll_rows(rows)[0]:
+        g = g0, g1, g2 = v0, v1 // scale, v2 // scale_sq
+        polys.append(g)
+        c0, c1, c2, t = abs(g0), abs(g1), abs(g2), reach + 1
+        if t <= limit and c0 + (c1 + c2 * t) * t < bound:  # reaches further
+            best, reach = g, _reach(c0, c1, c2, bound, limit)
+    warm[:] = xc, polys
+    if reach < half:
+        return None
     stats["lattice_dim"] = 3
-    g0, g1, g2 = gated[1]
-    for xr in _quad_roots(g2, g1, g0, xlo - xc, xhi - xc):
-        _record(prob, xr + xc, acc)
-    return True
+    g0, g1, g2 = best
+    reach = min(reach, ahead)
+    lo, hi = (-half, reach) if step > 0 else (-reach, half)
+    for tr in _quad_roots(g2, g1, g0, lo, hi):
+        _record(prob, xc + tr, acc)
+    return xc + step * reach
+
+
+# An attempt's half-width is 3/2 of the certified one.  Attempts (boxes) per
+# solve over the first 150 seed-1 perfbench instances, hint-lsb / residue-t4,
+# by this ratio: 5/4 34.9 / 34.8, 4/3 34.1 / 34.1, 3/2 32.8 / 33.2,
+# 5/3 35.5 / 34.5, 7/4 38.3 / 36.4, 2 47.6 / 43.2.  Fixed chunks of
+# half-width 2*h_c took 54.4 / 73.7.
+_OVERSHOOT_NUM, _OVERSHOOT_DEN = 3, 2
 
 
 def _solve_interval(
@@ -352,6 +395,19 @@ def _solve_interval(
     acc: dict[tuple[int, int], tuple[int, int]],
     stats: dict,
 ) -> None:
+    """Record every root with xlo <= x <= xhi.
+
+    After narrowing against the q window, each sign-pure interval is walked
+    from its smaller-|p| end s (xlo when p > 0, xhi when p < 0) outward.
+    h_c, the certified half-width at the interval's smallest |p|, scales
+    linearly with the bound, so h = h_c * |p(s)| / |p(start)| is certified
+    at s.  Each attempt is centred 3/2 * h past s and takes the roots as
+    far as its best reduced polynomial reaches; the next attempt starts one
+    column past that.  An attempt whose reach falls short of s is halved:
+    each half lies within h of its own smallest |p|, where the certificate
+    says an attempt cannot miss, and a half that missed anyway is scanned
+    column by column, as is every interval with no certified width.
+    """
     big_n, m, n = prob.N, prob.m, prob.n
     p_base, q_base = prob.P0, prob.Q0
 
@@ -384,25 +440,30 @@ def _solve_interval(
         lead, inv = 1, pow(m, -1, big_n)
     else:
         lead, inv = m, 1
-    h_c = _howgrave_halfwidth(big_n, lead, min(abs(plo), abs(phi)))
+    low = min(abs(plo), abs(phi))
+    h_c = _howgrave_halfwidth(big_n, lead, low)
     if h_c == 0:
         _scan_columns(prob, xlo, xhi, acc, stats)
         return
-    # Chunks of half-width 2*h_c: reduced bases beat the worst case by enough
-    # that most of them pass, and either half of a chunk that misses lies
-    # within h_c of its centre, where the gate cannot fail.
-    step = 4 * h_c + 1
+    s, end, step = (xlo, xhi, 1) if plo > 0 else (xhi, xlo, -1)
     warm: list = []
-    for clo in range(xlo, xhi + 1, step):
-        chi = min(xhi, clo + step - 1)
-        if _univariate_interval(prob, lead, inv, clo, chi, acc, stats, warm):
+    while (end - s) * step >= 0:
+        h = h_c * abs(m * s + p_base) // low
+        half = min(
+            h * _OVERSHOOT_NUM // _OVERSHOOT_DEN, ((end - s) * step + 1) // 2
+        )
+        reached = _univariate_interval(prob, lead, inv, s, half, end, acc, stats, warm)
+        if reached is not None:
+            s = reached + step
             continue
-        mid = (clo + chi) // 2
-        for lo, hi in ((clo, mid), (mid + 1, chi)):
-            if lo <= hi and not _univariate_interval(
-                prob, lead, inv, lo, hi, acc, stats, warm
-            ):
-                _scan_columns(prob, lo, hi, acc, stats)
+        far = s + step * min(2 * half, (end - s) * step)
+        mid = s + step * half
+        for lo, hi in ((s, mid), (mid + step, far)):
+            if (hi - lo) * step >= 0 and _univariate_interval(
+                prob, lead, inv, lo, ((hi - lo) * step + 1) // 2, hi, acc, stats, warm
+            ) is None:
+                _scan_columns(prob, min(lo, hi), max(lo, hi), acc, stats)
+        s = far + step
 
 
 def _scan_columns(

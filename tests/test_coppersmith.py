@@ -1,6 +1,5 @@
 import random
 import warnings
-from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,7 +21,8 @@ from factorlab.coppersmith import (
     certified_regime,
     theorem4_driver,
 )
-from factorlab.coppersmith import _howgrave_halfwidth, _univariate_interval
+from factorlab import coppersmith
+from factorlab.coppersmith import _howgrave_halfwidth, _reach, _univariate_interval
 from factorlab.errors import (
     Exhausted,
     NoIndependentPolynomial,
@@ -260,10 +260,11 @@ class TestUnivariateSplitter:
         assert mirrored == roots(d, c)
 
     def test_lsb_instances_need_no_column_scan(self):
-        # A chunk that misses the gate is halved once, and each half lies
+        # An attempt whose reach falls short is halved, and each half lies
         # within the certified half-width; a half that still missed would
         # fall back to a column scan.
         rng = random.Random(5664)
+        boxes = 0
         for bits in [56, 57, 58, 59, 60, 61, 62, 63, 64] * 2:
             n, p, q = balanced_semiprime(rng, bits)
             k = n.bit_length() // 4
@@ -272,12 +273,17 @@ class TestUnivariateSplitter:
             assert any(s.p in (p, q) for s in sols)
             assert stats.get("column_scans", 0) == 0, (n, stats)
             assert stats["lattice_dim"] == 3
+            boxes += stats["boxes"]
+        # Fixed chunks of half-width 2*h_c took 975 attempts on these 18
+        # instances; letting each reduced polynomial cover its own reach
+        # must save at least a quarter of them (588 when written).
+        assert boxes <= 975 * 3 // 4, boxes
 
 
 class TestWarmStartedSplitter:
-    """36-48-bit boxes several certified chunks wide: every chunk after the
-    first of a sign-pure interval reduces the previous reduced basis,
-    shifted, and the root set stays the box scan's."""
+    """36-48-bit boxes several attempts wide: every attempt after the first
+    of a sign-pure interval reduces the previous reduced basis, shifted,
+    and the root set stays the box scan's."""
 
     @staticmethod
     def _box(case: str, bits: int, width: int, rng: random.Random) -> BivariateProblem:
@@ -306,21 +312,32 @@ class TestWarmStartedSplitter:
                 N=f * n, P0=p0, Q0=f * q % m, X=box, Y=2 * f * q // m, m=m, n=m
             )
         if case == "wrap":
-            # The box runs from p ~ sqrt(N) up to p = N (the root (N, 1)),
-            # which is the centre of the last, one-column chunk: there the
-            # fresh a = N * m^(-1) mod N is 0, while the previous chunk's
-            # shifted basis carries a + s = N.
+            # N = f*p*q with f | m (lead = m), and the box runs from p ~ N/8
+            # up to p = N, the root (N, 1) at x = X.  There the fresh
+            # a = N mod N is 0, while a basis shifted from an earlier centre
+            # carries a + m*s = N.  With m invertible, f(t) = t + xc - X is
+            # in every lattice and reaches across the whole box at once; with
+            # lead = m its norm is about the box's p range, so the walk
+            # climbs from N/8 in several attempts before it covers the root.
+            f = rng.choice([3, 5])
             n, p, q = balanced_semiprime(rng, bits)
-            low = isqrt(n)
-            while True:
-                step = 4 * _howgrave_halfwidth(n, 1, low) + 1
-                k = rng.randrange(3, 8) * step
-                m = (n - low) // (2 * k)
-                low = n - 2 * m * k  # the smallest p in the box
-                if gcd(m, n) == 1 and 4 * _howgrave_halfwidth(n, 1, low) + 1 == step:
-                    return BivariateProblem(
-                        N=n, P0=n - m * k, Q0=0, X=k, Y=n // low + 1, m=m, n=1
-                    )
+            n *= f
+            k = rng.randrange(1 << width, 2 << width)
+            m = f * ((n - n // 8) // (2 * k * f))
+            low = n - 2 * m * k  # the smallest p in the box
+            return BivariateProblem(
+                N=n, P0=n - m * k, Q0=0, X=k, Y=n // low + 1, m=m, n=1
+            )
+        if case == "negative":
+            # every p in the box is negative, so the walk runs down from
+            # the box's top, where |p| is smallest
+            n, p, q = balanced_semiprime(rng, bits)
+            m = 1 << (bits // 2 - width - 3)
+            box = min(1 << width, p // (4 * m))
+            p0 = p - m * rng.randrange(box)
+            return BivariateProblem(
+                N=n, P0=-p0, Q0=-(q % m), X=box, Y=4 * q // m, m=m, n=m
+            )
         # straddle: m | p + q puts the roots p and -q on either side of p = 0
         m = rng.randrange(1 << (bits // 2 - width - 1), 1 << (bits // 2 - width))
         p = random_prime(rng, bits // 2)
@@ -331,7 +348,9 @@ class TestWarmStartedSplitter:
         return BivariateProblem(N=p * q, P0=p % m, Q0=q % m, X=box, Y=4 * box, m=m, n=m)
 
     @given(
-        case=st.sampled_from(["lsb", "residue", "shared", "wrap", "straddle"]),
+        case=st.sampled_from(
+            ["lsb", "residue", "shared", "wrap", "negative", "straddle"]
+        ),
         bits=st.integers(min_value=36, max_value=48),
         width=st.integers(min_value=9, max_value=11),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -347,8 +366,96 @@ class TestWarmStartedSplitter:
         assert got == box_oracle(prob)
         assert stats["boxes"] >= 3 and stats.get("column_scans", 0) == 0, stats
 
+    def test_an_attempt_that_falls_short_is_halved(self, monkeypatch):
+        # Attempts twice the certified half-width wide sometimes fall short;
+        # each half of such an attempt lies within the certified width, so
+        # the root set stays the box scan's, no column is scanned, and the
+        # hits of each walk cover its interval without a gap.
+        monkeypatch.setattr(coppersmith, "_OVERSHOOT_NUM", 2)
+        monkeypatch.setattr(coppersmith, "_OVERSHOOT_DEN", 1)
+        attempt, misses, walks = coppersmith._univariate_interval, [], []
+
+        def counted(prob, lead, inv, s, half, end, acc, stats, warm):
+            if not warm:  # the first attempt of a walk: s and end span it
+                walks.append((sorted((s, end)), []))
+            reached = attempt(prob, lead, inv, s, half, end, acc, stats, warm)
+            misses.append(reached is None)
+            if reached is not None:
+                walks[-1][1].append(sorted((s, reached)))
+            return reached
+
+        monkeypatch.setattr(coppersmith, "_univariate_interval", counted)
+        rng = random.Random(2718)
+        for case in ("lsb", "residue", "negative", "straddle"):
+            for bits in (40, 44, 48):
+                prob = self._box(case, bits, 10, rng)
+                stats = {}
+                try:
+                    got = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, stats)]
+                except NoRoot:
+                    got = []
+                assert got == box_oracle(prob)
+                assert stats.get("column_scans", 0) == 0, stats
+        assert sum(misses) >= 10, sum(misses)
+        for (lo, hi), covered in walks:
+            covered.sort()
+            assert covered[0][0] == lo and covered[-1][1] == hi
+            assert all(a[1] + 1 == b[0] for a, b in zip(covered, covered[1:]))
+
+    @given(
+        bits=st.integers(min_value=28, max_value=44),
+        over=st.integers(min_value=1, max_value=16),
+        down=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # the best reduced polynomial reaches one column short of s
+    @example(bits=28, over=16, down=False, seed=1)
+    @example(bits=36, over=8, down=True, seed=16)
+    @settings(max_examples=300)
+    def test_an_attempt_claims_only_what_its_polynomial_reaches(
+        self, bits, over, down, seed
+    ):
+        # One attempt near a root, up to `over` certified widths wide, so
+        # that some fall short: a hit records exactly the roots from s to
+        # the column it returns, and some reduced polynomial stays below
+        # |p(s)| over all of them.
+        rng = random.Random(seed)
+        n, p, q = balanced_semiprime(rng, bits)
+        mod = 1 << (bits // 4)
+        x0 = (p - p % mod) // mod
+        sign = -1 if down else 1
+        prob = BivariateProblem(
+            N=n, P0=sign * (p % mod), Q0=sign * (q % mod), X=1, Y=1, m=mod, n=mod
+        )
+        h_c = _howgrave_halfwidth(n, 1, p // 2)
+        half = rng.randrange(over * h_c + 1)
+        s = sign * (x0 - rng.randrange(2 * half + 1))
+        end = s + sign * (2 * half + rng.randrange(4 * h_c + 1))
+        assume(mod * s * sign + p % mod >= p // 2)
+        acc, warm = {}, []
+        reached = _univariate_interval(
+            prob, 1, pow(mod, -1, n), s, half, end, acc, {}, warm
+        )
+        if reached is None:
+            assert acc == {}
+            return
+        assert 0 <= (reached - s) * sign <= (end - s) * sign
+        xc, polys = warm
+        far = max(half, abs(reached - xc))
+        bound = abs(mod * s + prob.P0)
+        assert any(
+            abs(g0) + abs(g1) * far + abs(g2) * far * far < bound
+            for g0, g1, g2 in polys
+        )
+        expected = {}
+        for x in range(min(s, reached), max(s, reached) + 1):
+            d = mod * x + prob.P0
+            if d and n % d == 0 and (n // d - prob.Q0) % mod == 0:
+                expected[(x, (n // d - prob.Q0) // mod)] = (d, n // d)
+        assert acc == expected
+
     def test_shift_spans_the_fresh_lattice(self, rng):
-        # lead = 1: the chunk basis shifted by s and reduced has the fresh
+        # lead = 1: the attempt's basis shifted by s and reduced has the fresh
         # determinant N and vanishes mod N at t = -a_new, so it spans
         # exactly the lattice of N, f and t*f at the new centre.
         n, p, q = balanced_semiprime(rng, 48)
@@ -357,8 +464,8 @@ class TestWarmStartedSplitter:
         inv = pow(m, -1, n)
         for s in (1, 37, 201, -90, 5000):
             warm = []
-            _univariate_interval(prob, 1, inv, 100, 180, {}, {}, warm)
-            _univariate_interval(prob, 1, inv, 100 + s, 180 + s, {}, {}, warm)
+            _univariate_interval(prob, 1, inv, 100, 40, 180, {}, {}, warm)
+            _univariate_interval(prob, 1, inv, 100 + s, 40, 180 + s, {}, {}, warm)
             centre, polys = warm
             assert centre == 140 + s
             a_new = (m * centre + prob.P0) * inv % n
@@ -368,6 +475,48 @@ class TestWarmStartedSplitter:
             )
             for g0, g1, g2 in polys:
                 assert (g0 - g1 * a_new + g2 * a_new * a_new) % n == 0
+
+
+class TestReach:
+    """How far a reduced polynomial vouches for its columns."""
+
+    @given(
+        c0=st.integers(min_value=0, max_value=2**70),
+        c1=st.integers(min_value=0, max_value=2**40),
+        c2=st.integers(min_value=0, max_value=2**30),
+        bound=st.integers(min_value=1, max_value=2**72),
+        limit=st.integers(min_value=0, max_value=2**36),
+    )
+    @example(c0=10, c1=1, c2=1, bound=10, limit=5)  # c0 >= bound: no reach
+    @example(c0=9, c1=1, c2=1, bound=10, limit=5)  # only r = 0
+    @example(c0=3, c1=7, c2=0, bound=100, limit=50)  # g2 = 0
+    @example(c0=3, c1=7, c2=0, bound=101, limit=50)  # g2 = 0, equality at r + 1
+    @example(c0=3, c1=0, c2=0, bound=100, limit=50)  # g1 = g2 = 0: up to the limit
+    @example(c0=0, c1=0, c2=1, bound=2**64 + 1, limit=2**36)  # r^2 < bound
+    @example(c0=0, c1=2, c2=1, bound=2**64, limit=2**36)  # (r + 1)^2 - 1 < bound
+    def test_is_the_largest_r_within_the_bound(self, c0, c1, c2, bound, limit):
+        def value(r):
+            return c0 + c1 * r + c2 * r * r
+
+        r = _reach(c0, c1, c2, bound, limit)
+        if c0 >= bound:
+            assert r == -1
+            return
+        assert 0 <= r <= limit and value(r) < bound
+        assert r == limit or value(r + 1) >= bound
+
+    @given(
+        big_n=st.integers(min_value=2**20, max_value=2**64),
+        lead=st.sampled_from([1, 2, 3, 12]),
+        low=st.integers(min_value=2**10, max_value=2**40),
+        above=st.integers(min_value=0, max_value=2**40),
+    )
+    def test_certified_width_scales_with_the_bound(self, big_n, lead, low, above):
+        # the walk sizes each attempt as h_c * B / low instead of searching
+        # again: that width is certified at B whenever h_c is at low
+        h_c = _howgrave_halfwidth(big_n, lead, low)
+        bound = low + above
+        assert h_c * bound // low <= _howgrave_halfwidth(big_n, lead, bound)
 
 
 class TestGates:
