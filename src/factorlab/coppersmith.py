@@ -7,18 +7,21 @@ interval is walked outward from its smaller-|p| end.  An attempt centred at
 xc solves the univariate f(t) = t + (m*xc + P0)*m^(-1) mod N, which
 vanishes modulo p = m*(xc + t) + P0 at every root (with f(t) = m*t + m*xc +
 P0 when m is not invertible mod N).  A dimension-3 Howgrave-Graham basis
-over 1, t, t^2 is reduced, and a reduced g = g0 + g1*t + g2*t^2 vouches for
-every column within its reach r, the largest r with
-|g0| + |g1|*r + |g2|*r^2 below the walk's smallest |p|: there |g| < |p| and
-p divides g at a root, so the roots are g's integer roots, which follow
-from the discriminant and are checked by division.  The worst-case LLL
-bound gives a certified half-width that grows linearly with |p|; each
-attempt is centred 3/2 of it past the walk's position, and the next one
-starts just past the reach.  An attempt that falls short is halved, and
+over 1, t, t^2 is reduced.  p divides a reduced g = g0 + g1*t + g2*t^2 at
+every root, so wherever |g| < |p| the root is one of g's integer roots,
+which follow from the discriminant and are checked by division.  Along the
+walk |p| grows by m a column, so whether |g| < |p| holds is a pair of
+quadratic inequalities, and a reduced g vouches for every column from the
+walk's position on up to the first where one of them fails.  The
+worst-case LLL bound gives a certified half-width that grows linearly with
+|p|; each attempt is centred twice that past the walk's position, and the
+next one starts just past the last column its best g vouches for.  An
+attempt whose polynomials all fail at its first column is halved, and
 each half lies within the certified width, which the certificate says
-always suffices.  A half that missed anyway, and every interval with no
-certified width (tiny N), is scanned column by column, so the returned root
-set is exactly the set of in-box roots regardless of box size.
+always suffices.  What a half left uncovered anyway, and every interval
+with no certified width (tiny N), is scanned column by column, so the
+returned root set is exactly the set of in-box roots regardless of box
+size.
 
 Only the first attempt in a sign-pure interval reduces N, f and t*f; every
 later attempt warm-starts from the previous reduced basis, shifted to its
@@ -272,7 +275,8 @@ def _howgrave_halfwidth(big_n: int, lead: int, bound: int) -> int:
 
     At delta = 3/4 LLL returns a first vector with ||v||^2 <= 2 * det^(2/3),
     where det = N * lead^2 * h^3, so up to this h the first reduced vector
-    has ||v||_1 <= sqrt(3) * ||v|| < bound: its reach is at least h.
+    has ||v||_1 <= sqrt(3) * ||v|| < bound.  Since |g(t)| <= ||v||_1 for
+    |t| <= h and |p| >= bound along the walk, it vouches for all of [-h, h].
     """
     h6 = (bound**6 - 1) // (216 * big_n * big_n * lead**4)
     lo, hi = 0, 1 << (h6.bit_length() // 6 + 1)  # lo^6 <= h6 < hi^6
@@ -285,25 +289,27 @@ def _howgrave_halfwidth(big_n: int, lead: int, bound: int) -> int:
     return lo
 
 
-def _reach(c0: int, c1: int, c2: int, bound: int, limit: int) -> int:
-    """The largest r <= limit with c0 + c1*r + c2*r^2 < bound, for
-    c0, c1, c2, limit >= 0; -1 when c0 >= bound.
+def _first_failure(a: int, b: int, c: int, lo: int, limit: int) -> int:
+    """The first integer u in [lo, limit) with a*u^2 + b*u + c <= 0, or
+    limit when there is none, for a quadratic that is positive at lo.
 
-    With |g0|, |g1|, |g2| for c0, c1, c2 this is how far from its centre
-    g(t) = g0 + g1*t + g2*t^2 stays below bound in absolute value.
+    A line with b < 0 fails from -c/b on.  With D = b^2 - 4ac, a convex
+    quadratic (a > 0) fails where |2au + b| <= sqrt(D), so not at all past
+    its vertex; a concave one (a < 0), positive at lo, fails from where
+    -(2au + b) >= sqrt(D) on.  2au + b is an integer, so these compare it
+    with isqrt(D) and with ceil(sqrt(D)) = isqrt(D - 1) + 1 exactly.
     """
-    room = bound - 1 - c0  # c1*r + c2*r^2 <= room
-    if room < 0:
-        return -1
-    if c2:
-        # floor((isqrt(D) - c1) / k) is the floor of the real root
-        # (sqrt(D) - c1) / k, since floor(floor(y) / k) = floor(y / k)
-        r = (isqrt(c1 * c1 + 4 * c2 * room) - c1) // (2 * c2)
-    elif c1:
-        r = room // c1
-    else:
-        return limit
-    return min(r, limit)
+    if a == 0:
+        return limit if b >= 0 else min(-(c // b), limit)
+    d = b * b - 4 * a * c
+    if a > 0:
+        if d < 0 or 2 * a * lo + b >= 0:
+            return limit  # no real root, or increasing from lo on
+        k = isqrt(d)
+        u = -((b + k) // (2 * a))  # the first u with 2au + b >= -k
+        return limit if 2 * a * u + b > k else min(u, limit)
+    k = isqrt(d - 1) + 1  # d > 0: the quadratic is positive at lo
+    return min(-((b + k) // (2 * a)), limit)  # the first u with 2au + b <= -k
 
 
 def _univariate_interval(
@@ -324,10 +330,13 @@ def _univariate_interval(
     (mod p), where a = p0c * m^(-1) mod N (lead = 1) or, when m is not
     invertible mod N, a = p0c mod N (lead = m, inv = 1).  The rows,
     coefficient vectors with t scaled by half, span polynomials g that all
-    vanish modulo p at the root.  The walk runs away from the smaller |p|,
-    so every column from s on has |p| >= bound = |p(s)|.  Within the reach
-    r of a reduced g, |g(t)| <= |g0| + |g1|*|t| + |g2|*t^2 < bound <= |p|,
-    so g(t0) = 0 over the integers there and its integer roots are exact.
+    vanish modulo p at the root.  Wherever |g(t)| < |p|, g(t0) = 0 over the
+    integers at a root, so a reduced g vouches for the columns from s on
+    as far as that holds, and its integer roots there are exact.  The walk
+    runs away from the smaller |p|, so in u = t (u = -t when end < s) the
+    columns from s are u >= -half and |p| = |p(s)| + m*(u + half); the
+    condition is two quadratic inequalities in u, |p| - g > 0 and
+    |p| + g > 0, and _first_failure finds where each first fails.
 
     `warm` is empty before the first attempt in a sign-pure interval, which
     reduces N, f and t*f, and afterwards holds [centre, reduced polynomials]
@@ -338,9 +347,9 @@ def _univariate_interval(
     is the lattice), and LLL starts from an almost reduced basis instead of
     walking down from N.
 
-    Returns the last column, towards end, that the reach covers, after
-    recording the roots from s to it; None, leaving acc alone, when no
-    reduced polynomial reaches back to s.
+    Returns the last column, towards end, that the reduced polynomial
+    covering furthest vouches for, after recording the roots from s to it;
+    None, leaving acc alone, when no reduced polynomial covers s.
     """
     big_n, m = prob.N, prob.m
     step = 1 if end >= s else -1
@@ -359,33 +368,45 @@ def _univariate_interval(
         [g0 + (g1 + g2 * d) * d, (g1 + 2 * g2 * d) * scale, g2 * scale_sq]
         for g0, g1, g2 in polys
     ]
-    ahead = abs(end - xc)
-    limit = max(ahead, half)
-    polys, best, reach = [], None, -1
+    # |p| = at_xc + m*u; the columns are u = lo (s) up to limit - 1 (end)
+    lo, limit, at_xc = -half, abs(end - xc) + 1, bound + m * half
+    polys, best, reach = [], None, lo  # reach: the first u not vouched for
     for v0, v1, v2 in lll_rows(rows)[0]:
         g = g0, g1, g2 = v0, v1 // scale, v2 // scale_sq
         polys.append(g)
-        c0, c1, c2, t = abs(g0), abs(g1), abs(g2), reach + 1
-        if t <= limit and c0 + (c1 + c2 * t) * t < bound:  # reaches further
-            best, reach = g, _reach(c0, c1, c2, bound, limit)
+        e1 = step * g1  # g = g0 + e1*u + g2*u^2
+        if (
+            reach < limit
+            and abs(g0 + (e1 + g2 * reach) * reach) < at_xc + m * reach
+            and abs(g0 + (e1 + g2 * lo) * lo) < bound  # covers s
+        ):
+            r = min(
+                _first_failure(-g2, m - e1, at_xc - g0, lo, limit),
+                _first_failure(g2, m + e1, at_xc + g0, lo, limit),
+            )
+            if r > reach:
+                best, reach = g, r
     warm[:] = xc, polys
-    if reach < half:
+    if best is None:
         return None
     stats["lattice_dim"] = 3
     g0, g1, g2 = best
-    reach = min(reach, ahead)
-    lo, hi = (-half, reach) if step > 0 else (-reach, half)
-    for tr in _quad_roots(g2, g1, g0, lo, hi):
+    last = reach - 1
+    tlo, thi = (-half, last) if step > 0 else (-last, half)
+    for tr in _quad_roots(g2, g1, g0, tlo, thi):
         _record(prob, xc + tr, acc)
-    return xc + step * reach
+    return xc + step * last
 
 
-# An attempt's half-width is 3/2 of the certified one.  Attempts (boxes) per
-# solve over the first 150 seed-1 perfbench instances, hint-lsb / residue-t4,
-# by this ratio: 5/4 34.9 / 34.8, 4/3 34.1 / 34.1, 3/2 32.8 / 33.2,
-# 5/3 35.5 / 34.5, 7/4 38.3 / 36.4, 2 47.6 / 43.2.  Fixed chunks of
-# half-width 2*h_c took 54.4 / 73.7.
-_OVERSHOOT_NUM, _OVERSHOOT_DEN = 3, 2
+# An attempt's half-width is twice the certified one, the most that keeps
+# each half of a missed attempt certified.  Attempts (boxes) per solve over
+# the first 150 seed-1 perfbench instances, hint-lsb / residue-t4, by this
+# ratio: 1 24.0 / 26.7, 5/4 22.3 / 25.2, 3/2 20.8 / 23.1, 7/4 20.0 / 21.5,
+# 2 19.8 / 20.8, 9/4 20.6 / 20.5, 3 25.3 / 22.8; above 2 the halves are
+# not certified, and 4 needed 72 / 32 column scans.  Covering only where
+# |g0| + |g1|*|t| + |g2|*t^2 < |p(s)|, at 3/2, took 32.8 / 33.2, and fixed
+# chunks of half-width 2*h_c 54.4 / 73.7.
+_OVERSHOOT_NUM, _OVERSHOOT_DEN = 2, 1
 
 
 def _solve_interval(
@@ -401,12 +422,13 @@ def _solve_interval(
     from its smaller-|p| end s (xlo when p > 0, xhi when p < 0) outward.
     h_c, the certified half-width at the interval's smallest |p|, scales
     linearly with the bound, so h = h_c * |p(s)| / |p(start)| is certified
-    at s.  Each attempt is centred 3/2 * h past s and takes the roots as
-    far as its best reduced polynomial reaches; the next attempt starts one
-    column past that.  An attempt whose reach falls short of s is halved:
+    at s.  Each attempt is centred 2 * h past s and takes the roots as far
+    as its best reduced polynomial vouches for; the next attempt starts one
+    column past that.  An attempt that does not cover s is halved:
     each half lies within h of its own smallest |p|, where the certificate
-    says an attempt cannot miss, and a half that missed anyway is scanned
-    column by column, as is every interval with no certified width.
+    says an attempt covers all of it, and what a half left uncovered
+    anyway is scanned column by column, as is every interval with no
+    certified width.
     """
     big_n, m, n = prob.N, prob.m, prob.n
     p_base, q_base = prob.P0, prob.Q0
@@ -459,10 +481,14 @@ def _solve_interval(
         far = s + step * min(2 * half, (end - s) * step)
         mid = s + step * half
         for lo, hi in ((s, mid), (mid + step, far)):
-            if (hi - lo) * step >= 0 and _univariate_interval(
+            if (hi - lo) * step < 0:
+                continue
+            reached = _univariate_interval(
                 prob, lead, inv, lo, ((hi - lo) * step + 1) // 2, hi, acc, stats, warm
-            ) is None:
-                _scan_columns(prob, min(lo, hi), max(lo, hi), acc, stats)
+            )
+            rest = lo if reached is None else reached + step  # not covered
+            if (hi - rest) * step >= 0:
+                _scan_columns(prob, min(rest, hi), max(rest, hi), acc, stats)
         s = far + step
 
 

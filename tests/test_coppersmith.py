@@ -22,7 +22,11 @@ from factorlab.coppersmith import (
     theorem4_driver,
 )
 from factorlab import coppersmith
-from factorlab.coppersmith import _howgrave_halfwidth, _reach, _univariate_interval
+from factorlab.coppersmith import (
+    _first_failure,
+    _howgrave_halfwidth,
+    _univariate_interval,
+)
 from factorlab.errors import (
     Exhausted,
     NoIndependentPolynomial,
@@ -275,9 +279,10 @@ class TestUnivariateSplitter:
             assert stats["lattice_dim"] == 3
             boxes += stats["boxes"]
         # Fixed chunks of half-width 2*h_c took 975 attempts on these 18
-        # instances; letting each reduced polynomial cover its own reach
-        # must save at least a quarter of them (588 when written).
-        assert boxes <= 975 * 3 // 4, boxes
+        # instances, and covering each polynomial's triangle-bound reach
+        # 588; covering every column where |g| < |p| exactly must save at
+        # least a quarter of those (350 when written).
+        assert boxes <= 588 * 3 // 4, boxes
 
 
 class TestWarmStartedSplitter:
@@ -352,7 +357,7 @@ class TestWarmStartedSplitter:
             ["lsb", "residue", "shared", "wrap", "negative", "straddle"]
         ),
         bits=st.integers(min_value=36, max_value=48),
-        width=st.integers(min_value=9, max_value=11),
+        width=st.integers(min_value=13, max_value=15),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
@@ -366,26 +371,48 @@ class TestWarmStartedSplitter:
         assert got == box_oracle(prob)
         assert stats["boxes"] >= 3 and stats.get("column_scans", 0) == 0, stats
 
-    def test_an_attempt_that_falls_short_is_halved(self, monkeypatch):
-        # Attempts twice the certified half-width wide sometimes fall short;
-        # each half of such an attempt lies within the certified width, so
-        # the root set stays the box scan's, no column is scanned, and the
-        # hits of each walk cover its interval without a gap.
-        monkeypatch.setattr(coppersmith, "_OVERSHOOT_NUM", 2)
-        monkeypatch.setattr(coppersmith, "_OVERSHOOT_DEN", 1)
-        attempt, misses, walks = coppersmith._univariate_interval, [], []
+    def _halved_walks(self, monkeypatch, short: bool) -> tuple[int, int]:
+        """Solve twelve boxes with every other walk attempt reported as a
+        miss: it still reduces (the halves warm-start from its basis) but
+        records nothing.  With `short`, each half claims only its own first
+        column.  Checks the root sets against the box scan, and that the
+        hits and column scans of each walk cover its interval without a gap
+        or an overlap; returns the misses and the column scans."""
+        attempt, scan = coppersmith._univariate_interval, coppersmith._scan_columns
+        walks, halves, walked, misses = [], [], [], []
 
         def counted(prob, lead, inv, s, half, end, acc, stats, warm):
             if not warm:  # the first attempt of a walk: s and end span it
                 walks.append((sorted((s, end)), []))
+            is_half = (s, end) in halves
+            if is_half:
+                halves.remove((s, end))
+            else:
+                walked.append(s)
+                if len(walked) % 2 == 0 and half > 1:
+                    # _solve_interval tries these two halves next, both
+                    # non-empty since half > 1
+                    step = 1 if end >= s else -1
+                    mid, far = s + step * half, s + step * min(2 * half, abs(end - s))
+                    halves.extend([(s, mid), (mid + step, far)])
+                    attempt(prob, lead, inv, s, half, end, {}, stats, warm)
+                    misses.append(s)
+                    return None
             reached = attempt(prob, lead, inv, s, half, end, acc, stats, warm)
-            misses.append(reached is None)
-            if reached is not None:
+            if reached is None:
+                misses.append(s)
+            else:
+                reached = s if short and is_half else reached
                 walks[-1][1].append(sorted((s, reached)))
             return reached
 
+        def scanned(prob, xlo, xhi, acc, stats):
+            walks[-1][1].append([xlo, xhi])
+            scan(prob, xlo, xhi, acc, stats)
+
         monkeypatch.setattr(coppersmith, "_univariate_interval", counted)
-        rng = random.Random(2718)
+        monkeypatch.setattr(coppersmith, "_scan_columns", scanned)
+        rng, scans = random.Random(2718), 0
         for case in ("lsb", "residue", "negative", "straddle"):
             for bits in (40, 44, 48):
                 prob = self._box(case, bits, 10, rng)
@@ -395,12 +422,28 @@ class TestWarmStartedSplitter:
                 except NoRoot:
                     got = []
                 assert got == box_oracle(prob)
-                assert stats.get("column_scans", 0) == 0, stats
-        assert sum(misses) >= 10, sum(misses)
+                assert halves == []
+                scans += stats.get("column_scans", 0)
         for (lo, hi), covered in walks:
             covered.sort()
             assert covered[0][0] == lo and covered[-1][1] == hi
             assert all(a[1] + 1 == b[0] for a, b in zip(covered, covered[1:]))
+        return len(misses), scans
+
+    def test_an_attempt_that_falls_short_is_halved(self, monkeypatch):
+        # Attempts rarely fall short now, so misses are forced.  Each half
+        # lies within the certified width, so it covers all of itself and
+        # no column is scanned.
+        misses, scans = self._halved_walks(monkeypatch, short=False)
+        assert misses >= 10 and scans == 0, (misses, scans)
+
+    def test_a_half_that_covers_part_of_itself_has_the_rest_scanned(
+        self, monkeypatch
+    ):
+        # A half's best polynomial may stop short of the half's far end; the
+        # columns it leaves are scanned, not skipped.
+        misses, scans = self._halved_walks(monkeypatch, short=True)
+        assert misses >= 10 and scans >= 10, (misses, scans)
 
     @given(
         bits=st.integers(min_value=28, max_value=44),
@@ -408,17 +451,18 @@ class TestWarmStartedSplitter:
         down=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    # the best reduced polynomial reaches one column short of s
-    @example(bits=28, over=16, down=False, seed=1)
-    @example(bits=36, over=8, down=True, seed=16)
+    # a miss where some reduced polynomial is below |p| one column past s
+    @example(bits=28, over=16, down=False, seed=84)
+    @example(bits=36, over=8, down=True, seed=129)
     @settings(max_examples=300)
     def test_an_attempt_claims_only_what_its_polynomial_reaches(
         self, bits, over, down, seed
     ):
         # One attempt near a root, up to `over` certified widths wide, so
         # that some fall short: a hit records exactly the roots from s to
-        # the column it returns, and some reduced polynomial stays below
-        # |p(s)| over all of them.
+        # the column it returns, and some reduced polynomial g has
+        # |g(x - xc)| < |p(x)| at every one of them, so that g vanishes at
+        # each root there.
         rng = random.Random(seed)
         n, p, q = balanced_semiprime(rng, bits)
         mod = 1 << (bits // 4)
@@ -441,10 +485,12 @@ class TestWarmStartedSplitter:
             return
         assert 0 <= (reached - s) * sign <= (end - s) * sign
         xc, polys = warm
-        far = max(half, abs(reached - xc))
-        bound = abs(mod * s + prob.P0)
+        columns = range(min(s, reached), max(s, reached) + 1)
         assert any(
-            abs(g0) + abs(g1) * far + abs(g2) * far * far < bound
+            all(
+                abs(g0 + (g1 + g2 * (x - xc)) * (x - xc)) < abs(mod * x + prob.P0)
+                for x in columns
+            )
             for g0, g1, g2 in polys
         )
         expected = {}
@@ -481,29 +527,60 @@ class TestReach:
     """How far a reduced polynomial vouches for its columns."""
 
     @given(
-        c0=st.integers(min_value=0, max_value=2**70),
-        c1=st.integers(min_value=0, max_value=2**40),
-        c2=st.integers(min_value=0, max_value=2**30),
-        bound=st.integers(min_value=1, max_value=2**72),
-        limit=st.integers(min_value=0, max_value=2**36),
+        a=st.integers(min_value=-8, max_value=8),
+        b=st.integers(min_value=-80, max_value=80),
+        at_lo=st.integers(min_value=1, max_value=600),
+        lo=st.integers(min_value=-40, max_value=40),
+        width=st.integers(min_value=1, max_value=80),
     )
-    @example(c0=10, c1=1, c2=1, bound=10, limit=5)  # c0 >= bound: no reach
-    @example(c0=9, c1=1, c2=1, bound=10, limit=5)  # only r = 0
-    @example(c0=3, c1=7, c2=0, bound=100, limit=50)  # g2 = 0
-    @example(c0=3, c1=7, c2=0, bound=101, limit=50)  # g2 = 0, equality at r + 1
-    @example(c0=3, c1=0, c2=0, bound=100, limit=50)  # g1 = g2 = 0: up to the limit
-    @example(c0=0, c1=0, c2=1, bound=2**64 + 1, limit=2**36)  # r^2 < bound
-    @example(c0=0, c1=2, c2=1, bound=2**64, limit=2**36)  # (r + 1)^2 - 1 < bound
-    def test_is_the_largest_r_within_the_bound(self, c0, c1, c2, bound, limit):
-        def value(r):
-            return c0 + c1 * r + c2 * r * r
+    @example(a=0, b=-7, at_lo=21, lo=0, width=10)  # a line: fails from 3 on
+    @example(a=0, b=-7, at_lo=22, lo=0, width=10)  # a line: 22 - 7u <= 0 from 4
+    @example(a=0, b=3, at_lo=1, lo=-5, width=10)  # a rising line never fails
+    @example(a=1, b=-2, at_lo=12, lo=5, width=20)  # convex, roots -1, 3 behind lo
+    @example(a=1, b=0, at_lo=105, lo=-10, width=30)  # convex, negative discriminant
+    @example(a=8, b=-8, at_lo=97, lo=-3, width=10)  # convex, roots in (0, 1)
+    @example(a=1, b=0, at_lo=2, lo=-2, width=10)  # u^2 - 2: isqrt's guess is 0, not -1
+    @example(a=1, b=-10, at_lo=25, lo=0, width=20)  # convex, a double root at 5
+    @example(a=1, b=-12, at_lo=35, lo=0, width=20)  # convex, roots 5 and 7
+    @example(a=-1, b=0, at_lo=16, lo=0, width=20)  # concave, equality at u = 4
+    @example(a=-1, b=0, at_lo=17, lo=0, width=20)  # concave, fails from 5
+    @example(a=-1, b=-1, at_lo=1, lo=0, width=20)  # concave, positive only at lo
+    @example(a=-1, b=0, at_lo=100, lo=-3, width=5)  # concave, the limit first
+    @settings(max_examples=500)
+    def test_is_the_first_column_where_the_quadratic_fails(
+        self, a, b, at_lo, lo, width
+    ):
+        # brute force over the window [lo, limit); c is chosen so that the
+        # quadratic is at_lo > 0 at lo
+        c = at_lo - (a * lo + b) * lo
+        limit = lo + width
 
-        r = _reach(c0, c1, c2, bound, limit)
-        if c0 >= bound:
-            assert r == -1
-            return
-        assert 0 <= r <= limit and value(r) < bound
-        assert r == limit or value(r + 1) >= bound
+        def value(u):
+            return (a * u + b) * u + c
+
+        r = _first_failure(a, b, c, lo, limit)
+        assert lo < r <= limit
+        assert all(value(u) > 0 for u in range(lo, r))
+        assert r == limit or value(r) <= 0
+
+    @pytest.mark.parametrize(
+        "a, b, c, lo, limit, first",
+        [
+            # u^2 <= 2^64 from -2^32 on: equality at the boundary, with
+            # isqrt exact and one short
+            (1, 0, -(2**64), -(2**32) - 5, 0, -(2**32)),
+            (1, 0, 1 - 2**64, -(2**32) - 5, 0, 1 - 2**32),
+            # 2^64 - u^2 <= 0 from 2^32 on, and 2^64 + 1 - u^2 from 2^32 + 1
+            (-1, 0, 2**64, 0, 2**40, 2**32),
+            (-1, 0, 2**64 + 1, 0, 2**40, 2**32 + 1),
+            # a steep line: (2^70 - 1) - 2^35 u <= 0 from 2^35 on
+            (0, -(2**35), 2**70 - 1, 0, 2**40, 2**35),
+        ],
+    )
+    def test_is_exact_on_wide_coefficients(self, a, b, c, lo, limit, first):
+        assert _first_failure(a, b, c, lo, limit) == first
+        assert (a * (first - 1) + b) * (first - 1) + c > 0
+        assert (a * first + b) * first + c <= 0
 
     @given(
         big_n=st.integers(min_value=2**20, max_value=2**64),
