@@ -409,6 +409,11 @@ def _univariate_interval(
 _OVERSHOOT_NUM, _OVERSHOOT_DEN = 2, 1
 
 
+def _first_positive(prob: BivariateProblem) -> int:
+    """The first column x with p = m*x + P0 >= 1."""
+    return -((prob.P0 - 1) // prob.m)
+
+
 def _solve_interval(
     prob: BivariateProblem,
     xlo: int,
@@ -441,7 +446,7 @@ def _solve_interval(
         if plo <= 0 <= phi:
             # p = 0 carries no divisor; recurse on the sign-pure halves.
             x_neg_hi = (-1 - p_base) // m
-            x_pos_lo = -((p_base - 1) // m)
+            x_pos_lo = _first_positive(prob)
             _solve_interval(prob, xlo, min(xhi, x_neg_hi), acc, stats)
             _solve_interval(prob, max(xlo, x_pos_lo), xhi, acc, stats)
             return
@@ -507,13 +512,17 @@ def _scan_columns(
 
 
 def solve_bivariate(
-    prob: BivariateProblem, stats: dict | None = None
+    prob: BivariateProblem, stats: dict | None = None, *, positive: bool = False
 ) -> list[RootSolution]:
-    """All roots of (m*x + P0)(n*y + Q0) - N with |x| <= X, |y| <= Y.
+    """All roots of (m*x + P0)(n*y + Q0) - N with |x| <= X, |y| <= Y,
+    sorted by (x0, y0); with `positive`, only those with p, q > 0, and the
+    columns with p < 0 are not searched.
 
-    The result is exact for every box size; stats["certified"] records
-    whether the box lies in the one-shot lattice's certified regime.
-    Raises NoRoot when the box holds no root.
+    The result is exact for every box size.  stats["certified"] records
+    whether the box lies in the one-shot lattice's certified regime,
+    stats["boxes"] and stats["column_scans"] count lattice attempts and
+    column scans, and stats["lattice_dim"] is 3 once an attempt covers a
+    column.  Raises NoRoot when the box holds no root.
     """
     if stats is None:
         stats = {}
@@ -522,6 +531,8 @@ def solve_bivariate(
     # a divisor never exceeds N in magnitude, whatever the requested box
     xlo = max(-prob.X, -((prob.N + prob.P0) // prob.m))
     xhi = min(prob.X, (prob.N - prob.P0) // prob.m)
+    if positive:  # q = N / p has p's sign
+        xlo = max(xlo, _first_positive(prob))
     _solve_interval(prob, xlo, xhi, acc, stats)
     return _solutions(prob, acc)
 
@@ -622,7 +633,13 @@ def solve_coprime_moduli(
 
 def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorization:
     """Factor N with nearly equal factors by trying every divisor pair of
-    the small lifts of N mod m in the (m*x + c)(m*y + d) form."""
+    the small lifts of N mod m in the (m*x + c)(m*y + d) form.
+
+    pair_driver accepts only a root with 1 < p < N, so each pair's box is
+    searched only where p > 0.  stats accumulates over the pairs tried, and
+    stats["lattice_dim"] stays unset when no attempt there covered a
+    column: on tiny N the column scan covers them all.
+    """
 
     def solve(pair: ResiduePair) -> list[int]:
         # computed here, after pair_driver has checked N and m
@@ -631,7 +648,7 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
             N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
         )
         try:
-            return [sol.p for sol in solve_bivariate(prob, stats)]
+            return [sol.p for sol in solve_bivariate(prob, stats, positive=True)]
         except NoRoot:
             return []
 

@@ -7,11 +7,23 @@ import random
 import pytest
 from hypothesis import settings
 
-from factorlab.arith import is_perfect_square, isqrt, next_prime, random_prime
-from factorlab.coppersmith import BivariateProblem
-from factorlab.errors import DependentBasis, Exhausted, TrivialOnly
+from factorlab.arith import (
+    Factorization,
+    is_perfect_square,
+    isqrt,
+    next_prime,
+    random_prime,
+)
+from factorlab.coppersmith import BivariateProblem, solve_bivariate
+from factorlab.errors import DependentBasis, Exhausted, NoRoot, TrivialOnly
 from factorlab.fermat import FermatResult
-from factorlab.residue import ResidueClassSet, ResiduePair, _split
+from factorlab.residue import (
+    ResidueClassSet,
+    ResiduePair,
+    _split,
+    pair_driver,
+    theorem4_pairs,
+)
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -155,6 +167,24 @@ def reference_lll_rows(rows: list[list[int]]) -> list[list[int]]:
             d[k] = d_new
             k = max(k - 1, 1)
     return rows
+
+
+def reference_theorem4_driver(big_n: int, m: int) -> Factorization:
+    """theorem4_driver with each pair's box searched on both sides of
+    p = 0: the oracle for coppersmith.theorem4_driver (same results and
+    exceptions)."""
+
+    def solve(pair: ResiduePair) -> list[int]:
+        bound = 3 * isqrt(big_n) // (2 * m) + 2
+        prob = BivariateProblem(
+            N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
+        )
+        try:
+            return [sol.p for sol in solve_bivariate(prob)]
+        except NoRoot:
+            return []
+
+    return pair_driver(big_n, m, theorem4_pairs, solve)
 
 
 def outcome(fn, *args):

@@ -36,12 +36,35 @@ from factorlab.errors import (
 )
 from factorlab.lattice import Basis, determinant
 from factorlab.polynomial import multiple_bound_predicate, resultant, scale_vars
+from factorlab.residue import theorem4_pairs
 
-from conftest import balanced_semiprime, box_oracle
+from conftest import (
+    balanced_semiprime,
+    box_oracle,
+    outcome,
+    reference_theorem4_driver,
+)
 
 
 def roots_of(sols):
     return [(s.x0, s.y0) for s in sols]
+
+
+def t4_semiprime(rng: random.Random, bits: int, top: int) -> tuple[int, int]:
+    """(N, m) with N = p*q of about `bits` bits, p = c and q = d (mod m)
+    for residues c, d below `top` <= 2^(bits // 4), and m a prime of about a
+    quarter of the bits: perfbench's residue-t4 shape, which theorem4
+    solves when c*d < 2m."""
+    m = next_prime(rng.randrange(1 << (bits // 4), 1 << (bits // 4 + 1)))
+    lo, hi = (1 << (bits // 2 - 1)) // m, (1 << (bits // 2)) // m
+
+    def prime(res: int) -> int:
+        while True:
+            p = m * rng.randrange(lo, hi) + res
+            if is_prime(p):
+                return p
+
+    return prime(rng.randrange(1, top)) * prime(rng.randrange(1, top)), m
 
 
 class TestSolveBivariate:
@@ -307,10 +330,14 @@ class TestWarmStartedSplitter:
             box = 3 * isqrt(n) // (2 * m) + 2
             return BivariateProblem(N=n, P0=p % m, Q0=q % m, X=box, Y=box, m=m, n=m)
         if case == "shared":
-            # N = f*p*q and f | m: m is not invertible mod N (lead = m)
+            # N = f*p*q and f | m: m is not invertible mod N (lead = m).
+            # Every p in the box is above p/2; at 36-37 bits that is not
+            # always certified, so draw again until it is.
             f = rng.choice([3, 5])
-            n, p, q = balanced_semiprime(rng, bits)
             m = f * rng.randrange(1, 5)
+            n, p, q = balanced_semiprime(rng, bits)
+            while _howgrave_halfwidth(f * n, m, p // 2) == 0:
+                n, p, q = balanced_semiprime(rng, bits)
             box = min(1 << width, p // (4 * m))
             p0 = p - m * rng.randrange(box)
             return BivariateProblem(
@@ -370,6 +397,60 @@ class TestWarmStartedSplitter:
             got = []
         assert got == box_oracle(prob)
         assert stats["boxes"] >= 3 and stats.get("column_scans", 0) == 0, stats
+
+    @given(
+        case=st.sampled_from(
+            ["lsb", "residue", "shared", "wrap", "negative", "straddle", "t4"]
+        ),
+        bits=st.integers(min_value=36, max_value=48),
+        width=st.integers(min_value=13, max_value=15),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_positive_keeps_the_roots_with_p_above_zero(
+        self, case, bits, width, seed
+    ):
+        # `t4` is the box of one divisor pair of the lifts of N mod m, the
+        # true pair or not, as theorem4_driver searches it
+        rng = random.Random(seed)
+        if case == "t4":
+            n, m = t4_semiprime(rng, bits, 8)
+            pair = rng.choice(theorem4_pairs(n, m))
+            box = 3 * isqrt(n) // (2 * m) + 2
+            prob = BivariateProblem(
+                N=n, P0=pair.c, Q0=pair.d, X=box, Y=box, m=m, n=m
+            )
+        else:
+            prob = self._box(case, bits, width, rng)
+        full, stats = {}, {}
+        try:
+            solve_bivariate(prob, full)
+        except NoRoot:
+            pass
+        expected = [root for root in box_oracle(prob) if root[2] > 0]
+        if expected:
+            got = solve_bivariate(prob, stats, positive=True)
+            assert [(s.x0, s.y0, s.p, s.q) for s in got] == expected
+        else:
+            with pytest.raises(NoRoot):
+                solve_bivariate(prob, stats, positive=True)
+        assert stats["certified"] == full["certified"]
+        if case == "negative":  # no column has p > 0: nothing is searched
+            assert stats.get("boxes", 0) == 0 and expected == []
+        if case == "straddle":  # -q is a root on the p < 0 side
+            assert expected and expected != box_oracle(prob)
+
+    def test_an_interval_with_no_certified_width_is_scanned(self):
+        # N = 5*p*q and m = 20 (lead = m): the box's smallest p, 105 207,
+        # is below the 2.45 * N^(1/3) * m^(2/3) that a certified width
+        # needs, so the interval is scanned with no lattice attempt
+        prob = BivariateProblem(
+            N=213326154155, P0=146167, Q0=5, X=2048, Y=118286, m=20, n=20
+        )
+        stats = {}
+        got = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, stats)]
+        assert got == box_oracle(prob)
+        assert stats.get("boxes", 0) == 0 and stats["column_scans"] == 1
 
     def _halved_walks(self, monkeypatch, short: bool) -> tuple[int, int]:
         """Solve twelve boxes with every other walk attempt reported as a
@@ -817,6 +898,36 @@ class TestTheorem4Driver:
         assert (p % 10) * (q % 10) >= 20
         with pytest.raises(Exhausted):
             theorem4_driver(p * q, 10)
+
+    @given(
+        n=st.integers(min_value=2, max_value=1499),
+        m=st.integers(min_value=2, max_value=40),
+    )
+    @settings(max_examples=500)
+    def test_matches_the_full_box_driver(self, n, m):
+        # searching only p > 0 returns the same first root 1 < p < N
+        assert outcome(theorem4_driver, n, m) == outcome(
+            reference_theorem4_driver, n, m
+        )
+
+    def test_searches_only_the_positive_half(self):
+        # 6 = 2*3 with m = 7: searched whole, the boxes' p < 0 columns took
+        # two lattice attempts (lattice_dim 3); the p > 0 columns have no
+        # certified width and are scanned, so no attempt is made at all
+        stats = {}
+        assert theorem4_driver(6, 7, stats).parts == ((2, 1), (3, 1))
+        assert "boxes" not in stats and "lattice_dim" not in stats
+        assert stats["column_scans"] == 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_full_box_driver_at_40_to_48_bits(self, seed):
+        # residues below 8 put the true pair among theorem4's pairs; those
+        # below 2^10 of every fourth seed mostly do not, and exhaust
+        rng = random.Random(seed)
+        n, m = t4_semiprime(rng, 40 + 4 * (seed % 3), 1 << 10 if seed % 4 == 3 else 8)
+        assert outcome(theorem4_driver, n, m) == outcome(
+            reference_theorem4_driver, n, m
+        )
 
     def test_gcd_short_circuit(self):
         fac = theorem4_driver(15 * 101, 15)
