@@ -144,7 +144,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def run(config: RunConfig) -> RunReport:
-    """Dispatch one factoring run and wrap the outcome in a RunReport."""
+    """Dispatch one factoring run and wrap the outcome in a RunReport.
+
+    Only a root with 1 < p < N splits N (_factors), so coppersmith-lsb, like
+    theorem4, searches only the columns where p > 0; lattice_dim is null
+    when no lattice attempt there covered a column.
+    """
     method = config.method
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}")
@@ -180,7 +185,9 @@ def run(config: RunConfig) -> RunReport:
         elif method == "coppersmith-msb":
             result = coppersmith.solve_msb_known(n, config.p0, stats)
         elif method == "coppersmith-lsb":
-            result = coppersmith.solve_lsb_known(n, config.lsb_value, config.lsb_bits, stats)
+            result = coppersmith.solve_lsb_known(
+                n, config.lsb_value, config.lsb_bits, stats, positive=True
+            )
         elif method == "trivariate":
             bound = coppersmith.default_box_bound(n)
             prob = coppersmith.TrivariateProblem(

@@ -7,6 +7,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from factorlab.cli import (
     BENCH_METHODS,
@@ -16,6 +18,7 @@ from factorlab.cli import (
     RunConfig,
     UsageError,
     _config_from_args,
+    _factors,
     bench,
     build_parser,
     demo_lines,
@@ -26,6 +29,8 @@ from factorlab.cli import (
     ratio_semiprime,
     run,
 )
+from factorlab.coppersmith import solve_lsb_known
+from factorlab.errors import NoRoot
 
 import random
 from fractions import Fraction
@@ -97,6 +102,42 @@ class TestRun:
         assert report.factors == (23, 113)
         report = run(factor_config(method="theorem4", n=10807, mod=100))
         assert report.factors == (101, 107)
+
+    @given(
+        n=st.integers(min_value=1, max_value=599).map(lambda h: 2 * h + 1),
+        k=st.integers(min_value=1, max_value=6),
+        hint=st.integers(min_value=0, max_value=63),
+    )
+    @example(n=5, k=3, hint=1)
+    @example(n=15, k=4, hint=1)
+    @settings(max_examples=500)
+    def test_coppersmith_lsb_matches_the_full_box(self, n, k, hint):
+        # run searches only p > 0; the first root with 1 < p < N is the same
+        v = 2 * hint + 1
+        report = run(factor_config(method="coppersmith-lsb", n=n, lsb_value=v, lsb_bits=k))
+        stats = {}
+        try:
+            outcome, factors = "factored", _factors(n, solve_lsb_known(n, v, k, stats))[0]
+        except NoRoot:
+            outcome, factors = "no-root", None
+        assert (report.outcome, report.factors, report.certified) == (
+            outcome, factors, stats["certified"]
+        )
+        assert report.lattice_dim in (3, None)
+
+    @pytest.mark.parametrize(
+        "n, k, v, outcome, factors",
+        [(5, 3, 3, "no-root", None), (15, 4, 3, "factored", (3, 5))],
+    )
+    def test_coppersmith_lsb_lattice_dim_on_tiny_n(self, n, k, v, outcome, factors):
+        # the whole box's one lattice attempt covered a p < 0 column; the
+        # p > 0 columns are scanned, so lattice_dim reads null (5 has only
+        # the root p = -5 in its box)
+        stats = {}
+        solve_lsb_known(n, v, k, stats)
+        assert stats["lattice_dim"] == 3
+        report = run(factor_config(method="coppersmith-lsb", n=n, lsb_value=v, lsb_bits=k))
+        assert (report.outcome, report.factors, report.lattice_dim) == (outcome, factors, None)
 
     def test_trivariate_method(self):
         from factorlab.arith import next_prime

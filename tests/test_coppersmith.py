@@ -769,6 +769,51 @@ class TestLsbKnown:
             got = []
         assert got == box_oracle(prob)
 
+    @given(
+        n=st.integers(min_value=1, max_value=2047).map(lambda h: 2 * h + 1),
+        k=st.integers(min_value=1, max_value=12),
+        hint=st.integers(min_value=0, max_value=2**11),
+    )
+    @example(n=5, k=3, hint=1)  # the box's one root is p = -5
+    @example(n=15, k=4, hint=1)  # 3 * 5; the lattice attempt was at p < 0
+    @settings(max_examples=400)
+    def test_positive_keeps_the_roots_with_p_above_zero(self, n, k, hint):
+        mod = 1 << k
+        x0 = 2 * hint + 1
+        prob = BivariateProblem(
+            N=n, P0=x0 % mod, Q0=n * pow(x0, -1, mod) % mod,
+            X=isqrt(n) // mod + 1, Y=2 * isqrt(n) // mod + 1, m=mod, n=mod,
+        )
+        full, stats = {}, {}
+        try:
+            got = [(s.x0, s.y0, s.p, s.q) for s in solve_lsb_known(n, x0, k, full)]
+        except NoRoot:
+            got = []
+        assert got == box_oracle(prob)
+        expected = [root for root in got if root[2] > 0]
+        if expected:
+            sols = solve_lsb_known(n, x0, k, stats, positive=True)
+            assert [(s.x0, s.y0, s.p, s.q) for s in sols] == expected
+        else:
+            with pytest.raises(NoRoot):
+                solve_lsb_known(n, x0, k, stats, positive=True)
+        assert stats["certified"] == full["certified"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_positive_at_40_to_48_bits(self, seed):
+        # the hint of bench and perfbench, the low bit_length // 4 bits of
+        # the smaller factor: p > 0 searched alone finds the whole box's
+        # roots, with no lattice attempt on the p < 0 side
+        rng = random.Random(seed)
+        n, p, q = balanced_semiprime(rng, 40 + seed)
+        k = n.bit_length() // 4
+        full, stats = {}, {}
+        want = roots_of(solve_lsb_known(n, p % (1 << k), k, full))
+        sols = solve_lsb_known(n, p % (1 << k), k, stats, positive=True)
+        assert roots_of(sols) == want and sols[0].p == p
+        assert stats["certified"] == full["certified"]
+        assert 0 < stats["boxes"] < full["boxes"]
+
     def test_recovery_48_bits(self, rng):
         n, p, q = balanced_semiprime(rng, 48)
         k = n.bit_length() // 4
