@@ -144,12 +144,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def run(config: RunConfig) -> RunReport:
-    """Dispatch one factoring run and wrap the outcome in a RunReport.
-
-    Only a root with 1 < p < N splits N (_factors), so coppersmith-lsb, like
-    theorem4, searches only the columns where p > 0; lattice_dim is null
-    when no lattice attempt there covered a column.
-    """
+    """Dispatch one factoring run and wrap the outcome in a RunReport."""
     method = config.method
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}")
@@ -185,9 +180,7 @@ def run(config: RunConfig) -> RunReport:
         elif method == "coppersmith-msb":
             result = coppersmith.solve_msb_known(n, config.p0, stats)
         elif method == "coppersmith-lsb":
-            result = coppersmith.solve_lsb_known(
-                n, config.lsb_value, config.lsb_bits, stats, positive=True
-            )
+            result = coppersmith.solve_lsb_known(n, config.lsb_value, config.lsb_bits, stats)
         elif method == "trivariate":
             bound = coppersmith.default_box_bound(n)
             prob = coppersmith.TrivariateProblem(

@@ -562,29 +562,26 @@ def solve_msb_known(big_n: int, p0: int, stats: dict | None = None) -> list[Root
 
 
 def solve_lsb_known(
-    big_n: int,
-    x0_bits: int,
-    k: int,
-    stats: dict | None = None,
-    *,
-    positive: bool = False,
+    big_n: int, x0_bits: int, k: int, stats: dict | None = None
 ) -> list[RootSolution]:
     """Factor odd N from the k low bits of a factor.
 
     The co-factor's low bits follow from N * x0_bits^(-1) mod 2^k; both
     factors are then affine in the modulus 2^k and the bilinear solver
-    returns every root with |x| <= sqrt(N)/2^k + 1, |y| <= 2*sqrt(N)/2^k + 1.
-    That holds for every k: a modulus beyond the factors only shrinks the box.
+    returns every root with p > 0 in the box |x| <= sqrt(N)/2^k + 1,
+    |y| <= 2*sqrt(N)/2^k + 1.  That holds for every k: a modulus beyond the
+    factors only shrinks the box.
     The box assumes balanced factors, so a pair outside it is not found even
     when the hint is a whole factor: for N = 3063 = 3 * 1021 with the low
     7 bits of 3, the co-factor 1021 lies at y = 7, outside Y = 1, and NoRoot
     is raised.
 
-    With `positive`, only roots with p = 2^k*x + x0_bits > 0 are returned
-    and the columns with p < 0 are not searched; the default searches the
-    whole box.  When x0_bits = p mod 2^k for N = p*q with odd primes p < q
-    and 4 <= 2^k <= sqrt(N), the two results differ only by the root
-    (-q, -p), which needs p + q = 0 mod 2^k and q <= 2^k*X - x0_bits,
+    Only a root with p > 0 can name a factor, so only the columns where
+    p = 2^k*x + c > 0, c = x0_bits mod 2^k, are searched (solve_bivariate
+    with positive=True, about half the lattice attempts of the whole box).
+    When c = p mod 2^k for N = p*q with odd primes p < q and
+    4 <= 2^k <= sqrt(N), the only root of the box this leaves out is
+    (-q, -p), which needs p + q = 0 mod 2^k and q <= 2^k*X - c,
     X = isqrt(N)//2^k + 1: a q within 2^k of sqrt(N).  Neither -1 nor -N
     fits the box, and -p = p mod 2^k would need 2p = 0 mod 4.
     """
@@ -604,7 +601,7 @@ def solve_lsb_known(
     prob = BivariateProblem(
         N=big_n, P0=x0_bits, Q0=y0_bits, X=x_bound, Y=y_bound, m=mod, n=mod
     )
-    return solve_bivariate(prob, stats, positive=positive)
+    return solve_bivariate(prob, stats, positive=True)
 
 
 def solve_trivariate(

@@ -46,6 +46,17 @@ def box_oracle(prob: BivariateProblem) -> list[tuple[int, int, int, int]]:
     return sorted(found)
 
 
+def lsb_problem(n: int, x0: int, k: int) -> BivariateProblem:
+    """The box that solve_lsb_known(n, x0, k) searches, for odd n and x0:
+    p = 2^k*x + c and q = 2^k*y + d with c = x0 mod 2^k, c*d = n mod 2^k."""
+    mod = 1 << k
+    c = x0 % mod
+    return BivariateProblem(
+        N=n, P0=c, Q0=n * pow(c, -1, mod) % mod,
+        X=isqrt(n) // mod + 1, Y=2 * isqrt(n) // mod + 1, m=mod, n=mod,
+    )
+
+
 def reference_difference_scan(n: int, max_steps: int | None, method: str) -> FermatResult:
     """The difference-of-squares scan tested position by position, with no
     sieve: the oracle for fermat._difference_scan (same results, steps and

@@ -29,8 +29,10 @@ from factorlab.cli import (
     ratio_semiprime,
     run,
 )
-from factorlab.coppersmith import solve_lsb_known
+from factorlab.coppersmith import solve_bivariate
 from factorlab.errors import NoRoot
+
+from conftest import lsb_problem
 
 import random
 from fractions import Fraction
@@ -117,7 +119,8 @@ class TestRun:
         report = run(factor_config(method="coppersmith-lsb", n=n, lsb_value=v, lsb_bits=k))
         stats = {}
         try:
-            outcome, factors = "factored", _factors(n, solve_lsb_known(n, v, k, stats))[0]
+            whole = solve_bivariate(lsb_problem(n, v, k), stats)
+            outcome, factors = "factored", _factors(n, whole)[0]
         except NoRoot:
             outcome, factors = "no-root", None
         assert (report.outcome, report.factors, report.certified) == (
@@ -134,7 +137,7 @@ class TestRun:
         # p > 0 columns are scanned, so lattice_dim reads null (5 has only
         # the root p = -5 in its box)
         stats = {}
-        solve_lsb_known(n, v, k, stats)
+        solve_bivariate(lsb_problem(n, v, k), stats)
         assert stats["lattice_dim"] == 3
         report = run(factor_config(method="coppersmith-lsb", n=n, lsb_value=v, lsb_bits=k))
         assert (report.outcome, report.factors, report.lattice_dim) == (outcome, factors, None)

@@ -41,6 +41,7 @@ from factorlab.residue import theorem4_pairs
 from conftest import (
     balanced_semiprime,
     box_oracle,
+    lsb_problem,
     outcome,
     reference_theorem4_driver,
 )
@@ -301,11 +302,12 @@ class TestUnivariateSplitter:
             assert stats.get("column_scans", 0) == 0, (n, stats)
             assert stats["lattice_dim"] == 3
             boxes += stats["boxes"]
-        # Fixed chunks of half-width 2*h_c took 975 attempts on these 18
-        # instances, and covering each polynomial's triangle-bound reach
-        # 588; covering every column where |g| < |p| exactly must save at
-        # least a quarter of those (350 when written).
-        assert boxes <= 588 * 3 // 4, boxes
+        # solve_lsb_known searches only where p > 0.  There, covering each
+        # polynomial's triangle-bound reach took 290 attempts on these 18
+        # instances; covering every column where |g| < |p| exactly must save
+        # at least a quarter of those (177 when written, and 350 when the
+        # p < 0 half was searched as well).
+        assert boxes <= 290 * 3 // 4, boxes
 
 
 class TestWarmStartedSplitter:
@@ -757,17 +759,12 @@ class TestLsbKnown:
     @settings(max_examples=300)
     def test_large_modulus_matches_box_scan(self, n, k, hint):
         assume(4**k > 2 * n)
-        mod = 1 << k
-        x0 = (2 * hint + 1) % mod
-        prob = BivariateProblem(
-            N=n, P0=x0, Q0=n * pow(x0, -1, mod) % mod,
-            X=isqrt(n) // mod + 1, Y=2 * isqrt(n) // mod + 1, m=mod, n=mod,
-        )
+        x0 = (2 * hint + 1) % (1 << k)
         try:
             got = [(s.x0, s.y0, s.p, s.q) for s in solve_lsb_known(n, x0, k)]
         except NoRoot:
             got = []
-        assert got == box_oracle(prob)
+        assert got == [r for r in box_oracle(lsb_problem(n, x0, k)) if r[2] > 0]
 
     @given(
         n=st.integers(min_value=1, max_value=2047).map(lambda h: 2 * h + 1),
@@ -777,30 +774,26 @@ class TestLsbKnown:
     @example(n=5, k=3, hint=1)  # the box's one root is p = -5
     @example(n=15, k=4, hint=1)  # 3 * 5; the lattice attempt was at p < 0
     @settings(max_examples=400)
-    def test_positive_keeps_the_roots_with_p_above_zero(self, n, k, hint):
-        mod = 1 << k
+    def test_returns_the_box_roots_with_p_above_zero(self, n, k, hint):
         x0 = 2 * hint + 1
-        prob = BivariateProblem(
-            N=n, P0=x0 % mod, Q0=n * pow(x0, -1, mod) % mod,
-            X=isqrt(n) // mod + 1, Y=2 * isqrt(n) // mod + 1, m=mod, n=mod,
-        )
+        prob = lsb_problem(n, x0, k)
         full, stats = {}, {}
         try:
-            got = [(s.x0, s.y0, s.p, s.q) for s in solve_lsb_known(n, x0, k, full)]
+            whole = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, full)]
         except NoRoot:
-            got = []
-        assert got == box_oracle(prob)
-        expected = [root for root in got if root[2] > 0]
+            whole = []
+        assert whole == box_oracle(prob)
+        expected = [root for root in whole if root[2] > 0]
         if expected:
-            sols = solve_lsb_known(n, x0, k, stats, positive=True)
+            sols = solve_lsb_known(n, x0, k, stats)
             assert [(s.x0, s.y0, s.p, s.q) for s in sols] == expected
         else:
             with pytest.raises(NoRoot):
-                solve_lsb_known(n, x0, k, stats, positive=True)
+                solve_lsb_known(n, x0, k, stats)
         assert stats["certified"] == full["certified"]
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_positive_at_40_to_48_bits(self, seed):
+    def test_matches_the_whole_box_at_40_to_48_bits(self, seed):
         # the hint of bench and perfbench, the low bit_length // 4 bits of
         # the smaller factor: p > 0 searched alone finds the whole box's
         # roots, with no lattice attempt on the p < 0 side
@@ -808,8 +801,8 @@ class TestLsbKnown:
         n, p, q = balanced_semiprime(rng, 40 + seed)
         k = n.bit_length() // 4
         full, stats = {}, {}
-        want = roots_of(solve_lsb_known(n, p % (1 << k), k, full))
-        sols = solve_lsb_known(n, p % (1 << k), k, stats, positive=True)
+        want = roots_of(solve_bivariate(lsb_problem(n, p, k), full))
+        sols = solve_lsb_known(n, p % (1 << k), k, stats)
         assert roots_of(sols) == want and sols[0].p == p
         assert stats["certified"] == full["certified"]
         assert 0 < stats["boxes"] < full["boxes"]
