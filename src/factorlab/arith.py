@@ -6,20 +6,14 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, isqrt
-
-from .errors import NonPrimeModulus
+from math import isqrt
 
 __all__ = [
     "Factorization",
     "as_fraction",
-    "divisor_count",
-    "ext_gcd",
     "is_perfect_square",
     "is_prime",
     "isqrt",
-    "mod_inverse",
-    "mod_sqrt",
     "next_prime",
     "random_prime",
     "square_candidates",
@@ -186,21 +180,6 @@ def random_prime(rng: random.Random, bits: int) -> int:
             return n
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with a*u + b*v == g == gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def as_fraction(value) -> Fraction:
     """The exact value of a rational input: an int, Fraction or Decimal as it
     is, a float as printed (0.99 is 99/100, not its binary expansion), and a
@@ -214,52 +193,6 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m; raises ValueError when gcd(a, m) != 1."""
-    return pow(a, -1, m)
-
-
-def mod_sqrt(a: int, m: int) -> set[int]:
-    """All y in [0, m) with y*y = a (mod m) for prime m; empty for non-residues.
-
-    Tonelli-Shanks with a deterministic non-residue scan.
-    """
-    if m < 2 or not is_prime(m):
-        raise NonPrimeModulus(f"modulus {m} is not prime")
-    a %= m
-    if a == 0:
-        return {0}
-    if m == 2:
-        return {1}
-    if pow(a, (m - 1) // 2, m) != 1:
-        return set()
-    if m % 4 == 3:
-        r = pow(a, (m + 1) // 4, m)
-        return {r, m - r}
-    q, s = m - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (m - 1) // 2, m) != m - 1:
-        z += 1
-    c = pow(z, q, m)
-    r = pow(a, (q + 1) // 2, m)
-    t = pow(a, q, m)
-    e = s
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % m
-            i += 1
-        b = pow(c, 1 << (e - i - 1), m)
-        r = r * b % m
-        c = b * b % m
-        t = t * c % m
-        e = i
-    return {r, m - r}
 
 
 @dataclass(frozen=True)
@@ -339,17 +272,3 @@ def trial_factor(n: int, bound: int) -> Factorization:
         parts.append((r, 1))
     return Factorization(n, tuple(parts), residual)
 
-
-def divisor_count(n: int) -> int:
-    """Number of positive divisors of n (n >= 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1
-    # bound = isqrt(n) always yields a complete factorization: any leftover
-    # cofactor would be a single prime above the square root.
-    fac = trial_factor(n, isqrt(n))
-    count = 1
-    for _, e in fac.parts:
-        count *= e + 1
-    return count

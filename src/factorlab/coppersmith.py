@@ -55,7 +55,6 @@ from .errors import (
     NoIndependentPolynomial,
     NonInvertibleResidue,
     NoRoot,
-    NotCoprime,
 )
 # lll_reduce and resultant are unused here; perfbench/tracing.py wraps them by name.
 from .lattice import lll_reduce, lll_rows  # noqa: F401
@@ -71,7 +70,6 @@ __all__ = [
     "gated_polynomial",
     "solve_bivariate",
     "solve_bivariate_single",
-    "solve_coprime_moduli",
     "solve_lsb_known",
     "solve_msb_known",
     "solve_trivariate",
@@ -591,9 +589,12 @@ def solve_lsb_known(
         raise ValueError("N must be odd")
     if k < 1:
         raise ValueError("k must be >= 1")
-    mod = 1 << k
     if x0_bits % 2 == 0:
         raise NonInvertibleResidue(f"{x0_bits} is even, not invertible mod 2^{k}")
+    # Past both bit lengths the box is X = Y = 1 and only x = 0 can give a
+    # divisor 0 < p <= N, so a larger k finds the same roots from the same box.
+    k = min(k, max(big_n.bit_length(), x0_bits.bit_length()) + 1)
+    mod = 1 << k
     x0_bits %= mod
     y0_bits = big_n * pow(x0_bits, -1, mod) % mod
     x_bound = isqrt(big_n) // mod + 1
@@ -628,17 +629,6 @@ def solve_trivariate(
                     for s in found
                 ]
     raise Exhausted("no (z0, a) candidate produced a factorization")
-
-
-def solve_coprime_moduli(
-    big_n: int, m: int, n: int, c: int, d: int, stats: dict | None = None
-) -> list[RootSolution]:
-    """Factor N = (m*x + c)(n*y + d) for coprime moduli and small residues."""
-    if gcd(m, n) != 1:
-        raise NotCoprime(f"gcd({m}, {n}) != 1")
-    bound = 2 * isqrt(big_n) // min(m, n) + 1
-    prob = BivariateProblem(N=big_n, P0=c, Q0=d, X=bound, Y=bound, m=m, n=n)
-    return solve_bivariate(prob, stats)
 
 
 def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorization:

@@ -33,10 +33,6 @@ class MultiplierCollision(FactorlabError):
     """Stripping the ratio multipliers left no integral divisor of N."""
 
 
-class PreconditionViolated(FactorlabError):
-    """Input violates a documented precondition."""
-
-
 class DependentBasis(FactorlabError):
     """Basis rows are linearly dependent."""
 
@@ -55,10 +51,6 @@ class ZeroDegree(FactorlabError):
 
 class NotMonic(FactorlabError):
     """Discriminants are defined here for monic polynomials only."""
-
-
-class NotCoprime(FactorlabError):
-    """Moduli must be relatively prime."""
 
 
 class NonInvertibleResidue(FactorlabError):

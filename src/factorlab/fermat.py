@@ -19,19 +19,16 @@ from .errors import (
     Exhausted,
     MultiplierCollision,
     NotADivisor,
-    PreconditionViolated,
     TrivialOnly,
 )
 
 __all__ = [
     "FermatResult",
-    "RatioBounds",
     "RatioGridEntry",
     "fermat_ratio",
     "fermat_standard",
     "fermat_triangular",
     "predict_steps",
-    "ratio_bounds_check",
     "ratio_grid",
     "render_ratio",
     "triangular_squares",
@@ -225,31 +222,3 @@ def fermat_ratio(n: int, ratio, budget: int | None = None) -> FermatResult:
         f"neither recovered factor of {a * b}*{n} yields a divisor of {n}"
     )
 
-
-@dataclass(frozen=True)
-class RatioBounds:
-    """Exact checks of the balanced-factor windows for q <= 2p."""
-
-    factor_window: bool  # sqrt(N/2) <= p <= sqrt(N) <= q <= sqrt(2N)
-    sum_window: bool  # 2*sqrt(N) <= p + q <= (3*sqrt(2)/2)*sqrt(N)
-    gap_window: bool  # 0 <= q - p <= (sqrt(2)/2)*sqrt(N)
-
-    @property
-    def all_ok(self) -> bool:
-        return self.factor_window and self.sum_window and self.gap_window
-
-
-def ratio_bounds_check(p: int, q: int, n: int) -> RatioBounds:
-    """Verify the balanced-factor windows by squaring both sides; integers only."""
-    if p * q != n:
-        raise ValueError("p*q must equal n")
-    if p > q:
-        raise ValueError("need p <= q")
-    if q > 2 * p:
-        raise PreconditionViolated(f"q = {q} exceeds 2p = {2 * p}")
-    factor_window = n <= 2 * p * p and p * p <= n and n <= q * q and q * q <= 2 * n
-    s = p + q
-    sum_window = 4 * n <= s * s and 2 * s * s <= 9 * n
-    d = q - p
-    gap_window = 2 * d * d <= n
-    return RatioBounds(factor_window, sum_window, gap_window)

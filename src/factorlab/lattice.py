@@ -26,27 +26,13 @@ from .errors import DependentBasis, DimensionTooLarge
 __all__ = [
     "Basis",
     "GramSchmidtData",
-    "HERMITE_GAMMA_NTH_POWER",
     "determinant",
     "gram_schmidt",
     "hadamard_check",
-    "hermite_bound",
     "lll_reduce",
     "lll_reduce_with_transform",
     "shortest_vector_exhaustive",
 ]
-
-# gamma_n ** n for the dimensions where the Hermite constant is known exactly.
-HERMITE_GAMMA_NTH_POWER: dict[int, Fraction] = {
-    1: Fraction(1),
-    2: Fraction(4, 3),
-    3: Fraction(2),
-    4: Fraction(4),
-    5: Fraction(8),
-    6: Fraction(64, 3),
-    7: Fraction(64),
-    8: Fraction(256),
-}
 
 # The default Lovasz parameter; the only one the solvers use, so lll_rows
 # checks a delta against (1/4, 1] only when a caller passes another.
@@ -344,12 +330,3 @@ def shortest_vector_exhaustive(basis: Basis, coeff_bound: int) -> tuple[int, ...
         raise DependentBasis("no nonzero vector found")
     return best[1]
 
-
-def hermite_bound(basis: Basis) -> Fraction:
-    """n-th power of the squared-norm bound from the Hermite constant:
-    the shortest vector satisfies (||v||^2)^n <= gamma_n^n * det(L)^2."""
-    n = basis.n
-    if n > 8:
-        raise DimensionTooLarge("exact Hermite constants stop at n = 8")
-    det = determinant(basis)
-    return HERMITE_GAMMA_NTH_POWER[n] * det * det

@@ -1,7 +1,6 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,23 +9,14 @@ from hypothesis import strategies as st
 from factorlab.arith import (
     Factorization,
     as_fraction,
-    divisor_count,
-    ext_gcd,
     is_perfect_square,
     is_prime,
     isqrt,
-    mod_inverse,
-    mod_sqrt,
     next_prime,
     random_prime,
     square_candidates,
     trial_factor,
 )
-from factorlab.errors import NonPrimeModulus
-
-
-def brute_divisor_count(n: int) -> int:
-    return sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
 class TestIsqrt:
@@ -116,51 +106,6 @@ class TestSquareCandidates:
         assert len(list(square_candidates(x0, 1, (-4 * n,), 200_000))) < 200
 
 
-class TestModSqrt:
-    def test_examples(self):
-        assert mod_sqrt(4, 7) == {2, 5}
-        assert mod_sqrt(0, 5) == {0}
-        assert mod_sqrt(3, 7) == set()
-
-    def test_non_prime_modulus(self):
-        with pytest.raises(NonPrimeModulus):
-            mod_sqrt(4, 15)
-
-    def test_exhaustive_primes_to_97(self):
-        m = 2
-        while m <= 97:
-            for a in range(m):
-                expected = {y for y in range(m) if y * y % m == a}
-                assert mod_sqrt(a, m) == expected, (a, m)
-            m = next_prime(m)
-
-    def test_tonelli_on_one_mod_four_primes(self):
-        # exercises the general branch (m % 4 == 1) on larger inputs
-        for m in (10009, 100049):
-            assert is_prime(m) and m % 4 == 1
-            rng = random.Random(m)
-            for _ in range(50):
-                y = rng.randrange(m)
-                roots = mod_sqrt(y * y % m, m)
-                assert y % m in roots
-                assert all(r * r % m == y * y % m for r in roots)
-
-
-class TestDivisorCount:
-    def test_examples(self):
-        assert divisor_count(1) == 1
-        assert divisor_count(12) == 6
-        assert divisor_count(2599) == 4  # 1, 23, 113, 2599
-
-    def test_brute_force_agreement(self):
-        for n in range(1, 10001):
-            assert divisor_count(n) == brute_divisor_count(n), n
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            divisor_count(0)
-
-
 class TestTrialFactor:
     def test_examples(self):
         fac = trial_factor(60, 10)
@@ -181,6 +126,12 @@ class TestTrialFactor:
 
     def test_divisors_helper(self):
         assert trial_factor(60, 60).divisors() == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
+        # bound = isqrt(n) leaves at most one prime above the root, which
+        # divisors() treats as prime: the list is complete either way
+        for n in range(2, 2000):
+            expected = [d for d in range(1, n + 1) if n % d == 0]
+            assert trial_factor(n, n).divisors() == expected, n
+            assert trial_factor(n, isqrt(n)).divisors() == expected, n
 
     def test_invariant_enforcement(self):
         with pytest.raises(ValueError):
@@ -189,20 +140,6 @@ class TestTrialFactor:
             Factorization(6, ((2, 1), (2, 1)))
         with pytest.raises(ValueError):
             Factorization(6, ((2, 1), (5, 1)))
-
-
-class TestGcdFamily:
-    @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=0, max_value=10**12))
-    @settings(max_examples=200)
-    def test_ext_gcd(self, a, b):
-        g, u, v = ext_gcd(a, b)
-        assert g == gcd(a, b)
-        assert a * u + b * v == g
-
-    def test_mod_inverse(self):
-        assert mod_inverse(7, 16) * 7 % 16 == 1
-        with pytest.raises(ValueError):
-            mod_inverse(4, 16)
 
 
 class TestPrimality:

@@ -324,6 +324,13 @@ class TestMain:
         assert main(["factor", "--method", "coppersmith-lsb", "--n", "3063",
                      "--lsb-value", "3", "--lsb-bits", "7"]) == 2
         assert "no-root" in capsys.readouterr().out
+        # k = 2^63 searches the box of k = 5 instead of building 2^k
+        assert main(["factor", "--method", "coppersmith-lsb", "--n", "15",
+                     "--lsb-value", "1", "--lsb-bits", str(2**63),
+                     "--format", "json-lines"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["params"]["lsb_bits"] == str(2**63)
         assert main(["factor", "--method", "ratio", "--n", "15"]) == 1  # missing --r
         assert "requires --r" in capsys.readouterr().err
 
@@ -484,6 +491,32 @@ class TestMain:
         for line in lines:
             assert main(shlex.split(line)[1:]) == 0, line
             assert capsys.readouterr().err == "", line
+
+    @pytest.mark.parametrize("method", METHOD_FLAGS)
+    def test_every_small_n_ends_cleanly(self, capsys, method):
+        # a factor pair (0), a typed outcome (2) or one usage-error line (1),
+        # never a traceback; the scans get a budget so that primes end
+        scan = ["--budget", "100000"]
+        flags = {
+            "standard": scan,
+            "triangular": scan,
+            "ratio": ["--r", "3/2", *scan],
+            "residue": ["--mod", "7"],
+            "landry-pepin": ["--mod", "7", "--mod2", "5", "--c", "1", "--d", "1"],
+            "coppersmith-msb": ["--p0", "5"],
+            "coppersmith-lsb": ["--lsb-value", "1", "--lsb-bits", "3"],
+            "trivariate": ["--p0", "5", "--mult", "3"],
+            "theorem4": ["--mod", "7"],
+        }[method]
+        for n in range(-3, 100):
+            code = main(["factor", "--method", method, "--n", str(n), *flags])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (n, code)
+            if code == 1:
+                err_lines = err.splitlines()
+                assert len(err_lines) == 1 and err_lines[0].startswith("error: "), (n, err)
+            else:
+                assert err == "", n
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -14,7 +14,6 @@ from factorlab.coppersmith import (
     gated_polynomial,
     solve_bivariate,
     solve_bivariate_single,
-    solve_coprime_moduli,
     solve_lsb_known,
     solve_msb_known,
     solve_trivariate,
@@ -32,7 +31,6 @@ from factorlab.errors import (
     NoIndependentPolynomial,
     NonInvertibleResidue,
     NoRoot,
-    NotCoprime,
 )
 from factorlab.lattice import Basis, determinant
 from factorlab.polynomial import multiple_bound_predicate, resultant, scale_vars
@@ -750,6 +748,27 @@ class TestLsbKnown:
         sols = solve_lsb_known(57, 3, 4)
         assert [(s.x0, s.y0, s.p, s.q) for s in sols] == [(0, 1, 3, 19), (1, 0, 19, 3)]
 
+    @pytest.mark.parametrize("n, hint", [(3233, 61), (3233, -61), (57, 3), (15, 1)])
+    def test_huge_k_is_the_capped_k(self, n, hint):
+        # 2^(2^63) cannot be built; every k past both bit lengths searches
+        # the box X = Y = 1, so the cap and an unclamped k = 200 agree
+        cap = max(n.bit_length(), hint.bit_length()) + 1
+
+        def solve(call):
+            stats = {}
+            try:
+                roots = [(s.x0, s.y0, s.p, s.q) for s in call(stats)]
+            except NoRoot:
+                roots = None
+            return roots, stats
+
+        got = solve(lambda stats: solve_lsb_known(n, hint, 2**63, stats))
+        assert got == solve(lambda stats: solve_lsb_known(n, hint, cap, stats))
+        assert got == solve(
+            lambda stats: solve_bivariate(lsb_problem(n, hint, 200), stats, positive=True)
+        )
+        assert (got[0] is None) == (hint < 0)
+
     @given(
         n=st.integers(min_value=1, max_value=2047).map(lambda h: 2 * h + 1),
         k=st.integers(min_value=1, max_value=13),
@@ -838,24 +857,6 @@ class TestMsbKnown:
         ell = n.bit_length() // 4
         sols = solve_msb_known(n, (p >> ell) << ell)
         assert any(s.p in (p, q) for s in sols)
-
-
-class TestCoprimeModuli:
-    def test_not_coprime(self):
-        with pytest.raises(NotCoprime):
-            solve_coprime_moduli(10807, 10, 10, 1, 7)
-
-    def test_constructed_instance(self):
-        m, n2 = 256, 243
-        big_n = (m * 5 + 1) * (n2 * 7 + 1)
-        sols = solve_coprime_moduli(big_n, m, n2, 1, 1)
-        assert (5, 7) in roots_of(sols)
-
-    def test_wrong_residues(self):
-        m, n2 = 256, 243
-        big_n = (m * 5 + 1) * (n2 * 7 + 1)
-        with pytest.raises(NoRoot):
-            solve_coprime_moduli(big_n, m, n2, 3, 5)
 
 
 class TestTrivariate:

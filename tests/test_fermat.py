@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -8,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlab import fermat
-from factorlab.arith import divisor_count, isqrt, next_prime, random_prime
+from factorlab.arith import isqrt, next_prime, random_prime
 from factorlab.errors import (
     Exhausted,
     MultiplierCollision,
     NotADivisor,
-    PreconditionViolated,
     TrivialOnly,
 )
 from factorlab.fermat import (
@@ -22,7 +20,6 @@ from factorlab.fermat import (
     fermat_standard,
     fermat_triangular,
     predict_steps,
-    ratio_bounds_check,
     ratio_grid,
     render_ratio,
     triangular_squares,
@@ -315,26 +312,3 @@ class TestRatioMethod:
         with pytest.raises(ValueError):
             fermat_ratio(10403, Fraction(1, 2))
 
-
-class TestRatioBounds:
-    def test_unbalanced_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            ratio_bounds_check(23, 113, 2599)  # 113 > 46 = 2p
-
-    def test_balanced_true(self):
-        assert ratio_bounds_check(101, 103, 10403).all_ok
-
-    def test_square_boundary(self):
-        bounds = ratio_bounds_check(7, 7, 49)
-        assert bounds.factor_window and bounds.sum_window and bounds.gap_window
-
-    def test_product_mismatch(self):
-        with pytest.raises(ValueError):
-            ratio_bounds_check(3, 5, 16)
-
-
-def test_divisor_count_average_diagnostic():
-    # mean of the divisor counts up to x tracks ln x (within 1.5 at x = 10^4)
-    x = 10**4
-    total = sum(divisor_count(n) for n in range(1, x + 1))
-    assert abs(total / x - math.log(x)) < 1.5

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from factorlab.errors import DependentBasis, DimensionTooLarge
 from factorlab.lattice import (
-    HERMITE_GAMMA_NTH_POWER,
     Basis,
     bareiss,
     determinant,
     gram_schmidt,
     hadamard_check,
-    hermite_bound,
     lll_reduce,
     lll_reduce_with_transform,
     lll_rows,
@@ -310,28 +308,3 @@ class TestShortestVector:
         with pytest.raises(DimensionTooLarge):
             shortest_vector_exhaustive(ident6, 1)
 
-
-class TestHermite:
-    def test_table(self):
-        assert HERMITE_GAMMA_NTH_POWER[2] == Fraction(4, 3)
-        assert HERMITE_GAMMA_NTH_POWER[8] == 256
-
-    def test_examples(self):
-        assert hermite_bound(Basis.from_rows([(1, 0), (0, 1)])) == Fraction(4, 3)
-        assert hermite_bound(Basis.from_rows([(7,)])) == 49
-        ident8 = Basis.from_rows([[1 if i == j else 0 for j in range(8)] for i in range(8)])
-        assert hermite_bound(ident8) == 256
-
-    def test_dimension_cap(self):
-        ident9 = Basis.from_rows([[1 if i == j else 0 for j in range(9)] for i in range(9)])
-        with pytest.raises(DimensionTooLarge):
-            hermite_bound(ident9)
-
-    def test_oracle_respects_bound(self, rng):
-        for _ in range(40):
-            basis = random_basis(rng, max_n=5, bound=40)
-            reduced = lll_reduce(basis)
-            sv = shortest_vector_exhaustive(reduced, 3)
-            lam1_sq = sum(x * x for x in sv)
-            n = basis.n
-            assert Fraction(lam1_sq) ** n <= hermite_bound(basis)
