@@ -187,8 +187,8 @@ def run(config: RunConfig) -> RunReport:
                 N=n,
                 P0=config.p0,
                 M=config.mult,
-                a_range=tuple(range(config.a_max + 1)),
-                z_range=tuple(range(1, config.z_max + 1)),
+                a_max=config.a_max,
+                z_max=config.z_max,
                 X=bound,
                 Y=bound,
             )

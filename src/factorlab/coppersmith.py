@@ -1,31 +1,31 @@
 """Small-root solvers for the bilinear factoring family
 f(x, y) = (m*x + P0)(n*y + Q0) - N.
 
-The splitter (solve_bivariate) works on x alone.  After the x interval is
-narrowed against the window of admissible co-factors, each sign-pure
-interval is walked outward from its smaller-|p| end.  An attempt centred at
-xc solves the univariate f(t) = t + (m*xc + P0)*m^(-1) mod N, which
-vanishes modulo p = m*(xc + t) + P0 at every root (with f(t) = m*t + m*xc +
-P0 when m is not invertible mod N).  A dimension-3 Howgrave-Graham basis
-over 1, t, t^2 is reduced.  p divides a reduced g = g0 + g1*t + g2*t^2 at
-every root, so wherever |g| < |p| the root is one of g's integer roots,
-which follow from the discriminant and are checked by division.  Along the
-walk |p| grows by m a column, so whether |g| < |p| holds is a pair of
-quadratic inequalities, and a reduced g vouches for every column from the
-walk's position on up to the first where one of them fails.  The
-worst-case LLL bound gives a certified half-width that grows linearly with
-|p|; each attempt is centred twice that past the walk's position, and the
-next one starts just past the last column its best g vouches for.  An
-attempt whose polynomials all fail at its first column is halved, and
-each half lies within the certified width, which the certificate says
-always suffices.  What a half left uncovered anyway, and every interval
-with no certified width (tiny N), is scanned column by column, so the
-returned root set is exactly the set of in-box roots regardless of box
-size.
+The splitter (solve_bivariate) works on x alone and searches only the
+columns where p = m*x + P0 > 0, the only ones that can name a factor.  After
+the x interval is narrowed against the window of admissible co-factors, it
+is walked up from its smallest p.  An attempt centred at xc solves the
+univariate f(t) = t + (m*xc + P0)*m^(-1) mod N, which vanishes modulo
+p = m*(xc + t) + P0 at every root (with f(t) = m*t + m*xc + P0 when m is not
+invertible mod N).  A dimension-3 Howgrave-Graham basis over 1, t, t^2 is
+reduced.  p divides a reduced g = g0 + g1*t + g2*t^2 at every root, so
+wherever |g| < p the root is one of g's integer roots, which follow from
+the discriminant and are checked by division.  Along the walk p grows by m
+a column, so whether |g| < p holds is a pair of quadratic inequalities,
+and a reduced g vouches for every column from the walk's position on up to
+the first where one of them fails.  The worst-case LLL bound gives a
+certified half-width that grows linearly with p; each attempt is centred
+twice that past the walk's position, and the next one starts just past the
+last column its best g vouches for.  An attempt whose polynomials all fail
+at its first column is halved, and each half lies within the certified
+width, which the certificate says always suffices.  What a half left
+uncovered anyway, and every interval with no certified width (tiny N), is
+scanned column by column, so the returned root set is exactly the set of
+in-box roots with p > 0 regardless of box size.
 
-Only the first attempt in a sign-pure interval reduces N, f and t*f; every
-later attempt warm-starts from the previous reduced basis, shifted to its
-own centre, which keeps the determinant the certificate rests on.
+Only the first attempt of the walk reduces N, f and t*f; every later
+attempt warm-starts from the previous reduced basis, shifted to its own
+centre, which keeps the determinant the certificate rests on.
 
 The one-shot primitive (gated_polynomial, solve_bivariate_single,
 empirical_envelope) keeps the bivariate route: rows are the scaled
@@ -105,22 +105,20 @@ class BivariateProblem:
 
 @dataclass(frozen=True)
 class TrivariateProblem:
-    """Exhaustive-z variant: q is approximated as M*z0 -/+ a for small a and a
-    short ascending range of positive z0 candidates."""
+    """Exhaustive-z variant: q is approximated as M*z0 -/+ a for
+    0 <= a <= a_max and 1 <= z0 <= z_max."""
 
     N: int
     P0: int
     M: int
-    a_range: tuple[int, ...]
-    z_range: tuple[int, ...]
+    a_max: int
+    z_max: int
     X: int
     Y: int
 
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if any(z < 1 for z in self.z_range):
-            raise ValueError("z candidates must be positive")
 
 
 @dataclass(frozen=True)
@@ -274,7 +272,7 @@ def _howgrave_halfwidth(big_n: int, lead: int, bound: int) -> int:
     At delta = 3/4 LLL returns a first vector with ||v||^2 <= 2 * det^(2/3),
     where det = N * lead^2 * h^3, so up to this h the first reduced vector
     has ||v||_1 <= sqrt(3) * ||v|| < bound.  Since |g(t)| <= ||v||_1 for
-    |t| <= h and |p| >= bound along the walk, it vouches for all of [-h, h].
+    |t| <= h and p >= bound along the walk, it vouches for all of [-h, h].
     """
     h6 = (bound**6 - 1) // (216 * big_n * big_n * lead**4)
     lo, hi = 0, 1 << (h6.bit_length() // 6 + 1)  # lo^6 <= h6 < hi^6
@@ -321,38 +319,36 @@ def _univariate_interval(
     stats: dict,
     warm: list,
 ) -> int | None:
-    """One Howgrave-Graham attempt for the columns from s towards end.
+    """One Howgrave-Graham attempt for the columns from s up to end.
 
-    The lattice is centred at xc = s + half (s - half when end < s).
-    Recentred there with p = m*t + p0c, every root has f(t) = lead*t + a = 0
-    (mod p), where a = p0c * m^(-1) mod N (lead = 1) or, when m is not
-    invertible mod N, a = p0c mod N (lead = m, inv = 1).  The rows,
-    coefficient vectors with t scaled by half, span polynomials g that all
-    vanish modulo p at the root.  Wherever |g(t)| < |p|, g(t0) = 0 over the
-    integers at a root, so a reduced g vouches for the columns from s on
-    as far as that holds, and its integer roots there are exact.  The walk
-    runs away from the smaller |p|, so in u = t (u = -t when end < s) the
-    columns from s are u >= -half and |p| = |p(s)| + m*(u + half); the
-    condition is two quadratic inequalities in u, |p| - g > 0 and
-    |p| + g > 0, and _first_failure finds where each first fails.
+    The lattice is centred at xc = s + half.  Recentred there with
+    p = m*t + p0c, every root has f(t) = lead*t + a = 0 (mod p), where
+    a = p0c * m^(-1) mod N (lead = 1) or, when m is not invertible mod N,
+    a = p0c mod N (lead = m, inv = 1).  The rows, coefficient vectors with t
+    scaled by half, span polynomials g that all vanish modulo p at the root.
+    Wherever |g(t)| < p, g(t0) = 0 over the integers at a root, so a reduced
+    g vouches for the columns from s on as far as that holds, and its
+    integer roots there are exact.  The columns from s are t >= -half, where
+    p = p(s) + m*(t + half); the condition is two quadratic inequalities in
+    t, p - g > 0 and p + g > 0, and _first_failure finds where each first
+    fails.
 
-    `warm` is empty before the first attempt in a sign-pure interval, which
-    reduces N, f and t*f, and afterwards holds [centre, reduced polynomials]
-    of the last attempt.  A later attempt reduces those g(t + d), d the
-    distance between the centres: the shift is unimodular and keeps every
-    polynomial vanishing modulo p at the root, so the determinant
-    N * lead^2 * half^3 behind the certificate is unchanged (for lead = 1 so
-    is the lattice), and LLL starts from an almost reduced basis instead of
-    walking down from N.
+    `warm` is empty before the first attempt of a walk, which reduces N, f
+    and t*f, and afterwards holds [centre, reduced polynomials] of the last
+    attempt.  A later attempt reduces those g(t + d), d the distance between
+    the centres: the shift is unimodular and keeps every polynomial
+    vanishing modulo p at the root, so the determinant N * lead^2 * half^3
+    behind the certificate is unchanged (for lead = 1 so is the lattice),
+    and LLL starts from an almost reduced basis instead of walking down
+    from N.
 
-    Returns the last column, towards end, that the reduced polynomial
-    covering furthest vouches for, after recording the roots from s to it;
-    None, leaving acc alone, when no reduced polynomial covers s.
+    Returns the last column that the reduced polynomial covering furthest
+    vouches for, after recording the roots from s to it; None, leaving acc
+    alone, when no reduced polynomial covers s.
     """
     big_n, m = prob.N, prob.m
-    step = 1 if end >= s else -1
-    xc = s + step * half
-    bound = abs(m * s + prob.P0)
+    xc = s + half
+    bound = m * s + prob.P0
     stats["boxes"] = stats.get("boxes", 0) + 1
     if warm:
         centre, polys = warm
@@ -366,21 +362,20 @@ def _univariate_interval(
         [g0 + (g1 + g2 * d) * d, (g1 + 2 * g2 * d) * scale, g2 * scale_sq]
         for g0, g1, g2 in polys
     ]
-    # |p| = at_xc + m*u; the columns are u = lo (s) up to limit - 1 (end)
-    lo, limit, at_xc = -half, abs(end - xc) + 1, bound + m * half
-    polys, best, reach = [], None, lo  # reach: the first u not vouched for
+    # p = at_xc + m*t; the columns are t = lo (s) up to limit - 1 (end)
+    lo, limit, at_xc = -half, end - xc + 1, bound + m * half
+    polys, best, reach = [], None, lo  # reach: the first t not vouched for
     for v0, v1, v2 in lll_rows(rows)[0]:
         g = g0, g1, g2 = v0, v1 // scale, v2 // scale_sq
         polys.append(g)
-        e1 = step * g1  # g = g0 + e1*u + g2*u^2
         if (
             reach < limit
-            and abs(g0 + (e1 + g2 * reach) * reach) < at_xc + m * reach
-            and abs(g0 + (e1 + g2 * lo) * lo) < bound  # covers s
+            and abs(g0 + (g1 + g2 * reach) * reach) < at_xc + m * reach
+            and abs(g0 + (g1 + g2 * lo) * lo) < bound  # covers s
         ):
             r = min(
-                _first_failure(-g2, m - e1, at_xc - g0, lo, limit),
-                _first_failure(g2, m + e1, at_xc + g0, lo, limit),
+                _first_failure(-g2, m - g1, at_xc - g0, lo, limit),
+                _first_failure(g2, m + g1, at_xc + g0, lo, limit),
             )
             if r > reach:
                 best, reach = g, r
@@ -389,27 +384,20 @@ def _univariate_interval(
         return None
     stats["lattice_dim"] = 3
     g0, g1, g2 = best
-    last = reach - 1
-    tlo, thi = (-half, last) if step > 0 else (-last, half)
-    for tr in _quad_roots(g2, g1, g0, tlo, thi):
+    for tr in _quad_roots(g2, g1, g0, lo, reach - 1):
         _record(prob, xc + tr, acc)
-    return xc + step * last
+    return xc + reach - 1
 
 
 # An attempt's half-width is twice the certified one, the most that keeps
 # each half of a missed attempt certified.  Attempts (boxes) per solve over
-# the first 150 seed-1 perfbench instances, hint-lsb / residue-t4, by this
-# ratio: 1 24.0 / 26.7, 5/4 22.3 / 25.2, 3/2 20.8 / 23.1, 7/4 20.0 / 21.5,
-# 2 19.8 / 20.8, 9/4 20.6 / 20.5, 3 25.3 / 22.8; above 2 the halves are
-# not certified, and 4 needed 72 / 32 column scans.  Covering only where
-# |g0| + |g1|*|t| + |g2|*t^2 < |p(s)|, at 3/2, took 32.8 / 33.2, and fixed
-# chunks of half-width 2*h_c 54.4 / 73.7.
+# the first 150 seed-1 perfbench instances, hint-lsb / residue-t4, with
+# p < 0 searched as well, by this ratio: 1 24.0 / 26.7, 5/4 22.3 / 25.2,
+# 3/2 20.8 / 23.1, 7/4 20.0 / 21.5, 2 19.8 / 20.8, 9/4 20.6 / 20.5,
+# 3 25.3 / 22.8; above 2 the halves are not certified, and 4 needed 72 / 32
+# column scans.  Covering only where |g0| + |g1|*|t| + |g2|*t^2 < p(s), at
+# 3/2, took 32.8 / 33.2, and fixed chunks of half-width 2*h_c 54.4 / 73.7.
 _OVERSHOOT_NUM, _OVERSHOOT_DEN = 2, 1
-
-
-def _first_positive(prob: BivariateProblem) -> int:
-    """The first column x with p = m*x + P0 >= 1."""
-    return -((prob.P0 - 1) // prob.m)
 
 
 def _solve_interval(
@@ -419,16 +407,16 @@ def _solve_interval(
     acc: dict[tuple[int, int], tuple[int, int]],
     stats: dict,
 ) -> None:
-    """Record every root with xlo <= x <= xhi.
+    """Record every root with xlo <= x <= xhi, for an interval where
+    1 <= p <= N.
 
-    After narrowing against the q window, each sign-pure interval is walked
-    from its smaller-|p| end s (xlo when p > 0, xhi when p < 0) outward.
-    h_c, the certified half-width at the interval's smallest |p|, scales
-    linearly with the bound, so h = h_c * |p(s)| / |p(start)| is certified
+    After narrowing against the q window, the interval is walked up from
+    xlo, where p is smallest.  h_c, the certified half-width at that p,
+    scales linearly with the bound, so h = h_c * p(s) / p(xlo) is certified
     at s.  Each attempt is centred 2 * h past s and takes the roots as far
     as its best reduced polynomial vouches for; the next attempt starts one
     column past that.  An attempt that does not cover s is halved:
-    each half lies within h of its own smallest |p|, where the certificate
+    each half lies within h of its own smallest p, where the certificate
     says an attempt covers all of it, and what a half left uncovered
     anyway is scanned column by column, as is every interval with no
     certified width.
@@ -436,24 +424,16 @@ def _solve_interval(
     big_n, m, n = prob.N, prob.m, prob.n
     p_base, q_base = prob.P0, prob.Q0
 
-    # Narrow the x interval against the q window until stable.
+    # Narrow the x interval against the q window until stable; p <= N keeps
+    # the window's q >= 1.
     while True:
         if xhi < xlo:
             return
         plo, phi = m * xlo + p_base, m * xhi + p_base
-        if plo <= 0 <= phi:
-            # p = 0 carries no divisor; recurse on the sign-pure halves.
-            x_neg_hi = (-1 - p_base) // m
-            x_pos_lo = _first_positive(prob)
-            _solve_interval(prob, xlo, min(xhi, x_neg_hi), acc, stats)
-            _solve_interval(prob, max(xlo, x_pos_lo), xhi, acc, stats)
-            return
         qlo = max(q_base - n * prob.Y, big_n // phi)
         qhi = min(q_base + n * prob.Y, big_n // plo + 1)
         if qlo > qhi:
             return
-        if qlo <= 0 <= qhi:
-            break  # q window straddles 0: no tightening available
         p2lo, p2hi = big_n // qhi, big_n // qlo + 1
         new_xlo = max(xlo, -((p_base - p2lo) // m))
         new_xhi = min(xhi, (p2hi - p_base) // m)
@@ -465,34 +445,29 @@ def _solve_interval(
         lead, inv = 1, pow(m, -1, big_n)
     else:
         lead, inv = m, 1
-    low = min(abs(plo), abs(phi))
-    h_c = _howgrave_halfwidth(big_n, lead, low)
+    h_c = _howgrave_halfwidth(big_n, lead, plo)
     if h_c == 0:
         _scan_columns(prob, xlo, xhi, acc, stats)
         return
-    s, end, step = (xlo, xhi, 1) if plo > 0 else (xhi, xlo, -1)
-    warm: list = []
-    while (end - s) * step >= 0:
-        h = h_c * abs(m * s + p_base) // low
-        half = min(
-            h * _OVERSHOOT_NUM // _OVERSHOOT_DEN, ((end - s) * step + 1) // 2
-        )
-        reached = _univariate_interval(prob, lead, inv, s, half, end, acc, stats, warm)
+    s, warm = xlo, []
+    while s <= xhi:
+        h = h_c * (m * s + p_base) // plo
+        half = min(h * _OVERSHOOT_NUM // _OVERSHOOT_DEN, (xhi - s + 1) // 2)
+        reached = _univariate_interval(prob, lead, inv, s, half, xhi, acc, stats, warm)
         if reached is not None:
-            s = reached + step
+            s = reached + 1
             continue
-        far = s + step * min(2 * half, (end - s) * step)
-        mid = s + step * half
-        for lo, hi in ((s, mid), (mid + step, far)):
-            if (hi - lo) * step < 0:
+        far = s + min(2 * half, xhi - s)
+        for lo, hi in ((s, s + half), (s + half + 1, far)):
+            if hi < lo:
                 continue
             reached = _univariate_interval(
-                prob, lead, inv, lo, ((hi - lo) * step + 1) // 2, hi, acc, stats, warm
+                prob, lead, inv, lo, (hi - lo + 1) // 2, hi, acc, stats, warm
             )
-            rest = lo if reached is None else reached + step  # not covered
-            if (hi - rest) * step >= 0:
-                _scan_columns(prob, min(rest, hi), max(rest, hi), acc, stats)
-        s = far + step
+            rest = lo if reached is None else reached + 1  # not covered
+            if rest <= hi:
+                _scan_columns(prob, rest, hi, acc, stats)
+        s = far + 1
 
 
 def _scan_columns(
@@ -510,27 +485,26 @@ def _scan_columns(
 
 
 def solve_bivariate(
-    prob: BivariateProblem, stats: dict | None = None, *, positive: bool = False
+    prob: BivariateProblem, stats: dict | None = None
 ) -> list[RootSolution]:
-    """All roots of (m*x + P0)(n*y + Q0) - N with |x| <= X, |y| <= Y,
-    sorted by (x0, y0); with `positive`, only those with p, q > 0, and the
-    columns with p < 0 are not searched.
+    """All roots of (m*x + P0)(n*y + Q0) - N with |x| <= X, |y| <= Y and
+    p = m*x + P0 > 0, sorted by (x0, y0).  Only such a root can name a
+    factor of N, so the columns with p <= 0 are not searched, and a root
+    with p < 0 (and q < 0) is never returned.
 
     The result is exact for every box size.  stats["certified"] records
     whether the box lies in the one-shot lattice's certified regime,
     stats["boxes"] and stats["column_scans"] count lattice attempts and
     column scans, and stats["lattice_dim"] is 3 once an attempt covers a
-    column.  Raises NoRoot when the box holds no root.
+    column.  Raises NoRoot when the box holds no such root.
     """
     if stats is None:
         stats = {}
     stats["certified"] = certified_regime(prob)
     acc: dict[tuple[int, int], tuple[int, int]] = {}
-    # a divisor never exceeds N in magnitude, whatever the requested box
-    xlo = max(-prob.X, -((prob.N + prob.P0) // prob.m))
+    # a divisor 1 <= p <= N, whatever the requested box
+    xlo = max(-prob.X, -((prob.P0 - 1) // prob.m))
     xhi = min(prob.X, (prob.N - prob.P0) // prob.m)
-    if positive:  # q = N / p has p's sign
-        xlo = max(xlo, _first_positive(prob))
     _solve_interval(prob, xlo, xhi, acc, stats)
     return _solutions(prob, acc)
 
@@ -573,15 +547,6 @@ def solve_lsb_known(
     when the hint is a whole factor: for N = 3063 = 3 * 1021 with the low
     7 bits of 3, the co-factor 1021 lies at y = 7, outside Y = 1, and NoRoot
     is raised.
-
-    Only a root with p > 0 can name a factor, so only the columns where
-    p = 2^k*x + c > 0, c = x0_bits mod 2^k, are searched (solve_bivariate
-    with positive=True, about half the lattice attempts of the whole box).
-    When c = p mod 2^k for N = p*q with odd primes p < q and
-    4 <= 2^k <= sqrt(N), the only root of the box this leaves out is
-    (-q, -p), which needs p + q = 0 mod 2^k and q <= 2^k*X - c,
-    X = isqrt(N)//2^k + 1: a q within 2^k of sqrt(N).  Neither -1 nor -N
-    fits the box, and -p = p mod 2^k would need 2p = 0 mod 4.
     """
     if big_n < 2:
         raise ValueError("N must be >= 2")
@@ -602,7 +567,7 @@ def solve_lsb_known(
     prob = BivariateProblem(
         N=big_n, P0=x0_bits, Q0=y0_bits, X=x_bound, Y=y_bound, m=mod, n=mod
     )
-    return solve_bivariate(prob, stats, positive=True)
+    return solve_bivariate(prob, stats)
 
 
 def solve_trivariate(
@@ -611,9 +576,9 @@ def solve_trivariate(
     """Resolve the co-factor transform Q0 = M*z0 -/+ a by ascending
     exhaustive search over z0 then a, delegating each candidate to the
     bivariate solver; the first verified factorization wins."""
-    for z0 in sorted(set(prob.z_range)):
+    for z0 in range(1, prob.z_max + 1):
         base = prob.M * z0
-        for a in sorted(set(abs(a) for a in prob.a_range)):
+        for a in range(prob.a_max + 1):
             for q0 in ((base - a,) if a == 0 else (base - a, base + a)):
                 if q0 < 1:
                     continue
@@ -635,10 +600,9 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
     """Factor N with nearly equal factors by trying every divisor pair of
     the small lifts of N mod m in the (m*x + c)(m*y + d) form.
 
-    pair_driver accepts only a root with 1 < p < N, so each pair's box is
-    searched only where p > 0.  stats accumulates over the pairs tried, and
-    stats["lattice_dim"] stays unset when no attempt there covered a
-    column: on tiny N the column scan covers them all.
+    stats accumulates over the pairs tried, and stats["lattice_dim"] stays
+    unset when no attempt covered a column: on tiny N the column scan
+    covers them all.
     """
 
     def solve(pair: ResiduePair) -> list[int]:
@@ -648,7 +612,7 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
             N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
         )
         try:
-            return [sol.p for sol in solve_bivariate(prob, stats, positive=True)]
+            return [sol.p for sol in solve_bivariate(prob, stats)]
         except NoRoot:
             return []
 

@@ -14,8 +14,8 @@ from factorlab.arith import (
     next_prime,
     random_prime,
 )
-from factorlab.coppersmith import BivariateProblem, solve_bivariate
-from factorlab.errors import DependentBasis, Exhausted, NoRoot, TrivialOnly
+from factorlab.coppersmith import BivariateProblem
+from factorlab.errors import DependentBasis, Exhausted, TrivialOnly
 from factorlab.fermat import FermatResult
 from factorlab.residue import (
     ResidueClassSet,
@@ -31,11 +31,12 @@ settings.load_profile("deterministic")
 
 def box_oracle(prob: BivariateProblem) -> list[tuple[int, int, int, int]]:
     """Exhaustive scan of the (x, y) box: every (x0, y0, p, q) with
-    (m*x0 + P0)(n*y0 + Q0) = N.  Independent of the lattice route."""
+    (m*x0 + P0)(n*y0 + Q0) = N and p > 0, the roots solve_bivariate
+    returns.  Independent of the lattice route."""
     found = []
     for x in range(-prob.X, prob.X + 1):
         p = prob.m * x + prob.P0
-        if p == 0 or prob.N % p:
+        if p <= 0 or prob.N % p:
             continue
         q = prob.N // p
         if (q - prob.Q0) % prob.n:
@@ -180,20 +181,26 @@ def reference_lll_rows(rows: list[list[int]]) -> list[list[int]]:
     return rows
 
 
-def reference_theorem4_driver(big_n: int, m: int) -> Factorization:
-    """theorem4_driver with each pair's box searched on both sides of
-    p = 0: the oracle for coppersmith.theorem4_driver (same results and
-    exceptions)."""
+def reference_theorem4_driver(
+    big_n: int, m: int, divisors: tuple[int, ...] | None = None
+) -> Factorization:
+    """theorem4_driver with each pair's box searched by box_oracle, or, given
+    the divisors of N above 1, checked at those alone: the oracle for
+    coppersmith.theorem4_driver (same results and exceptions)."""
 
     def solve(pair: ResiduePair) -> list[int]:
         bound = 3 * isqrt(big_n) // (2 * m) + 2
         prob = BivariateProblem(
             N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
         )
-        try:
-            return [sol.p for sol in solve_bivariate(prob)]
-        except NoRoot:
-            return []
+        if divisors is None:
+            return [p for _, _, p, _ in box_oracle(prob)]
+        return [
+            p for p in divisors
+            if (p - pair.c) % m == 0 and abs(p - pair.c) // m <= bound
+            and (big_n // p - pair.d) % m == 0
+            and abs(big_n // p - pair.d) // m <= bound
+        ]
 
     return pair_driver(big_n, m, theorem4_pairs, solve)
 

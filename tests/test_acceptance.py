@@ -356,7 +356,7 @@ def test_criterion_09_trivariate_reduction():
         p0 = p + rng.randrange(-3, 4)
         if p0 < 2:
             continue
-        tri = TrivariateProblem(N=n, P0=p0, M=q, a_range=(0,), z_range=(1,), X=8, Y=8)
+        tri = TrivariateProblem(N=n, P0=p0, M=q, a_max=0, z_max=1, X=8, Y=8)
         flat = BivariateProblem(N=n, P0=p0, Q0=q, X=8, Y=8)
         try:
             got = [(s.x0, s.y0, s.p, s.q) for s in solve_trivariate(tri)]
@@ -378,8 +378,7 @@ def test_criterion_09_trivariate_reduction():
         a = (-q) % z0
         mult = (q + a) // z0
         prob = TrivariateProblem(
-            N=p * q, P0=p, M=mult, a_range=tuple(range(max(z0, 10))),
-            z_range=tuple(range(1, z0 + 5)), X=8, Y=8,
+            N=p * q, P0=p, M=mult, a_max=max(z0, 10) - 1, z_max=z0 + 4, X=8, Y=8
         )
         sols = solve_trivariate(prob)
         assert sols[0].z0 == z0

@@ -18,7 +18,6 @@ from factorlab.cli import (
     RunConfig,
     UsageError,
     _config_from_args,
-    _factors,
     bench,
     build_parser,
     demo_lines,
@@ -29,10 +28,9 @@ from factorlab.cli import (
     ratio_semiprime,
     run,
 )
-from factorlab.coppersmith import solve_bivariate
-from factorlab.errors import NoRoot
+from factorlab.coppersmith import certified_regime
 
-from conftest import lsb_problem
+from conftest import box_oracle, lsb_problem
 
 import random
 from fractions import Fraction
@@ -102,6 +100,9 @@ class TestRun:
         assert report.certified in (True, False)
         report = run(factor_config(method="coppersmith-lsb", n=2599, lsb_value=7, lsb_bits=4))
         assert report.factors == (23, 113)
+        # tiny N: every column is scanned, so no lattice attempt sets lattice_dim
+        report = run(factor_config(method="coppersmith-lsb", n=15, lsb_value=3, lsb_bits=4))
+        assert (report.factors, report.lattice_dim) == ((3, 5), None)
         report = run(factor_config(method="theorem4", n=10807, mod=100))
         assert report.factors == (101, 107)
 
@@ -114,33 +115,18 @@ class TestRun:
     @example(n=15, k=4, hint=1)
     @settings(max_examples=500)
     def test_coppersmith_lsb_matches_the_full_box(self, n, k, hint):
-        # run searches only p > 0; the first root with 1 < p < N is the same
+        # the report names the box scan's first root with 1 < p < N
         v = 2 * hint + 1
         report = run(factor_config(method="coppersmith-lsb", n=n, lsb_value=v, lsb_bits=k))
-        stats = {}
-        try:
-            whole = solve_bivariate(lsb_problem(n, v, k), stats)
-            outcome, factors = "factored", _factors(n, whole)[0]
-        except NoRoot:
-            outcome, factors = "no-root", None
+        prob = lsb_problem(n, v, k)
+        proper = [p for _, _, p, _ in box_oracle(prob) if 1 < p < n]
+        outcome, factors = "no-root", None
+        if proper:
+            outcome, factors = "factored", tuple(sorted((proper[0], n // proper[0])))
         assert (report.outcome, report.factors, report.certified) == (
-            outcome, factors, stats["certified"]
+            outcome, factors, certified_regime(prob)
         )
         assert report.lattice_dim in (3, None)
-
-    @pytest.mark.parametrize(
-        "n, k, v, outcome, factors",
-        [(5, 3, 3, "no-root", None), (15, 4, 3, "factored", (3, 5))],
-    )
-    def test_coppersmith_lsb_lattice_dim_on_tiny_n(self, n, k, v, outcome, factors):
-        # the whole box's one lattice attempt covered a p < 0 column; the
-        # p > 0 columns are scanned, so lattice_dim reads null (5 has only
-        # the root p = -5 in its box)
-        stats = {}
-        solve_bivariate(lsb_problem(n, v, k), stats)
-        assert stats["lattice_dim"] == 3
-        report = run(factor_config(method="coppersmith-lsb", n=n, lsb_value=v, lsb_bits=k))
-        assert (report.outcome, report.factors, report.lattice_dim) == (outcome, factors, None)
 
     def test_trivariate_method(self):
         from factorlab.arith import next_prime
@@ -333,6 +319,15 @@ class TestMain:
         assert json.loads(captured.out)["params"]["lsb_bits"] == str(2**63)
         assert main(["factor", "--method", "ratio", "--n", "15"]) == 1  # missing --r
         assert "requires --r" in capsys.readouterr().err
+
+    def test_trivariate_huge_z_max(self, capsys):
+        # the candidates z0 <= 10^12 are tried one at a time, not built first
+        assert main(["factor", "--method", "trivariate", "--n", "10807", "--p0", "101",
+                     "--mult", "107", "--z-max", "1000000000000",
+                     "--format", "json-lines"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["factors"] == ["101", "107"]
 
     @pytest.mark.parametrize(
         "args, flag",

@@ -49,8 +49,8 @@ def roots_of(sols):
     return [(s.x0, s.y0) for s in sols]
 
 
-def t4_semiprime(rng: random.Random, bits: int, top: int) -> tuple[int, int]:
-    """(N, m) with N = p*q of about `bits` bits, p = c and q = d (mod m)
+def t4_semiprime(rng: random.Random, bits: int, top: int) -> tuple[int, int, int]:
+    """(p, q, m) with N = p*q of about `bits` bits, p = c and q = d (mod m)
     for residues c, d below `top` <= 2^(bits // 4), and m a prime of about a
     quarter of the bits: perfbench's residue-t4 shape, which theorem4
     solves when c*d < 2m."""
@@ -63,7 +63,7 @@ def t4_semiprime(rng: random.Random, bits: int, top: int) -> tuple[int, int]:
             if is_prime(p):
                 return p
 
-    return prime(rng.randrange(1, top)) * prime(rng.randrange(1, top)), m
+    return prime(rng.randrange(1, top)), prime(rng.randrange(1, top)), m
 
 
 class TestSolveBivariate:
@@ -158,11 +158,13 @@ class TestSolveBivariate:
         assert runs[0] == runs[1] == runs[2]
 
     def test_huge_box_with_negative_divisors(self):
-        # the box dwarfs N, so every divisor pair of both signs is in range
+        # the box dwarfs N, so every divisor pair of both signs is in range;
+        # the four with p > 0 are returned
         prob = BivariateProblem(N=15, P0=4, Q0=4, X=10**6, Y=10**6)
         got = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob)]
-        assert got == box_oracle(prob)
-        assert (-1, 1, 3, 5) in got and (-5, -19, -1, -15) in got
+        assert got == box_oracle(prob) == [
+            (-3, 11, 1, 15), (-1, 1, 3, 5), (1, -1, 5, 3), (11, -3, 15, 1)
+        ]
 
     def test_root_product_invariant(self, rng):
         for _ in range(20):
@@ -208,7 +210,10 @@ class TestDegenerateScale:
             one = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate_single(prob)]
         except (NoIndependentPolynomial, NoRoot):
             one = []
-        assert set(one) <= set(expected)
+        # the one-shot route searches the whole box, p < 0 included
+        for x0, y0, p, q in one:
+            assert abs(x0) <= x and abs(y0) <= y and p * q == big_n
+            assert (p, q) == (m * x0 + p0, n * y0 + q0)
 
 
 class TestUnivariateSplitter:
@@ -300,18 +305,16 @@ class TestUnivariateSplitter:
             assert stats.get("column_scans", 0) == 0, (n, stats)
             assert stats["lattice_dim"] == 3
             boxes += stats["boxes"]
-        # solve_lsb_known searches only where p > 0.  There, covering each
-        # polynomial's triangle-bound reach took 290 attempts on these 18
-        # instances; covering every column where |g| < |p| exactly must save
-        # at least a quarter of those (177 when written, and 350 when the
-        # p < 0 half was searched as well).
+        # Covering each polynomial's triangle-bound reach took 290 attempts
+        # on these 18 instances; covering every column where |g| < p
+        # exactly must save at least a quarter of those (177 when written).
         assert boxes <= 290 * 3 // 4, boxes
 
 
 class TestWarmStartedSplitter:
     """36-48-bit boxes several attempts wide: every attempt after the first
-    of a sign-pure interval reduces the previous reduced basis, shifted,
-    and the root set stays the box scan's."""
+    of a walk reduces the previous reduced basis, shifted, and the root set
+    stays the box scan's."""
 
     @staticmethod
     def _box(case: str, bits: int, width: int, rng: random.Random) -> BivariateProblem:
@@ -361,8 +364,7 @@ class TestWarmStartedSplitter:
                 N=n, P0=n - m * k, Q0=0, X=k, Y=n // low + 1, m=m, n=1
             )
         if case == "negative":
-            # every p in the box is negative, so the walk runs down from
-            # the box's top, where |p| is smallest
+            # every p in the box is negative, so no column is searched
             n, p, q = balanced_semiprime(rng, bits)
             m = 1 << (bits // 2 - width - 3)
             box = min(1 << width, p // (4 * m))
@@ -370,7 +372,17 @@ class TestWarmStartedSplitter:
             return BivariateProblem(
                 N=n, P0=-p0, Q0=-(q % m), X=box, Y=4 * q // m, m=m, n=m
             )
-        # straddle: m | p + q puts the roots p and -q on either side of p = 0
+        if case == "t4":
+            # the box of one divisor pair of the lifts of N mod m, the true
+            # pair or not, as theorem4_driver searches it
+            p, q, m = t4_semiprime(rng, bits, 8)
+            pair = rng.choice(theorem4_pairs(p * q, m))
+            box = 3 * isqrt(p * q) // (2 * m) + 2
+            return BivariateProblem(
+                N=p * q, P0=pair.c, Q0=pair.d, X=box, Y=box, m=m, n=m
+            )
+        # straddle: m | p + q puts the roots p and -q on either side of p = 0,
+        # and only p is searched for
         m = rng.randrange(1 << (bits // 2 - width - 1), 1 << (bits // 2 - width))
         p = random_prime(rng, bits // 2)
         q = p
@@ -381,13 +393,13 @@ class TestWarmStartedSplitter:
 
     @given(
         case=st.sampled_from(
-            ["lsb", "residue", "shared", "wrap", "negative", "straddle"]
+            ["lsb", "residue", "shared", "wrap", "negative", "straddle", "t4"]
         ),
         bits=st.integers(min_value=36, max_value=48),
         width=st.integers(min_value=13, max_value=15),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=70, deadline=None)
     def test_root_sets_match_box_oracle(self, case, bits, width, seed):
         prob = self._box(case, bits, width, random.Random(seed))
         stats = {}
@@ -396,49 +408,12 @@ class TestWarmStartedSplitter:
         except NoRoot:
             got = []
         assert got == box_oracle(prob)
-        assert stats["boxes"] >= 3 and stats.get("column_scans", 0) == 0, stats
-
-    @given(
-        case=st.sampled_from(
-            ["lsb", "residue", "shared", "wrap", "negative", "straddle", "t4"]
-        ),
-        bits=st.integers(min_value=36, max_value=48),
-        width=st.integers(min_value=13, max_value=15),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_positive_keeps_the_roots_with_p_above_zero(
-        self, case, bits, width, seed
-    ):
-        # `t4` is the box of one divisor pair of the lifts of N mod m, the
-        # true pair or not, as theorem4_driver searches it
-        rng = random.Random(seed)
-        if case == "t4":
-            n, m = t4_semiprime(rng, bits, 8)
-            pair = rng.choice(theorem4_pairs(n, m))
-            box = 3 * isqrt(n) // (2 * m) + 2
-            prob = BivariateProblem(
-                N=n, P0=pair.c, Q0=pair.d, X=box, Y=box, m=m, n=m
-            )
-        else:
-            prob = self._box(case, bits, width, rng)
-        full, stats = {}, {}
-        try:
-            solve_bivariate(prob, full)
-        except NoRoot:
-            pass
-        expected = [root for root in box_oracle(prob) if root[2] > 0]
-        if expected:
-            got = solve_bivariate(prob, stats, positive=True)
-            assert [(s.x0, s.y0, s.p, s.q) for s in got] == expected
-        else:
-            with pytest.raises(NoRoot):
-                solve_bivariate(prob, stats, positive=True)
-        assert stats["certified"] == full["certified"]
+        assert stats["certified"] == certified_regime(prob)
+        assert stats.get("column_scans", 0) == 0, stats
         if case == "negative":  # no column has p > 0: nothing is searched
-            assert stats.get("boxes", 0) == 0 and expected == []
-        if case == "straddle":  # -q is a root on the p < 0 side
-            assert expected and expected != box_oracle(prob)
+            assert got == [] and stats.get("boxes", 0) == 0
+        elif case != "t4":
+            assert stats["boxes"] >= 3, stats
 
     def test_an_interval_with_no_certified_width_is_scanned(self):
         # N = 5*p*q and m = 20 (lead = m): the box's smallest p, 105 207,
@@ -464,7 +439,7 @@ class TestWarmStartedSplitter:
 
         def counted(prob, lead, inv, s, half, end, acc, stats, warm):
             if not warm:  # the first attempt of a walk: s and end span it
-                walks.append((sorted((s, end)), []))
+                walks.append(((s, end), []))
             is_half = (s, end) in halves
             if is_half:
                 halves.remove((s, end))
@@ -473,9 +448,8 @@ class TestWarmStartedSplitter:
                 if len(walked) % 2 == 0 and half > 1:
                     # _solve_interval tries these two halves next, both
                     # non-empty since half > 1
-                    step = 1 if end >= s else -1
-                    mid, far = s + step * half, s + step * min(2 * half, abs(end - s))
-                    halves.extend([(s, mid), (mid + step, far)])
+                    far = s + min(2 * half, end - s)
+                    halves.extend([(s, s + half), (s + half + 1, far)])
                     attempt(prob, lead, inv, s, half, end, {}, stats, warm)
                     misses.append(s)
                     return None
@@ -484,17 +458,17 @@ class TestWarmStartedSplitter:
                 misses.append(s)
             else:
                 reached = s if short and is_half else reached
-                walks[-1][1].append(sorted((s, reached)))
+                walks[-1][1].append((s, reached))
             return reached
 
         def scanned(prob, xlo, xhi, acc, stats):
-            walks[-1][1].append([xlo, xhi])
+            walks[-1][1].append((xlo, xhi))
             scan(prob, xlo, xhi, acc, stats)
 
         monkeypatch.setattr(coppersmith, "_univariate_interval", counted)
         monkeypatch.setattr(coppersmith, "_scan_columns", scanned)
         rng, scans = random.Random(2718), 0
-        for case in ("lsb", "residue", "negative", "straddle"):
+        for case in ("lsb", "residue", "shared", "straddle"):
             for bits in (40, 44, 48):
                 prob = self._box(case, bits, 10, rng)
                 stats = {}
@@ -529,34 +503,31 @@ class TestWarmStartedSplitter:
     @given(
         bits=st.integers(min_value=28, max_value=44),
         over=st.integers(min_value=1, max_value=16),
-        down=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    # a miss where some reduced polynomial is below |p| one column past s
-    @example(bits=28, over=16, down=False, seed=84)
-    @example(bits=36, over=8, down=True, seed=129)
+    # a miss where some reduced polynomial is below p one column past s
+    @example(bits=28, over=16, seed=84)
     @settings(max_examples=300)
     def test_an_attempt_claims_only_what_its_polynomial_reaches(
-        self, bits, over, down, seed
+        self, bits, over, seed
     ):
         # One attempt near a root, up to `over` certified widths wide, so
         # that some fall short: a hit records exactly the roots from s to
         # the column it returns, and some reduced polynomial g has
-        # |g(x - xc)| < |p(x)| at every one of them, so that g vanishes at
+        # |g(x - xc)| < p(x) at every one of them, so that g vanishes at
         # each root there.
         rng = random.Random(seed)
         n, p, q = balanced_semiprime(rng, bits)
         mod = 1 << (bits // 4)
         x0 = (p - p % mod) // mod
-        sign = -1 if down else 1
         prob = BivariateProblem(
-            N=n, P0=sign * (p % mod), Q0=sign * (q % mod), X=1, Y=1, m=mod, n=mod
+            N=n, P0=p % mod, Q0=q % mod, X=1, Y=1, m=mod, n=mod
         )
         h_c = _howgrave_halfwidth(n, 1, p // 2)
         half = rng.randrange(over * h_c + 1)
-        s = sign * (x0 - rng.randrange(2 * half + 1))
-        end = s + sign * (2 * half + rng.randrange(4 * h_c + 1))
-        assume(mod * s * sign + p % mod >= p // 2)
+        s = x0 - rng.randrange(2 * half + 1)
+        end = s + 2 * half + rng.randrange(4 * h_c + 1)
+        assume(mod * s + p % mod >= p // 2)
         acc, warm = {}, []
         reached = _univariate_interval(
             prob, 1, pow(mod, -1, n), s, half, end, acc, {}, warm
@@ -564,18 +535,18 @@ class TestWarmStartedSplitter:
         if reached is None:
             assert acc == {}
             return
-        assert 0 <= (reached - s) * sign <= (end - s) * sign
+        assert s <= reached <= end
         xc, polys = warm
-        columns = range(min(s, reached), max(s, reached) + 1)
+        columns = range(s, reached + 1)
         assert any(
             all(
-                abs(g0 + (g1 + g2 * (x - xc)) * (x - xc)) < abs(mod * x + prob.P0)
+                abs(g0 + (g1 + g2 * (x - xc)) * (x - xc)) < mod * x + prob.P0
                 for x in columns
             )
             for g0, g1, g2 in polys
         )
         expected = {}
-        for x in range(min(s, reached), max(s, reached) + 1):
+        for x in columns:
             d = mod * x + prob.P0
             if d and n % d == 0 and (n // d - prob.Q0) % mod == 0:
                 expected[(x, (n // d - prob.Q0) // mod)] = (d, n // d)
@@ -765,7 +736,7 @@ class TestLsbKnown:
         got = solve(lambda stats: solve_lsb_known(n, hint, 2**63, stats))
         assert got == solve(lambda stats: solve_lsb_known(n, hint, cap, stats))
         assert got == solve(
-            lambda stats: solve_bivariate(lsb_problem(n, hint, 200), stats, positive=True)
+            lambda stats: solve_bivariate(lsb_problem(n, hint, 200), stats)
         )
         assert (got[0] is None) == (hint < 0)
 
@@ -783,7 +754,7 @@ class TestLsbKnown:
             got = [(s.x0, s.y0, s.p, s.q) for s in solve_lsb_known(n, x0, k)]
         except NoRoot:
             got = []
-        assert got == [r for r in box_oracle(lsb_problem(n, x0, k)) if r[2] > 0]
+        assert got == box_oracle(lsb_problem(n, x0, k))
 
     @given(
         n=st.integers(min_value=1, max_value=2047).map(lambda h: 2 * h + 1),
@@ -791,40 +762,18 @@ class TestLsbKnown:
         hint=st.integers(min_value=0, max_value=2**11),
     )
     @example(n=5, k=3, hint=1)  # the box's one root is p = -5
-    @example(n=15, k=4, hint=1)  # 3 * 5; the lattice attempt was at p < 0
+    @example(n=15, k=4, hint=1)  # 3 * 5, found by the column scan
     @settings(max_examples=400)
     def test_returns_the_box_roots_with_p_above_zero(self, n, k, hint):
         x0 = 2 * hint + 1
         prob = lsb_problem(n, x0, k)
-        full, stats = {}, {}
+        stats = {}
         try:
-            whole = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, full)]
+            got = [(s.x0, s.y0, s.p, s.q) for s in solve_lsb_known(n, x0, k, stats)]
         except NoRoot:
-            whole = []
-        assert whole == box_oracle(prob)
-        expected = [root for root in whole if root[2] > 0]
-        if expected:
-            sols = solve_lsb_known(n, x0, k, stats)
-            assert [(s.x0, s.y0, s.p, s.q) for s in sols] == expected
-        else:
-            with pytest.raises(NoRoot):
-                solve_lsb_known(n, x0, k, stats)
-        assert stats["certified"] == full["certified"]
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_the_whole_box_at_40_to_48_bits(self, seed):
-        # the hint of bench and perfbench, the low bit_length // 4 bits of
-        # the smaller factor: p > 0 searched alone finds the whole box's
-        # roots, with no lattice attempt on the p < 0 side
-        rng = random.Random(seed)
-        n, p, q = balanced_semiprime(rng, 40 + seed)
-        k = n.bit_length() // 4
-        full, stats = {}, {}
-        want = roots_of(solve_bivariate(lsb_problem(n, p, k), full))
-        sols = solve_lsb_known(n, p % (1 << k), k, stats)
-        assert roots_of(sols) == want and sols[0].p == p
-        assert stats["certified"] == full["certified"]
-        assert 0 < stats["boxes"] < full["boxes"]
+            got = []
+        assert got == box_oracle(prob)
+        assert stats["certified"] == certified_regime(prob)
 
     def test_recovery_48_bits(self, rng):
         n, p, q = balanced_semiprime(rng, 48)
@@ -871,10 +820,7 @@ class TestTrivariate:
 
     def test_recovers_z0_by_ascending_search(self):
         n, p, q, mult, a = self._construct(z0=7)
-        prob = TrivariateProblem(
-            N=n, P0=p, M=mult, a_range=tuple(range(10)), z_range=tuple(range(1, 12)),
-            X=8, Y=8,
-        )
+        prob = TrivariateProblem(N=n, P0=p, M=mult, a_max=9, z_max=11, X=8, Y=8)
         sols = solve_trivariate(prob)
         assert sols[0].z0 == 7
         assert any(s.p in (p, q) for s in sols)
@@ -887,7 +833,7 @@ class TestTrivariate:
                 continue
             bound = 8
             tri = TrivariateProblem(
-                N=n, P0=p0, M=q, a_range=(0,), z_range=(1,), X=bound, Y=bound
+                N=n, P0=p0, M=q, a_max=0, z_max=1, X=bound, Y=bound
             )
             flat = BivariateProblem(N=n, P0=p0, Q0=q, X=bound, Y=bound)
             try:
@@ -902,20 +848,17 @@ class TestTrivariate:
             if got:
                 assert all(s.z0 == 1 for s in solve_trivariate(tri))
 
-    @pytest.mark.parametrize("mult, z_range", [(0, (1, 2)), (5, (0, 1))])
-    def test_validation(self, mult, z_range):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            TrivariateProblem(N=2599, P0=23, M=mult, a_range=(0,), z_range=z_range,
-                              X=8, Y=8)
+            TrivariateProblem(N=2599, P0=23, M=0, a_max=0, z_max=2, X=8, Y=8)
 
     def test_excluded_z0_exhausts(self):
+        # z0 = 7 lies past z_max = 6; the last two leave no candidate at all
         n, p, q, mult, a = self._construct(z0=7)
-        prob = TrivariateProblem(
-            N=n, P0=p, M=mult, a_range=tuple(range(10)), z_range=(2, 3, 4),
-            X=8, Y=8,
-        )
-        with pytest.raises(Exhausted):
-            solve_trivariate(prob)
+        for a_max, z_max in ((9, 6), (9, 0), (-1, 11)):
+            prob = TrivariateProblem(N=n, P0=p, M=mult, a_max=a_max, z_max=z_max, X=8, Y=8)
+            with pytest.raises(Exhausted):
+                solve_trivariate(prob)
 
 
 class TestTheorem4Driver:
@@ -944,15 +887,14 @@ class TestTheorem4Driver:
     )
     @settings(max_examples=500)
     def test_matches_the_full_box_driver(self, n, m):
-        # searching only p > 0 returns the same first root 1 < p < N
+        # the box scan of every pair gives the same first root 1 < p < N
         assert outcome(theorem4_driver, n, m) == outcome(
             reference_theorem4_driver, n, m
         )
 
     def test_searches_only_the_positive_half(self):
-        # 6 = 2*3 with m = 7: searched whole, the boxes' p < 0 columns took
-        # two lattice attempts (lattice_dim 3); the p > 0 columns have no
-        # certified width and are scanned, so no attempt is made at all
+        # 6 = 2*3 with m = 7: the boxes' p > 0 columns have no certified
+        # width and are scanned, so no attempt is made at all
         stats = {}
         assert theorem4_driver(6, 7, stats).parts == ((2, 1), (3, 1))
         assert "boxes" not in stats and "lattice_dim" not in stats
@@ -961,11 +903,12 @@ class TestTheorem4Driver:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_the_full_box_driver_at_40_to_48_bits(self, seed):
         # residues below 8 put the true pair among theorem4's pairs; those
-        # below 2^10 of every fourth seed mostly do not, and exhaust
+        # below 2^10 of every fourth seed mostly do not, and exhaust.  p and
+        # q are prime, so only a pair whose box holds one of them splits N.
         rng = random.Random(seed)
-        n, m = t4_semiprime(rng, 40 + 4 * (seed % 3), 1 << 10 if seed % 4 == 3 else 8)
-        assert outcome(theorem4_driver, n, m) == outcome(
-            reference_theorem4_driver, n, m
+        p, q, m = t4_semiprime(rng, 40 + 4 * (seed % 3), 1 << 10 if seed % 4 == 3 else 8)
+        assert outcome(theorem4_driver, p * q, m) == outcome(
+            reference_theorem4_driver, p * q, m, (p, q)
         )
 
     def test_gcd_short_circuit(self):
