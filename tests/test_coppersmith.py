@@ -415,6 +415,37 @@ class TestWarmStartedSplitter:
         elif case != "t4":
             assert stats["boxes"] >= 3, stats
 
+    @given(
+        case=st.sampled_from(["negative", "straddle", "t4"]),
+        bits=st.integers(min_value=36, max_value=48),
+        width=st.integers(min_value=13, max_value=15),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_positive_keeps_the_roots_with_p_above_zero(
+        self, case, bits, width, seed
+    ):
+        prob = self._box(case, bits, width, random.Random(seed))
+        # every root of the box, on both sides of p = 0
+        whole = []
+        for x in range(-prob.X, prob.X + 1):
+            p = prob.m * x + prob.P0
+            if p == 0 or prob.N % p or (prob.N // p - prob.Q0) % prob.n:
+                continue
+            y = (prob.N // p - prob.Q0) // prob.n
+            if abs(y) <= prob.Y:
+                whole.append((x, y, p, prob.N // p))
+        expected = [root for root in whole if root[2] > 0]
+        try:
+            got = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob)]
+        except NoRoot:
+            got = []
+        assert got == expected
+        if case == "negative":  # every root of the box has p < 0
+            assert got == []
+        if case == "straddle":  # -q is a root on the p < 0 side
+            assert expected and expected != whole
+
     def test_an_interval_with_no_certified_width_is_scanned(self):
         # N = 5*p*q and m = 20 (lead = m): the box's smallest p, 105 207,
         # is below the 2.45 * N^(1/3) * m^(2/3) that a certified width
