@@ -44,8 +44,23 @@ _SIEVE_FLAGS = {
 _MERGED_MAX = 1 << 12
 _BLOCK_FIRST, _BLOCK_CAP = 1 << 10, 1 << 16
 
-# Strong-pseudoprime bases: deterministic for n < 3.3e24, probabilistic above.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin's bases.  The first k primes as bases are exact below psi_k,
+# the least strong pseudoprime to all of them, so n < bound takes k bases
+# (Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86,
+# 2017; psi_8 = psi_7 and psi_10 = psi_11 = psi_9).  Above psi_12 all 13
+# primes run, exact below psi_13 = 3317044064679887385961981.
+_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
 
 
 def is_perfect_square(n: int) -> int | None:
@@ -85,26 +100,61 @@ def _merge(pats: list[tuple[int, int]]) -> list[list[int]]:
     return [[q, bits, q] for q, bits in merged]
 
 
+def _patterns(q: int, base: int, stride: int, offsets: tuple[int, ...]) -> list[int]:
+    """Per offset, the q-bit pattern whose bit j is set when
+    (base + stride*j)**2 + off is a square modulo q."""
+    squares = _SIEVE_SQUARES[q]
+    b, s = base % q, stride % q
+    # (base + stride*j)**2 % q for j < q, read off the repeated squares
+    values = (squares * (s + 1))[b : b + s * q : s] if s else squares[b : b + 1] * q
+    pats = []
+    for off in offsets:
+        o = off % q
+        flags = _SIEVE_FLAGS[q][o:] + _SIEVE_FLAGS[q][:o]  # flags[w] for w + off
+        pats.append(int(values.translate(flags.ljust(256, b"0"))[::-1], 2))
+    return pats
+
+
+def _class_mod_64(base: int, stride: int, offsets: tuple[int, ...]) -> tuple[int, int] | None:
+    """(a, g) for the positions j at which (base + stride*j)**2 + off is a
+    square modulo 64 for some offset: a is the least of them mod 64, and g the
+    largest power of two up to 64 with every one of them = a (mod g).  None
+    when there is no such position."""
+    allowed = 0
+    for bits in _patterns(64, base, stride, offsets):
+        allowed |= bits
+    if not allowed:
+        return None
+    a = (allowed & -allowed).bit_length() - 1
+    g = 64
+    # (2^64 - 1) // (2^g - 1) has the bits 0, g, 2g, ... < 64 set
+    while (allowed >> a) & ~(((1 << 64) - 1) // ((1 << g) - 1)):
+        g //= 2
+    return a, g
+
+
 def square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: int):
     """Yield, ascending, every j in [0, count) at which (base + stride*j)**2 + off
     may be a perfect square for some off in offsets.
 
     A position is skipped only when, for each offset, the value is a non-square
     modulo one of the sieve moduli, so no true square is ever skipped; the
-    positions yielded still need is_perfect_square.  Per offset and modulus q,
-    a q-bit pattern marks the positions j mod q that pass; a block of positions
-    is the AND of the patterns, each repeated across the block and shifted to
-    its start, and the OR of that over the offsets.
+    positions yielded still need is_perfect_square.  The positions that pass
+    modulo 64 for some offset all lie in one class j = a (mod g), g a power of
+    two up to 64 (g = 4 or 8 on a scan of x**2 - 4N for odd N), so the sieve
+    runs over i with j = a + g*i alone.  Per offset and modulus q, a q-bit
+    pattern marks the positions i mod q that pass; a block of positions is the
+    AND of the patterns, each repeated across the block and shifted to its
+    start, and the OR of that over the offsets.
     """
+    step = _class_mod_64(base, stride, offsets)
+    if step is None:
+        return
+    a, g = step
+    base, stride, count = base + stride * a, stride * g, -(-(count - a) // g)
     patterns: list[list[tuple[int, int]]] = [[] for _ in offsets]
-    for q, squares in _SIEVE_SQUARES.items():
-        b, s = base % q, stride % q
-        # (base + stride*j)**2 % q for j < q, read off the repeated squares
-        values = (squares * (s + 1))[b : b + s * q : s] if s else squares[b : b + 1] * q
-        for off, pats in zip(offsets, patterns):
-            o = off % q
-            flags = _SIEVE_FLAGS[q][o:] + _SIEVE_FLAGS[q][:o]  # flags[w] for w + off
-            bits = int(values.translate(flags.ljust(256, b"0"))[::-1], 2)
+    for q in _SIEVE_MODULI:
+        for bits, pats in zip(_patterns(q, base, stride, offsets), patterns):
             if bits != (1 << q) - 1:
                 pats.append((q, bits))
     # an offset with an all-zero pattern never gives a square
@@ -122,30 +172,37 @@ def square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: i
                     pat[1:] = rep, length
                 block &= rep >> (start % q)
             mask |= block
-        found = 0
+        # peel survivors off the top: the top bit costs no full-length
+        # negation and AND, as the lowest one would
+        found = []
         while mask:
-            low = mask & -mask
-            yield start + low.bit_length() - 1
-            mask ^= low
-            found += 1
+            top = mask.bit_length() - 1
+            found.append(top)
+            mask ^= 1 << top
+        for i in reversed(found):
+            yield a + g * (start + i)
         start += n
         # each position yielded costs time in proportion to the block length,
         # so blocks grow only while the sieve leaves few positions
-        size = min(2 * size, _BLOCK_CAP) if found * 256 < n else _BLOCK_FIRST
+        size = min(2 * size, _BLOCK_CAP) if len(found) * 256 < n else _BLOCK_FIRST
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases (deterministic below 3.3e24)."""
+    """Miller-Rabin on the first k primes as bases, k by the size of n
+    (_MR_TIERS): deterministic below 3317044064679887385961981 (about
+    3.3e24, the least strong pseudoprime to all 13 primes 2..41),
+    probabilistic above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_PRIMES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    k = next((k for bound, k in _MR_TIERS if n < bound), len(_MR_PRIMES))
+    for a in _MR_PRIMES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

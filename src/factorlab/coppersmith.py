@@ -575,9 +575,16 @@ def solve_trivariate(
 ) -> list[RootSolution]:
     """Resolve the co-factor transform Q0 = M*z0 -/+ a by ascending
     exhaustive search over z0 then a, delegating each candidate to the
-    bivariate solver; the first verified factorization wins."""
+    bivariate solver; the first verified factorization wins.
+
+    A root has 0 < q = y + Q0 <= N with |y| <= Y, so the search stops at the
+    first z0 with M*z0 - a_max > N + Y: no candidate from there on can hold
+    one, whatever z_max is.
+    """
     for z0 in range(1, prob.z_max + 1):
         base = prob.M * z0
+        if base - prob.a_max > prob.N + prob.Y:
+            break
         for a in range(prob.a_max + 1):
             for q0 in ((base - a,) if a == 0 else (base - a, base + a)):
                 if q0 < 1:

@@ -107,6 +107,62 @@ def reference_landry_pepin(n: int, m: int, mod2: int, c: int, d: int, t_bound: i
     raise Exhausted(f"no factor within t <= {t_bound}")
 
 
+def reference_square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: int):
+    """The block sieve of arith.square_candidates as it was before it stepped
+    over the one class mod 2^e that mod 64 allows: every position j, the
+    patterns built from (base, stride) itself, survivors taken from the low
+    bit.  The oracle for its yields (the same positions in the same order)."""
+    moduli = (64, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    merged_max, block_first, block_cap = 1 << 12, 1 << 10, 1 << 16
+
+    def repeat(bits: int, period: int, width: int) -> tuple[int, int]:
+        while period < width:
+            bits |= bits << period
+            period *= 2
+        return bits, period
+
+    def merge(pats: list[tuple[int, int]]) -> list[list[int]]:
+        merged: list[tuple[int, int]] = []
+        for q, bits in pats:
+            if merged and merged[-1][0] * q <= merged_max:
+                q0, bits0 = merged.pop()
+                width = q0 * q
+                bits = repeat(bits0, q0, width)[0] & repeat(bits, q, width)[0] & ((1 << width) - 1)
+                q = width
+            merged.append((q, bits))
+        return [[q, bits, q] for q, bits in merged]
+
+    patterns: list[list[tuple[int, int]]] = [[] for _ in offsets]
+    for q in moduli:
+        squares = {i * i % q for i in range(q)}
+        for off, pats in zip(offsets, patterns):
+            bits = sum(1 << j for j in range(q) if ((base + stride * j) ** 2 + off) % q in squares)
+            if bits != (1 << q) - 1:
+                pats.append((q, bits))
+    sieves = [merge(pats) for pats in patterns if all(bits for _, bits in pats)]
+    start, size = 0, block_first
+    while start < count and sieves:
+        n = min(size, count - start)
+        mask = 0
+        for pats in sieves:
+            block = (1 << n) - 1
+            for pat in pats:
+                q, rep, length = pat
+                if length < n + q:
+                    rep, length = repeat(rep, length, n + q)
+                    pat[1:] = rep, length
+                block &= rep >> (start % q)
+            mask |= block
+        found = 0
+        while mask:
+            low = mask & -mask
+            yield start + low.bit_length() - 1
+            mask ^= low
+            found += 1
+        start += n
+        size = min(2 * size, block_cap) if found * 256 < n else block_first
+
+
 def reference_algorithm_one(n: int, m: int) -> ResidueClassSet:
     """The paper's square-difference scan, written out: for every lift
     cd = r0 + j*m below m^2 (r0 = n mod m) and every x in

@@ -1,12 +1,22 @@
+import dataclasses
+import importlib.util
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from factorlab import cli, fermat, residue
 from factorlab.arith import (
+    _MR_PRIMES,
+    _MR_TIERS,
+    _SIEVE_MODULI,
+    _class_mod_64,
     Factorization,
     as_fraction,
     is_perfect_square,
@@ -17,6 +27,10 @@ from factorlab.arith import (
     square_candidates,
     trial_factor,
 )
+
+from conftest import reference_square_candidates
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestIsqrt:
@@ -94,6 +108,111 @@ class TestSquareCandidates:
             got = list(square_candidates(base, 1, offsets, edge + 1))
             assert got[-2:] == [edge - 1, edge] and len(got) < 10 + edge // 1000
 
+    @given(
+        base=st.integers(min_value=-10**12, max_value=10**12),
+        stride=st.integers(min_value=-5000, max_value=5000),
+        offsets=st.lists(st.integers(min_value=-10**15, max_value=10**15), min_size=1, max_size=3),
+        count=st.integers(min_value=0, max_value=3000),
+    )
+    @settings(max_examples=300)
+    # one example for each step g the mod-64 class can take: 1, 2, 4 and 8 (a
+    # sweep of every base, stride and offset mod 64 finds no larger g)
+    @example(base=6452167500, stride=12, offsets=[733938983049, -59741040802], count=3000)
+    @example(base=5478744786, stride=97, offsets=[906207720515], count=3000)
+    @example(base=3337446730, stride=3, offsets=[278292735142, 331721306073], count=3000)
+    @example(base=9654989331, stride=97, offsets=[667131928356], count=3000)
+    def test_yields_exactly_the_sieve_survivors(self, base, stride, offsets, count):
+        # the positions at which some offset gives a square modulo every
+        # sieve modulus, and no others
+        squares = {q: {i * i % q for i in range(q)} for q in _SIEVE_MODULI}
+        want = [
+            j for j in range(count)
+            if any(
+                all(((base + stride * j) ** 2 + off) % q in sq for q, sq in squares.items())
+                for off in offsets
+            )
+        ]
+        assert list(square_candidates(base, stride, tuple(offsets), count)) == want
+        step = _class_mod_64(base, stride, tuple(offsets))
+        if step is not None:
+            a, g = step
+            assert all(j % g == a % g for j in want)
+
+    @pytest.mark.parametrize(
+        "base, stride, offsets, step",
+        [
+            (6452167500, 12, (733938983049, -59741040802), (0, 1)),
+            (5478744786, 97, (906207720515,), (13, 2)),
+            (3337446730, 3, (278292735142, 331721306073), (2, 4)),
+            (9654989331, 97, (667131928356,), (5, 8)),
+            (10**12 + 39, 1, (-4 * 10807,), (1, 8)),  # standard scans of odd N
+            (10**12 + 39, 1, (-4 * 10809,), (3, 4)),
+            (10**12 + 39, 1, (-24 * 10807,), (0, 2)),  # a ratio scan on 6N
+            (10**12 + 39, 1, (-4 * 10808,), (0, 1)),
+            (10**12 + 39, 1, (2,), None),  # x**2 + 2 is never a square mod 4
+        ],
+    )
+    def test_class_mod_64(self, base, stride, offsets, step):
+        assert _class_mod_64(base, stride, offsets) == step
+
+    def test_one_offset_at_block_edges_in_the_stepped_index(self):
+        # odd N = rs*tu = rt*su has two divisor pairs whose sums differ by
+        # (r - u)(s - t) = 8, so x**2 - 4N is a square at x2 and x1 = x2 + 8,
+        # consecutive positions of the g = 8 class.  Blocks count i in
+        # j = a + 8i (2^10, 2^11, ..., 2^16, 2^16, ...); base = x1 - 8E puts
+        # x2 and x1 at i = E - 1 and i = E, on each side of the edge E
+        t, u = 10**6 + 3, 10**6 + 33
+        r, s = u + 4, t + 2
+        n = r * s * t * u
+        x1, x2 = r * s + t * u, r * t + s * u
+        assert x1 - x2 == 8
+        edge, size = 0, 1 << 10
+        while edge < 1 << 18:
+            edge += size
+            size = min(2 * size, 1 << 16)
+            base = x1 - 8 * edge
+            assert _class_mod_64(base, 1, (-4 * n,)) == (0, 8)
+            got = list(square_candidates(base, 1, (-4 * n,), 8 * edge + 1))
+            assert got[-2:] == [8 * (edge - 1), 8 * edge] and len(got) < 10 + edge // 1000
+
+    def test_matches_the_reference_on_perfbench_scan_instances(self):
+        # the first 180 seed-1 instances of perfbench's scan workload (standard,
+        # ratio and Landry-Pepin, 1e5-1e6 positions): the same yields as the
+        # unstepped sieve, and the same cli.run reports apart from time_ms
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads
+        try:
+            spec.loader.exec_module(workloads)
+            instances = [workloads.make_instance("scan", 1, i) for i in range(180)]
+        finally:
+            del sys.modules[spec.name]
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return square_candidates(*args)
+
+        for inst in instances:
+            config = workloads.config(cli, inst)
+            with mock.patch.object(fermat, "square_candidates", recorded), \
+                    mock.patch.object(residue, "square_candidates", recorded):
+                got = cli.run(config)
+            with mock.patch.object(fermat, "square_candidates", reference_square_candidates), \
+                    mock.patch.object(residue, "square_candidates", reference_square_candidates):
+                want = cli.run(config)
+            assert got.outcome == "factored"
+            assert dataclasses.replace(got, time_ms=0) == dataclasses.replace(want, time_ms=0)
+        assert len(calls) == 180
+        for base, stride, offsets, count in calls:
+            # a standard or ratio scan may run on to the trivial split
+            count = min(count, 2 * 10**6)
+            assert list(square_candidates(base, stride, offsets, count)) == list(
+                reference_square_candidates(base, stride, offsets, count)
+            )
+
     def test_dense_positions(self):
         # every value is a square: each position is yielded once, in order
         assert list(square_candidates(7, 3, (0,), 5000)) == list(range(5000))
@@ -142,9 +261,60 @@ class TestTrialFactor:
             Factorization(6, ((2, 1), (5, 1)))
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    """n passes the strong (Miller-Rabin) test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# psi_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# the 13 primes 2..41: is_prime's deterministic bound
+PSI_13 = 3317044064679887385961981
+
+
 class TestPrimality:
+    @pytest.mark.parametrize("bound, k", _MR_TIERS + ((PSI_13, 13),))
+    def test_tier_bounds_are_strong_pseudoprimes(self, bound, k):
+        # psi_k fools the first k prime bases, so no tier can reach past it
+        # with k bases; is_prime gives it more, which expose it as composite
+        assert all(strong_probable_prime(bound, a) for a in _MR_PRIMES[:k])
+        if k < 13:
+            assert not is_prime(bound)
+        else:
+            assert 1287836182261 * 2575672364521 == bound
+
+    def test_psi_12_is_composite(self):
+        # below the old "3.3e24" claim, yet a strong pseudoprime to 2..37
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        assert not is_prime(318665857834031151167461)
+
+    def test_matches_all_13_bases(self):
+        # the size-tiered bases against all 13 on 20-80 bit values
+        def reference(n: int) -> bool:
+            if any(n % p == 0 for p in _MR_PRIMES):
+                return n in _MR_PRIMES
+            return all(strong_probable_prime(n, a) for a in _MR_PRIMES)
+
+        rng = random.Random(41)
+        for _ in range(3000):
+            n = rng.getrandbits(rng.randrange(20, 81)) | 1
+            assert is_prime(n) == reference(n), n
+        for bits in range(20, 81):
+            p, q = random_prime(rng, bits // 2), random_prime(rng, bits - bits // 2)
+            assert reference(p) and reference(q) and not is_prime(p * q)
+
     def test_against_sieve(self):
-        limit = 2000
+        limit = 2 * 10**5
         sieve = [True] * (limit + 1)
         sieve[0] = sieve[1] = False
         for i in range(2, int(limit**0.5) + 1):

@@ -328,6 +328,13 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["factors"] == ["101", "107"]
+        # with no root anywhere the search stops once M*z0 - a_max passes N + Y
+        assert main(["factor", "--method", "trivariate", "--n", "10807", "--p0", "50",
+                     "--mult", "7", "--z-max", "1000000000000",
+                     "--format", "json-lines"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["outcome"] == "exhausted"
 
     @pytest.mark.parametrize(
         "args, flag",

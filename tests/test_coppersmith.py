@@ -1,5 +1,6 @@
 import random
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -890,6 +891,30 @@ class TestTrivariate:
             prob = TrivariateProblem(N=n, P0=p, M=mult, a_max=a_max, z_max=z_max, X=8, Y=8)
             with pytest.raises(Exhausted):
                 solve_trivariate(prob)
+
+    def test_huge_z_max_stops_past_every_cofactor(self):
+        # no (z0, a) gives a root of 10807 = 101 * 107 from p0 = 50, mult = 7;
+        # once 7*z0 - a_max > N + Y no candidate can hold a co-factor q <= N,
+        # so z_max = 10^12 tries the candidates of z0 <= (N + Y + a_max) // 7
+        n, mult, a_max, bound = 10807, 7, 9, default_box_bound(10807)
+        prob = TrivariateProblem(
+            N=n, P0=50, M=mult, a_max=a_max, z_max=10**12, X=bound, Y=bound
+        )
+        tried = []
+
+        def counting(sub, stats=None):
+            tried.append(sub.Q0)
+            return solve_bivariate(sub, stats)
+
+        with mock.patch.object(coppersmith, "solve_bivariate", counting):
+            with pytest.raises(Exhausted):
+                solve_trivariate(prob)
+        z_last = (n + bound + a_max) // mult
+        assert len(tried) <= (2 * a_max + 1) * z_last
+        assert set(tried) == {
+            mult * z0 + s * a
+            for z0 in range(1, z_last + 1) for a in range(a_max + 1) for s in (-1, 1)
+        } - set(range(1 - a_max, 1))  # Q0 < 1 is skipped
 
 
 class TestTheorem4Driver:
