@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 __all__ = [
     "Factorization",
@@ -37,12 +37,29 @@ _SIEVE_FLAGS = {
     q: bytes(b"01"[r in squares] for r in range(q)) for q, squares in _SIEVE_SQUARES.items()
 }
 # Patterns of moduli whose product stays within _MERGED_MAX bits are merged
-# into one, so a block takes 7 shift-and-AND steps instead of 16.  Block
-# lengths double from the first to the cap while the sieve leaves few
-# positions, so a short scan builds small masks and a long one keeps its
-# memory flat.
+# into one, so a block takes 7 shift-and-AND steps instead of 16.  Blocks
+# take the lengths of _BLOCK_SIZES in turn and the last from then on: 4-fold
+# growth up to a cap, so a short scan builds small masks while a long one
+# rebuilds its patterns and sets up blocks a few times only, and its memory
+# stays flat.
 _MERGED_MAX = 1 << 12
-_BLOCK_FIRST, _BLOCK_CAP = 1 << 10, 1 << 16
+_BLOCK_SIZES = (1 << 10, 1 << 12, 1 << 14, 1 << 15)
+# Rotation tables.  When the stride s is a unit modulo q (every prime here,
+# and 9 when 3 does not divide s), (b + s*j)**2 + o = s*s*((j + c)**2 + o')
+# modulo q, with c = b/s and o' = o/s**2; the unit square s*s maps squares
+# onto squares, so the pattern of (b, s, o) is the pattern of j**2 + o'
+# shifted right by c.  _ROTATIONS[q][o'] holds that pattern repeated to
+# _MERGED_MAX + 2q bits (0 until a scan first needs it), _INVERSES[q][s % q]
+# holds 1/s modulo q (0 where s is no unit, and for 64, whose patterns are
+# always built), and _REPUNITS[q] * bits repeats a q-bit pattern as far.
+_REPUNITS = {
+    q: ((1 << q * -(-(_MERGED_MAX + 2 * q) // q)) - 1) // ((1 << q) - 1) for q in _SIEVE_MODULI
+}
+_ROTATIONS = {q: [0] * q for q in _SIEVE_MODULI[1:]}
+_INVERSES = {
+    q: [pow(s, -1, q) if q in _ROTATIONS and gcd(s, q) == 1 else 0 for s in range(q)]
+    for q in _SIEVE_MODULI
+}
 
 # Miller-Rabin's bases.  The first k primes as bases are exact below psi_k,
 # the least strong pseudoprime to all of them, so n < bound takes k bases
@@ -75,29 +92,36 @@ def is_perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def _repeat(bits: int, period: int, width: int) -> tuple[int, int]:
-    """A pattern of `period` bits repeated to at least `width` bits: the
-    repeated pattern and its length, a multiple of the period."""
-    while period < width:
-        bits |= bits << period
-        period *= 2
-    return bits, period
+def _repeat(bits: int, length: int, q: int, width: int) -> tuple[int, int]:
+    """A pattern of period q, given on `length` bits (a multiple of q),
+    repeated over the fewest whole periods that cover `width` bits: the
+    pattern and its length.  Doubling alone would overshoot by up to twice
+    the need, and every shift of the pattern copies all of it."""
+    while length < width:
+        bits |= bits << length
+        length *= 2
+    length = width + (-width) % q
+    return bits & ((1 << length) - 1), length
 
 
 def _merge(pats: list[tuple[int, int]]) -> list[list[int]]:
-    """Merge consecutive (modulus, pattern) pairs while the product of the
-    moduli stays within _MERGED_MAX: bit j of the product's pattern is set when
-    bit j mod q is set in each (the moduli are coprime).  Returns
-    [modulus, pattern repeated, its length] lists for the block loop."""
-    merged: list[tuple[int, int]] = []
-    for q, bits in pats:
+    """Merge consecutive (modulus, pattern) pairs, each pattern repeated to
+    more than _MERGED_MAX bits, while the product Q of the moduli stays
+    within _MERGED_MAX: bit j of the AND of the members is set when bit
+    j mod q is set in each (the moduli are coprime).  Returns [Q, pattern,
+    length] lists for the block loop, the pattern cut to the largest multiple
+    of Q up to _MERGED_MAX."""
+    merged: list[list[int]] = []
+    for q, rep in pats:
         if merged and merged[-1][0] * q <= _MERGED_MAX:
-            q0, bits0 = merged.pop()
-            width = q0 * q
-            bits = _repeat(bits0, q0, width)[0] & _repeat(bits, q, width)[0] & ((1 << width) - 1)
-            q = width
-        merged.append((q, bits))
-    return [[q, bits, q] for q, bits in merged]
+            merged[-1][0] *= q
+            merged[-1][1] &= rep
+        else:
+            merged.append([q, rep, 0])
+    for pat in merged:
+        pat[2] = _MERGED_MAX - _MERGED_MAX % pat[0]
+        pat[1] &= (1 << pat[2]) - 1
+    return merged
 
 
 def _patterns(q: int, base: int, stride: int, offsets: tuple[int, ...]) -> list[int]:
@@ -113,6 +137,39 @@ def _patterns(q: int, base: int, stride: int, offsets: tuple[int, ...]) -> list[
         flags = _SIEVE_FLAGS[q][o:] + _SIEVE_FLAGS[q][:o]  # flags[w] for w + off
         pats.append(int(values.translate(flags.ljust(256, b"0"))[::-1], 2))
     return pats
+
+
+def _rotation(q: int, o: int) -> int:
+    """Fill and return _ROTATIONS[q][o]: bit k is set when k*k + o is a
+    square modulo q, for every k < _MERGED_MAX + 2q."""
+    bits = sum(1 << k for k in range(q) if (k * k + o) % q in _SIEVE_SQUARES[q])
+    _ROTATIONS[q][o] = rep = bits * _REPUNITS[q]
+    return rep
+
+
+def _sieve_patterns(
+    base: int, stride: int, offsets: tuple[int, ...]
+) -> list[list[tuple[int, int]]]:
+    """Per offset, the (q, pattern) pairs of the sieve moduli, in order, whose
+    pattern (that of _patterns) does not pass every position, each pattern
+    repeated to more than _MERGED_MAX + q bits.  A unit stride reads it off
+    the rotation table; modulus 64 and the other strides build it."""
+    patterns: list[list[tuple[int, int]]] = [[] for _ in offsets]
+    for q in _SIEVE_MODULI:
+        inv = _INVERSES[q][stride % q]
+        if inv:
+            c, inv2, rows = base * inv % q, inv * inv, _ROTATIONS[q]
+            for off, pats in zip(offsets, patterns):
+                o = off * inv2 % q
+                # o' = 0 leaves j**2 + o', a square, at every position; no
+                # other entry passes every position or is 0
+                if o:
+                    pats.append((q, (rows[o] or _rotation(q, o)) >> c))
+        else:
+            for bits, pats in zip(_patterns(q, base, stride, offsets), patterns):
+                if bits != (1 << q) - 1:
+                    pats.append((q, bits * _REPUNITS[q]))
+    return patterns
 
 
 def _class_mod_64(base: int, stride: int, offsets: tuple[int, ...]) -> tuple[int, int] | None:
@@ -143,32 +200,36 @@ def square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: i
     modulo 64 for some offset all lie in one class j = a (mod g), g a power of
     two up to 64 (g = 4 or 8 on a scan of x**2 - 4N for odd N), so the sieve
     runs over i with j = a + g*i alone.  Per offset and modulus q, a q-bit
-    pattern marks the positions i mod q that pass; a block of positions is the
-    AND of the patterns, each repeated across the block and shifted to its
-    start, and the OR of that over the offsets.
+    pattern marks the positions i mod q that pass.  Where the stride is a
+    unit modulo q, the pattern is a rotation table entry shifted into place
+    (see _ROTATIONS), so only modulus 64 and the moduli that share a factor
+    with the stride build theirs.  Patterns are merged while their moduli
+    multiply to at most _MERGED_MAX; a block of positions is the AND of the
+    merged patterns, each repeated across the block and shifted to its
+    start, and the OR of that over the offsets.  Blocks take 2^10, 2^12 and
+    2^14 positions and 2^15 from then on (_BLOCK_SIZES).
     """
     step = _class_mod_64(base, stride, offsets)
     if step is None:
         return
     a, g = step
     base, stride, count = base + stride * a, stride * g, -(-(count - a) // g)
-    patterns: list[list[tuple[int, int]]] = [[] for _ in offsets]
-    for q in _SIEVE_MODULI:
-        for bits, pats in zip(_patterns(q, base, stride, offsets), patterns):
-            if bits != (1 << q) - 1:
-                pats.append((q, bits))
     # an offset with an all-zero pattern never gives a square
-    sieves = [_merge(pats) for pats in patterns if all(bits for _, bits in pats)]
-    start, size = 0, _BLOCK_FIRST
+    sieves = [
+        _merge(pats)
+        for pats in _sieve_patterns(base, stride, offsets)
+        if all(rep for _, rep in pats)
+    ]
+    start, sizes = 0, iter(_BLOCK_SIZES)
     while start < count and sieves:
-        n = min(size, count - start)
+        n = min(next(sizes, _BLOCK_SIZES[-1]), count - start)
         mask = 0
         for pats in sieves:
             block = (1 << n) - 1
             for pat in pats:
                 q, rep, length = pat
                 if length < n + q:
-                    rep, length = _repeat(rep, length, n + q)
+                    rep, length = _repeat(rep, length, q, n + q)
                     pat[1:] = rep, length
                 block &= rep >> (start % q)
             mask |= block
@@ -182,9 +243,6 @@ def square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: i
         for i in reversed(found):
             yield a + g * (start + i)
         start += n
-        # each position yielded costs time in proportion to the block length,
-        # so blocks grow only while the sieve leaves few positions
-        size = min(2 * size, _BLOCK_CAP) if len(found) * 256 < n else _BLOCK_FIRST
 
 
 def is_prime(n: int) -> bool:

@@ -577,15 +577,17 @@ def solve_trivariate(
     exhaustive search over z0 then a, delegating each candidate to the
     bivariate solver; the first verified factorization wins.
 
-    A root has 0 < q = y + Q0 <= N with |y| <= Y, so the search stops at the
-    first z0 with M*z0 - a_max > N + Y: no candidate from there on can hold
-    one, whatever z_max is.
+    A root has 0 < q = y + Q0 <= N with |y| <= Y, so only 1 <= Q0 <= N + Y
+    can hold one: the search stops at the first z0 with M*z0 - a_max > N + Y,
+    whatever z_max is, and a at max(M*z0 - 1, N + Y - M*z0), past which
+    both candidates lie outside that range, whatever a_max is.
     """
+    top = prob.N + prob.Y
     for z0 in range(1, prob.z_max + 1):
         base = prob.M * z0
-        if base - prob.a_max > prob.N + prob.Y:
+        if base - prob.a_max > top:
             break
-        for a in range(prob.a_max + 1):
+        for a in range(min(prob.a_max, max(base - 1, top - base)) + 1):
             for q0 in ((base - a,) if a == 0 else (base - a, base + a)):
                 if q0 < 1:
                     continue

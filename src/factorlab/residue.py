@@ -219,6 +219,8 @@ def pair_driver(n: int, m: int, pairs: Callable, solve: Callable) -> Factorizati
 def residue_driver(n: int, m: int, t_bound: int | None = None) -> Factorization:
     """Residue-class route: scan every pair of enumerate_pairs with
     landry_pepin at mod2 = m, up to t_bound or default_t_bound per pair."""
+    if t_bound is not None and t_bound < 0:
+        raise ValueError("t_bound must be >= 0")
 
     def pairs(n: int, m: int) -> list[ResiduePair]:
         # gcd(n, m) = n leaves no pair with both residues prime to m

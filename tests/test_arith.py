@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import itertools
 import random
 import sys
 from decimal import Decimal
@@ -13,10 +14,14 @@ from hypothesis import strategies as st
 
 from factorlab import cli, fermat, residue
 from factorlab.arith import (
+    _BLOCK_SIZES,
+    _MERGED_MAX,
     _MR_PRIMES,
     _MR_TIERS,
     _SIEVE_MODULI,
     _class_mod_64,
+    _patterns,
+    _sieve_patterns,
     Factorization,
     as_fraction,
     is_perfect_square,
@@ -76,6 +81,55 @@ class TestPerfectSquare:
         assert is_perfect_square(r * r) == r
 
 
+def block_edges(limit: int):
+    """The positions at which square_candidates' blocks end, up to limit."""
+    edge = 0
+    for size in itertools.chain(_BLOCK_SIZES, itertools.repeat(_BLOCK_SIZES[-1])):
+        if edge >= limit:
+            return
+        edge += size
+        yield edge
+
+
+def assert_sieve_patterns(base: int, stride: int, offsets: tuple[int, ...]) -> None:
+    """_sieve_patterns, read off the rotation tables or built, agrees with
+    _patterns for every sieve modulus: a pattern that passes every position
+    is left out, and every other one is repeated to more than
+    _MERGED_MAX + q bits."""
+    for off, pats in zip(offsets, _sieve_patterns(base, stride, offsets)):
+        got = dict(pats)
+        assert [q for q, _ in pats] == [q for q in _SIEVE_MODULI if q in got]
+        for q in _SIEVE_MODULI:
+            (bits,) = _patterns(q, base, stride, (off,))
+            if bits == (1 << q) - 1:
+                assert q not in got
+                continue
+            width = _MERGED_MAX + q + 1
+            want = sum(bits << k for k in range(0, width, q)) & ((1 << width) - 1)
+            assert got[q] & ((1 << width) - 1) == want, (q, base, stride, off)
+
+
+class TestSievePatterns:
+    @pytest.mark.parametrize("stride", range(-1, 64))
+    def test_every_stride_and_offset_residue(self, stride):
+        # strides -1..63 and offsets -64..-1 take every residue modulo each
+        # sieve modulus: unit strides read the tables, the others build
+        assert_sieve_patterns(10**12 + 39 * stride, stride, tuple(range(-64, 0)))
+
+    @given(
+        base=st.integers(min_value=-10**20, max_value=10**20),
+        stride=st.integers(min_value=-10**9, max_value=10**9),
+        offsets=st.lists(st.integers(min_value=-10**20, max_value=10**20), min_size=1, max_size=3),
+    )
+    @settings(max_examples=200)
+    @example(base=5, stride=0, offsets=[7])
+    @example(base=-10**12, stride=-3, offsets=[-4 * 10807])
+    @example(base=10**12 + 39, stride=9 * 2 * 5 * 7 * 11 * 13, offsets=[-4 * 10807, 4 * 10807])
+    @example(base=31, stride=3000**2, offsets=[0, 1])
+    def test_matches_the_built_patterns(self, base, stride, offsets):
+        assert_sieve_patterns(base, stride, tuple(offsets))
+
+
 class TestSquareCandidates:
     @given(
         base=st.integers(min_value=-10**12, max_value=10**12),
@@ -97,13 +151,9 @@ class TestSquareCandidates:
         assert set(want) <= set(got)
 
     def test_yields_squares_at_block_edges(self):
-        # blocks of 2^10, 2^11, ..., 2^16, 2^16, ... positions while the sieve
-        # leaves few: plant a square on each side of every block edge up to 2^18
+        # plant a square on each side of every block edge up to 2^18
         base = 10**12 + 39
-        edge, size = 0, 1 << 10
-        while edge < 1 << 18:
-            edge += size
-            size = min(2 * size, 1 << 16)
+        for edge in block_edges(1 << 18):
             offsets = tuple(k * k - (base + j) ** 2 for k, j in ((base, edge - 1), (base + 1, edge)))
             got = list(square_candidates(base, 1, offsets, edge + 1))
             assert got[-2:] == [edge - 1, edge] and len(got) < 10 + edge // 1000
@@ -159,17 +209,14 @@ class TestSquareCandidates:
         # odd N = rs*tu = rt*su has two divisor pairs whose sums differ by
         # (r - u)(s - t) = 8, so x**2 - 4N is a square at x2 and x1 = x2 + 8,
         # consecutive positions of the g = 8 class.  Blocks count i in
-        # j = a + 8i (2^10, 2^11, ..., 2^16, 2^16, ...); base = x1 - 8E puts
-        # x2 and x1 at i = E - 1 and i = E, on each side of the edge E
+        # j = a + 8i; base = x1 - 8E puts x2 and x1 at i = E - 1 and i = E,
+        # on each side of the edge E
         t, u = 10**6 + 3, 10**6 + 33
         r, s = u + 4, t + 2
         n = r * s * t * u
         x1, x2 = r * s + t * u, r * t + s * u
         assert x1 - x2 == 8
-        edge, size = 0, 1 << 10
-        while edge < 1 << 18:
-            edge += size
-            size = min(2 * size, 1 << 16)
+        for edge in block_edges(1 << 18):
             base = x1 - 8 * edge
             assert _class_mod_64(base, 1, (-4 * n,)) == (0, 8)
             got = list(square_candidates(base, 1, (-4 * n,), 8 * edge + 1))
@@ -214,8 +261,10 @@ class TestSquareCandidates:
             )
 
     def test_dense_positions(self):
-        # every value is a square: each position is yielded once, in order
-        assert list(square_candidates(7, 3, (0,), 5000)) == list(range(5000))
+        # every value is a square: each position is yielded once, in order,
+        # across blocks of every length and two at the cap
+        count = sum(_BLOCK_SIZES) + _BLOCK_SIZES[-1] + 1
+        assert list(square_candidates(7, 3, (0,), count)) == list(range(count))
 
     def test_rules_out_most_positions(self):
         # a 200 000-position difference-of-squares scan tests about one

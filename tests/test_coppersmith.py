@@ -916,6 +916,26 @@ class TestTrivariate:
             for z0 in range(1, z_last + 1) for a in range(a_max + 1) for s in (-1, 1)
         } - set(range(1 - a_max, 1))  # Q0 < 1 is skipped
 
+    def test_huge_a_max_stops_past_every_cofactor(self):
+        # a root needs 1 <= Q0 <= N + Y, and each z0 stops a where both
+        # M*z0 - a and M*z0 + a have left that range, so a_max = 10^12 tries
+        # every Q0 in it once per z0 and no other
+        n, mult, z_max, bound = 10807, 7, 3, default_box_bound(10807)
+        prob = TrivariateProblem(
+            N=n, P0=50, M=mult, a_max=10**12, z_max=z_max, X=bound, Y=bound
+        )
+        tried = []
+
+        def counting(sub, stats=None):
+            tried.append(sub.Q0)
+            return solve_bivariate(sub, stats)
+
+        with mock.patch.object(coppersmith, "solve_bivariate", counting):
+            with pytest.raises(Exhausted):
+                solve_trivariate(prob)
+        assert len(tried) == z_max * (n + bound)
+        assert set(tried) == set(range(1, n + bound + 1))
+
 
 class TestTheorem4Driver:
     def test_worked_instance(self):

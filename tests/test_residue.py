@@ -1,9 +1,11 @@
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from factorlab import residue
 from factorlab.arith import is_perfect_square, is_prime, isqrt, next_prime, random_prime
 from factorlab.coppersmith import theorem4_driver
 from factorlab.errors import Exhausted, GcdFactorFound, NonPrimeModulus
@@ -284,6 +286,14 @@ class TestPairDriver:
     def test_n_below_two_is_rejected(self, driver, n):
         with pytest.raises(ValueError, match="N must be >= 2"):
             driver(n, 10)
+
+    def test_negative_t_bound_is_rejected_before_the_pairs(self):
+        # enumerating the pairs modulo 10^6 takes seconds; the error must not
+        # wait for it
+        with mock.patch.object(residue, "enumerate_pairs") as enumerate_pairs:
+            with pytest.raises(ValueError, match="t_bound must be >= 0"):
+                residue_driver(10807, 10**6, t_bound=-1)
+        enumerate_pairs.assert_not_called()
 
     def test_skips_mirrored_pairs(self):
         tried = []
