@@ -17,11 +17,11 @@ the first where one of them fails.  The worst-case LLL bound gives a
 certified half-width that grows linearly with p; each attempt is centred
 twice that past the walk's position, and the next one starts just past the
 last column its best g vouches for.  An attempt whose polynomials all fail
-at its first column is halved, and each half lies within the certified
-width, which the certificate says always suffices.  What a half left
-uncovered anyway, and every interval with no certified width (tiny N), is
-scanned column by column, so the returned root set is exactly the set of
-in-box roots with p > 0 regardless of box size.
+at its first column is retried from there at the certified width, which
+the certificate says always suffices.  What a retry left uncovered anyway,
+and every interval with no certified width (tiny N), is scanned column by
+column, so the returned root set is exactly the set of in-box roots with
+p > 0 regardless of box size.
 
 Only the first attempt of the walk reduces N, f and t*f; every later
 attempt warm-starts from the previous reduced basis, shifted to its own
@@ -389,15 +389,15 @@ def _univariate_interval(
     return xc + reach - 1
 
 
-# An attempt's half-width is twice the certified one, the most that keeps
-# each half of a missed attempt certified.  Attempts (boxes) per solve over
+# An attempt's half-width is this many times the certified one; one that
+# misses is retried at the certified width.  Attempts (boxes) per solve over
 # the first 150 seed-1 perfbench instances, hint-lsb / residue-t4, with
-# p < 0 searched as well, by this ratio: 1 24.0 / 26.7, 5/4 22.3 / 25.2,
-# 3/2 20.8 / 23.1, 7/4 20.0 / 21.5, 2 19.8 / 20.8, 9/4 20.6 / 20.5,
-# 3 25.3 / 22.8; above 2 the halves are not certified, and 4 needed 72 / 32
-# column scans.  Covering only where |g0| + |g1|*|t| + |g2|*t^2 < p(s), at
-# 3/2, took 32.8 / 33.2, and fixed chunks of half-width 2*h_c 54.4 / 73.7.
-_OVERSHOOT_NUM, _OVERSHOOT_DEN = 2, 1
+# p < 0 searched as well and a miss split into two certified halves, by this
+# ratio: 1 24.0 / 26.7, 5/4 22.3 / 25.2, 3/2 20.8 / 23.1, 7/4 20.0 / 21.5,
+# 2 19.8 / 20.8, 9/4 20.6 / 20.5, 3 25.3 / 22.8, and 4 needed 72 / 32 column
+# scans.  Covering only where |g0| + |g1|*|t| + |g2|*t^2 < p(s), at 3/2,
+# took 32.8 / 33.2, and fixed chunks of half-width 2*h_c 54.4 / 73.7.
+_OVERSHOOT = 2
 
 
 def _solve_interval(
@@ -415,11 +415,11 @@ def _solve_interval(
     scales linearly with the bound, so h = h_c * p(s) / p(xlo) is certified
     at s.  Each attempt is centred 2 * h past s and takes the roots as far
     as its best reduced polynomial vouches for; the next attempt starts one
-    column past that.  An attempt that does not cover s is halved:
-    each half lies within h of its own smallest p, where the certificate
-    says an attempt covers all of it, and what a half left uncovered
-    anyway is scanned column by column, as is every interval with no
-    certified width.
+    column past that.  An attempt that does not cover s is retried from s
+    at half-width h, where the certificate says it covers at least
+    [s, s + 2h], and the walk goes on from wherever the retry reaches.  A
+    retry that missed anyway has that span scanned column by column, as is
+    every interval with no certified width.
     """
     big_n, m, n = prob.N, prob.m, prob.n
     p_base, q_base = prob.P0, prob.Q0
@@ -449,25 +449,18 @@ def _solve_interval(
     if h_c == 0:
         _scan_columns(prob, xlo, xhi, acc, stats)
         return
-    s, warm = xlo, []
+    s, warm, over = xlo, [], _OVERSHOOT
     while s <= xhi:
         h = h_c * (m * s + p_base) // plo
-        half = min(h * _OVERSHOOT_NUM // _OVERSHOOT_DEN, (xhi - s + 1) // 2)
+        half = min(over * h, (xhi - s + 1) // 2)
         reached = _univariate_interval(prob, lead, inv, s, half, xhi, acc, stats, warm)
-        if reached is not None:
-            s = reached + 1
+        if reached is None and over > 1:
+            over = 1  # retry from s at the certified half-width
             continue
-        far = s + min(2 * half, xhi - s)
-        for lo, hi in ((s, s + half), (s + half + 1, far)):
-            if hi < lo:
-                continue
-            reached = _univariate_interval(
-                prob, lead, inv, lo, (hi - lo + 1) // 2, hi, acc, stats, warm
-            )
-            rest = lo if reached is None else reached + 1  # not covered
-            if rest <= hi:
-                _scan_columns(prob, rest, hi, acc, stats)
-        s = far + 1
+        if reached is None:  # a certified attempt missed: scan its span
+            reached = s + min(2 * half, xhi - s)
+            _scan_columns(prob, s, reached, acc, stats)
+        s, over = reached + 1, _OVERSHOOT
 
 
 def _scan_columns(
@@ -578,18 +571,22 @@ def solve_trivariate(
     bivariate solver; the first verified factorization wins.
 
     A root has 0 < q = y + Q0 <= N with |y| <= Y, so only 1 <= Q0 <= N + Y
-    can hold one: the search stops at the first z0 with M*z0 - a_max > N + Y,
-    whatever z_max is, and a at max(M*z0 - 1, N + Y - M*z0), past which
-    both candidates lie outside that range, whatever a_max is.
+    can hold one.  Each such Q0 is searched once, in the first z0 whose
+    window M*z0 -/+ a_max holds it, and the first window with none left
+    ends the search, whatever z_max and a_max are.
     """
     top = prob.N + prob.Y
+    tried = 0  # the last window's top; later windows' Q0 below it are searched
     for z0 in range(1, prob.z_max + 1):
         base = prob.M * z0
-        if base - prob.a_max > top:
+        # no a outside first..last has a candidate in tried + 1..top
+        first = max(0, base - top, tried + 1 - base)
+        last = min(prob.a_max, max(base - tried - 1, top - base))
+        if first > last:
             break
-        for a in range(min(prob.a_max, max(base - 1, top - base)) + 1):
-            for q0 in ((base - a,) if a == 0 else (base - a, base + a)):
-                if q0 < 1:
+        for a in range(first, last + 1):
+            for q0 in ((base,) if a == 0 else (base - a, base + a)):
+                if not tried < q0 <= top:
                     continue
                 sub = BivariateProblem(
                     N=prob.N, P0=prob.P0, Q0=q0, X=prob.X, Y=prob.Y
@@ -602,6 +599,7 @@ def solve_trivariate(
                     RootSolution(x0=s.x0, y0=s.y0, p=s.p, q=s.q, z0=z0)
                     for s in found
                 ]
+        tried = base + prob.a_max
     raise Exhausted("no (z0, a) candidate produced a factorization")
 
 

@@ -14,8 +14,13 @@ from factorlab.arith import (
     next_prime,
     random_prime,
 )
-from factorlab.coppersmith import BivariateProblem
-from factorlab.errors import DependentBasis, Exhausted, TrivialOnly
+from factorlab.coppersmith import (
+    BivariateProblem,
+    RootSolution,
+    TrivariateProblem,
+    solve_bivariate,
+)
+from factorlab.errors import DependentBasis, Exhausted, NoRoot, TrivialOnly
 from factorlab.fermat import FermatResult
 from factorlab.residue import (
     ResidueClassSet,
@@ -259,6 +264,33 @@ def reference_theorem4_driver(
         ]
 
     return pair_driver(big_n, m, theorem4_pairs, solve)
+
+
+def reference_solve_trivariate(prob: TrivariateProblem) -> list[RootSolution]:
+    """solve_trivariate's earlier loop, which searches every candidate
+    Q0 = M*z0 -/+ a of every window, a Q0 shared by overlapping windows once
+    per window: the oracle for the results of coppersmith.solve_trivariate."""
+    top = prob.N + prob.Y
+    for z0 in range(1, prob.z_max + 1):
+        base = prob.M * z0
+        if base - prob.a_max > top:
+            break
+        for a in range(min(prob.a_max, max(base - 1, top - base)) + 1):
+            for q0 in ((base - a,) if a == 0 else (base - a, base + a)):
+                if q0 < 1:
+                    continue
+                sub = BivariateProblem(
+                    N=prob.N, P0=prob.P0, Q0=q0, X=prob.X, Y=prob.Y
+                )
+                try:
+                    found = solve_bivariate(sub)
+                except NoRoot:
+                    continue
+                return [
+                    RootSolution(x0=s.x0, y0=s.y0, p=s.p, q=s.q, z0=z0)
+                    for s in found
+                ]
+    raise Exhausted("no (z0, a) candidate produced a factorization")
 
 
 def outcome(fn, *args):

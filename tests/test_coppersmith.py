@@ -42,6 +42,7 @@ from conftest import (
     box_oracle,
     lsb_problem,
     outcome,
+    reference_solve_trivariate,
     reference_theorem4_driver,
 )
 
@@ -292,9 +293,9 @@ class TestUnivariateSplitter:
         assert mirrored == roots(d, c)
 
     def test_lsb_instances_need_no_column_scan(self):
-        # An attempt whose reach falls short is halved, and each half lies
-        # within the certified half-width; a half that still missed would
-        # fall back to a column scan.
+        # An attempt that misses is retried at the certified half-width,
+        # which cannot miss; a retry that still missed would fall back to a
+        # column scan.
         rng = random.Random(5664)
         boxes = 0
         for bits in [56, 57, 58, 59, 60, 61, 62, 63, 64] * 2:
@@ -459,42 +460,50 @@ class TestWarmStartedSplitter:
         assert got == box_oracle(prob)
         assert stats.get("boxes", 0) == 0 and stats["column_scans"] == 1
 
-    def _halved_walks(self, monkeypatch, short: bool) -> tuple[int, int]:
+    def _retried_walks(self, monkeypatch, retry_misses: bool) -> tuple[int, int]:
         """Solve twelve boxes with every other walk attempt reported as a
-        miss: it still reduces (the halves warm-start from its basis) but
-        records nothing.  With `short`, each half claims only its own first
-        column.  Checks the root sets against the box scan, and that the
-        hits and column scans of each walk cover its interval without a gap
-        or an overlap; returns the misses and the column scans."""
+        miss: it still reduces (the retry warm-starts from its basis) but
+        records nothing.  With `retry_misses`, the retry after each forced
+        miss is reported as a miss too.  Checks the root sets against the
+        box scan, that each miss is followed by an attempt from the same
+        column no wider than the certified half-width there, that exactly
+        the spans of the missed retries are scanned, and that the hits and
+        column scans of each walk cover its interval without a gap or an
+        overlap; returns the forced misses and the column scans."""
         attempt, scan = coppersmith._univariate_interval, coppersmith._scan_columns
-        walks, halves, walked, misses = [], [], [], []
+        walks, walked, misses, missed_spans, scanned_spans = [], [], [], [], []
+        retry = []  # the column a missed attempt must be retried from
 
         def counted(prob, lead, inv, s, half, end, acc, stats, warm):
             if not warm:  # the first attempt of a walk: s and end span it
-                walks.append(((s, end), []))
-            is_half = (s, end) in halves
-            if is_half:
-                halves.remove((s, end))
+                plo = prob.m * s + prob.P0
+                h_c = _howgrave_halfwidth(prob.N, lead, plo)
+                walks.append(((s, end), [], h_c, plo))
+            _, covered, h_c, plo = walks[-1]
+            if retry:
+                assert s == retry.pop()  # from the missed attempt's column
+                assert half <= h_c * (prob.m * s + prob.P0) // plo  # certified
+                if retry_misses:
+                    attempt(prob, lead, inv, s, half, end, {}, stats, warm)
+                    missed_spans.append((s, min(s + 2 * half, end)))
+                    return None
             else:
                 walked.append(s)
-                if len(walked) % 2 == 0 and half > 1:
-                    # _solve_interval tries these two halves next, both
-                    # non-empty since half > 1
-                    far = s + min(2 * half, end - s)
-                    halves.extend([(s, s + half), (s + half + 1, far)])
+                if len(walked) % 2 == 0:
                     attempt(prob, lead, inv, s, half, end, {}, stats, warm)
                     misses.append(s)
+                    retry.append(s)
                     return None
             reached = attempt(prob, lead, inv, s, half, end, acc, stats, warm)
             if reached is None:
-                misses.append(s)
+                retry.append(s)
             else:
-                reached = s if short and is_half else reached
-                walks[-1][1].append((s, reached))
+                covered.append((s, reached))
             return reached
 
         def scanned(prob, xlo, xhi, acc, stats):
             walks[-1][1].append((xlo, xhi))
+            scanned_spans.append((xlo, xhi))
             scan(prob, xlo, xhi, acc, stats)
 
         monkeypatch.setattr(coppersmith, "_univariate_interval", counted)
@@ -509,28 +518,28 @@ class TestWarmStartedSplitter:
                 except NoRoot:
                     got = []
                 assert got == box_oracle(prob)
-                assert halves == []
+                assert retry == []
                 scans += stats.get("column_scans", 0)
-        for (lo, hi), covered in walks:
+        assert scanned_spans == missed_spans
+        for (lo, hi), covered, _, _ in walks:
             covered.sort()
             assert covered[0][0] == lo and covered[-1][1] == hi
             assert all(a[1] + 1 == b[0] for a, b in zip(covered, covered[1:]))
         return len(misses), scans
 
-    def test_an_attempt_that_falls_short_is_halved(self, monkeypatch):
-        # Attempts rarely fall short now, so misses are forced.  Each half
-        # lies within the certified width, so it covers all of itself and
-        # no column is scanned.
-        misses, scans = self._halved_walks(monkeypatch, short=False)
+    def test_a_miss_is_retried_at_the_certified_width(self, monkeypatch):
+        # Attempts rarely miss, so misses are forced.  The retry lies within
+        # the certified width, so it covers its first column, the walk goes
+        # on from wherever it reaches, and no column is scanned.
+        misses, scans = self._retried_walks(monkeypatch, retry_misses=False)
         assert misses >= 10 and scans == 0, (misses, scans)
 
-    def test_a_half_that_covers_part_of_itself_has_the_rest_scanned(
-        self, monkeypatch
-    ):
-        # A half's best polynomial may stop short of the half's far end; the
-        # columns it leaves are scanned, not skipped.
-        misses, scans = self._halved_walks(monkeypatch, short=True)
-        assert misses >= 10 and scans >= 10, (misses, scans)
+    def test_a_missed_retry_has_its_span_scanned(self, monkeypatch):
+        # The certificate says a retry cannot miss; if one did, the columns
+        # it was centred on are scanned, not skipped, and the walk goes on
+        # past them.
+        misses, scans = self._retried_walks(monkeypatch, retry_misses=True)
+        assert misses >= 10 and scans == misses, (misses, scans)
 
     @given(
         bits=st.integers(min_value=28, max_value=44),
@@ -892,49 +901,120 @@ class TestTrivariate:
             with pytest.raises(Exhausted):
                 solve_trivariate(prob)
 
+    @staticmethod
+    def _searched(prob: TrivariateProblem) -> list[int]:
+        """The Q0 of every solve_bivariate call of an exhausted search."""
+        tried = []
+
+        def counting(sub, stats=None):
+            tried.append(sub.Q0)
+            return solve_bivariate(sub, stats)
+
+        with mock.patch.object(coppersmith, "solve_bivariate", counting):
+            with pytest.raises(Exhausted):
+                solve_trivariate(prob)
+        return tried
+
+    @staticmethod
+    def _windows(prob: TrivariateProblem, z_last: int) -> set[int]:
+        """Every candidate Q0 = M*z0 -/+ a of z0 <= z_last that can hold a
+        root, 1 <= Q0 <= N + Y."""
+        return {
+            q0
+            for z0 in range(1, z_last + 1)
+            for q0 in range(prob.M * z0 - prob.a_max, prob.M * z0 + prob.a_max + 1)
+        } & set(range(1, prob.N + prob.Y + 1))
+
     def test_huge_z_max_stops_past_every_cofactor(self):
         # no (z0, a) gives a root of 10807 = 101 * 107 from p0 = 50, mult = 7;
         # once 7*z0 - a_max > N + Y no candidate can hold a co-factor q <= N,
-        # so z_max = 10^12 tries the candidates of z0 <= (N + Y + a_max) // 7
-        n, mult, a_max, bound = 10807, 7, 9, default_box_bound(10807)
+        # so z_max = 10^12 tries the candidates of z0 <= (N + Y + a_max) // 7,
+        # each Q0 once although the windows 7*z0 -/+ 9 overlap
+        n, a_max, bound = 10807, 9, default_box_bound(10807)
         prob = TrivariateProblem(
-            N=n, P0=50, M=mult, a_max=a_max, z_max=10**12, X=bound, Y=bound
+            N=n, P0=50, M=7, a_max=a_max, z_max=10**12, X=bound, Y=bound
         )
-        tried = []
-
-        def counting(sub, stats=None):
-            tried.append(sub.Q0)
-            return solve_bivariate(sub, stats)
-
-        with mock.patch.object(coppersmith, "solve_bivariate", counting):
-            with pytest.raises(Exhausted):
-                solve_trivariate(prob)
-        z_last = (n + bound + a_max) // mult
-        assert len(tried) <= (2 * a_max + 1) * z_last
-        assert set(tried) == {
-            mult * z0 + s * a
-            for z0 in range(1, z_last + 1) for a in range(a_max + 1) for s in (-1, 1)
-        } - set(range(1 - a_max, 1))  # Q0 < 1 is skipped
+        tried = self._searched(prob)
+        assert len(tried) == len(set(tried))
+        assert set(tried) == self._windows(prob, (n + bound + a_max) // 7)
+        assert set(tried) == set(range(1, n + bound + 1))
 
     def test_huge_a_max_stops_past_every_cofactor(self):
-        # a root needs 1 <= Q0 <= N + Y, and each z0 stops a where both
-        # M*z0 - a and M*z0 + a have left that range, so a_max = 10^12 tries
-        # every Q0 in it once per z0 and no other
-        n, mult, z_max, bound = 10807, 7, 3, default_box_bound(10807)
+        # a root needs 1 <= Q0 <= N + Y, and the window of z0 = 1 already
+        # holds every Q0 in it, so a_max = 10^12 tries each of them once and
+        # no other
+        n, bound = 10807, default_box_bound(10807)
         prob = TrivariateProblem(
-            N=n, P0=50, M=mult, a_max=10**12, z_max=z_max, X=bound, Y=bound
+            N=n, P0=50, M=7, a_max=10**12, z_max=3, X=bound, Y=bound
         )
-        tried = []
-
-        def counting(sub, stats=None):
-            tried.append(sub.Q0)
-            return solve_bivariate(sub, stats)
-
-        with mock.patch.object(coppersmith, "solve_bivariate", counting):
-            with pytest.raises(Exhausted):
-                solve_trivariate(prob)
-        assert len(tried) == z_max * (n + bound)
+        tried = self._searched(prob)
+        assert tried[:3] == [7, 6, 8]  # M*z0, then -/+ a for a = 1, 2, ...
+        assert len(tried) == n + bound
         assert set(tried) == set(range(1, n + bound + 1))
+
+    @pytest.mark.parametrize(
+        "n, p0, mult, a_max, z_max, searched",
+        [
+            # each window 3*z0 -/+ 1000 shares all but its top three Q0 with
+            # the one before; z0 <= 1000 holds the Q0 from 1 to 4 000
+            (1078649, 7, 3, 1000, 1000, 4000),
+            # windows 1000*z0 -/+ 600 overlap by 200 from Q0 = 400 on, and
+            # the last one searches only its Q0 from 10 601 to N + Y = 10 823
+            (10807, 50, 1000, 600, 10**12, 10424),
+            # windows 1000*z0 -/+ 300 leave gaps of 399 between them
+            (10807, 50, 1000, 300, 10**12, 6134),
+        ],
+    )
+    def test_each_q0_is_solved_once(self, n, p0, mult, a_max, z_max, searched):
+        bound = default_box_bound(n)
+        prob = TrivariateProblem(
+            N=n, P0=p0, M=mult, a_max=a_max, z_max=z_max, X=bound, Y=bound
+        )
+        tried = self._searched(prob)
+        assert len(tried) == len(set(tried)) == searched
+        assert set(tried) == self._windows(prob, min(z_max, (n + bound + a_max) // mult))
+
+    def test_negative_a_max_searches_nothing(self):
+        # every window M*z0 -/+ a, 0 <= a <= a_max, is empty, so no Q0 is
+        # solved and the search ends at once, however large N and z_max are
+        n = next_prime(10**9) * next_prime(2 * 10**9)
+        bound = default_box_bound(n)
+        prob = TrivariateProblem(
+            N=n, P0=50, M=7, a_max=-1, z_max=10**12, X=bound, Y=bound
+        )
+        assert self._searched(prob) == []
+
+    def test_matches_the_loop_that_searches_every_window(self):
+        # the first z0 and roots found, or Exhausted, are those of the loop
+        # that searches each window's candidates in full, on seeded small
+        # inputs: planted co-factors M*z0 -/+ a, random N, and small M whose
+        # windows overlap
+        rng = random.Random(0x7E1)
+        found = 0
+        for _ in range(1000):
+            kind = rng.randrange(3)
+            if kind == 0:
+                p = random_prime(rng, rng.randrange(5, 11))
+                q = random_prime(rng, rng.randrange(5, 11))
+                n, p0 = p * q, max(1, p + rng.randrange(-3, 4))
+                z0, a = rng.randrange(1, 10), rng.randrange(10)
+                mult = max(1, (q + rng.choice((-a, a))) // z0)
+            elif kind == 1:
+                n, p0 = rng.randrange(2, 5000), rng.randrange(1, 100)
+                mult = rng.randrange(1, 60)
+            else:
+                p = random_prime(rng, rng.randrange(4, 8))
+                q = random_prime(rng, rng.randrange(4, 8))
+                n, p0, mult = p * q, max(1, p + rng.randrange(-2, 3)), rng.randrange(1, 6)
+            bound = default_box_bound(n)
+            prob = TrivariateProblem(
+                N=n, P0=p0, M=mult, a_max=rng.randrange(-1, 12),
+                z_max=rng.randrange(0, 16), X=bound, Y=bound,
+            )
+            got = outcome(solve_trivariate, prob)
+            assert got == outcome(reference_solve_trivariate, prob), prob
+            found += isinstance(got, list)
+        assert 300 <= found <= 700, found  # 460 when written
 
 
 class TestTheorem4Driver:
