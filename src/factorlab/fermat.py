@@ -62,7 +62,7 @@ class FermatResult:
         return self.p * self.q
 
 
-def _difference_scan(n: int, max_steps: int | None, method: str) -> FermatResult:
+def _difference_scan(n: int, budget: int | None, method: str) -> FermatResult:
     """Scan x upward from the first x with x^2 >= 4n for the first x^2 - 4n
     that is a perfect square.  Steps count the positions scanned, the hit
     included; only the positions that square_candidates lets through are
@@ -72,10 +72,10 @@ def _difference_scan(n: int, max_steps: int | None, method: str) -> FermatResult
     if x0 * x0 < four_n:
         x0 += 1
     last = n + 1  # x = n + 1 gives the trivial split 1 x n
-    if max_steps is not None:
-        if max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
-        last = min(last, x0 + max_steps - 1)
+    if budget is not None:
+        if budget < 0:
+            raise ValueError("budget must be >= 0")
+        last = min(last, x0 + budget - 1)
     for j in square_candidates(x0, 1, (-four_n,), last - x0 + 1):
         x = x0 + j
         y = is_perfect_square(x * x - four_n)
@@ -85,9 +85,8 @@ def _difference_scan(n: int, max_steps: int | None, method: str) -> FermatResult
                 return FermatResult(x=x, y=y, p=p, q=q, steps=j + 1, method=method)
             if p == 1:
                 raise TrivialOnly(f"{n} admits only the trivial split 1 x {n}")
-    if last <= n:
-        raise Exhausted(f"no solution within {max_steps} steps")
-    raise Exhausted("scan passed the trivial solution")  # unreachable for n >= 2
+    # only a budget ends the loop here: without one, x = n + 1 raises TrivialOnly
+    raise Exhausted(f"no solution within {budget} steps")
 
 
 def fermat_standard(n: int, budget: int | None = None) -> FermatResult:
@@ -137,7 +136,7 @@ def fermat_triangular(n: int, budget: int | None = None) -> FermatResult:
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
     if budget is not None and budget < 0:
-        raise ValueError("max_steps must be >= 0")
+        raise ValueError("budget must be >= 0")
     four_n = 4 * n
     steps = 0
     for _i, x, x_sq in triangular_squares(n):

@@ -35,16 +35,15 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class ResiduePair:
-    """A pair (c, d) with c*d = N (mod m) for the modulus m.
+    """A pair of residues c <= d with c*d = N (mod m) for a modulus m.
 
     Outputs of enumerate_pairs and algorithm_one satisfy 0 < c <= d < m and
-    gcd(c, m) == 1; theorem4_pairs reuses the carrier for ordered divisor
-    pairs that may exceed m.
+    gcd(c, m) == 1; theorem4_pairs reuses the carrier for divisor pairs that
+    may exceed m.
     """
 
     c: int
     d: int
-    m: int
 
 
 @dataclass(frozen=True)
@@ -76,19 +75,21 @@ def enumerate_pairs(n: int, m: int) -> ResidueClassSet:
         if gcd(c, m) != 1:
             continue
         d = r * pow(c, -1, m) % m
-        lo, hi = (c, d) if c <= d else (d, c)
-        pairs.add(ResiduePair(lo, hi, m))
+        if c <= d:  # the pair (d, c) is added from its smaller residue
+            pairs.add(ResiduePair(c, d))
     return ResidueClassSet(n, m, frozenset(pairs))
 
 
 def _lift_pairs(lifts) -> Iterator[tuple[int, int]]:
-    """The ordered divisor pairs (c, cd // c), c ascending, of each positive
-    lift cd in turn: the one walk behind theorem4_pairs and algorithm_one."""
+    """The divisor pairs (c, cd // c) with c <= cd // c of each positive lift
+    cd in turn, c ascending: the walk behind theorem4_pairs and algorithm_one."""
     for cd in lifts:
         if cd == 1:
             yield 1, 1
         elif cd > 1:
             for c in trial_factor(cd, cd).divisors():
+                if c * c > cd:
+                    break
                 yield c, cd // c
 
 
@@ -108,9 +109,8 @@ def algorithm_one(n: int, m: int) -> ResidueClassSet:
         raise GcdFactorFound(g)
     pairs = set()
     for c, d in _lift_pairs(range(n % m, m * m, m)):
-        if c <= d and c + d < 2 * m and c % m and d % m:
-            lo, hi = sorted((c % m, d % m))
-            pairs.add(ResiduePair(lo, hi, m))
+        if c + d < 2 * m and c % m and d % m:
+            pairs.add(ResiduePair(*sorted((c % m, d % m))))
     return ResidueClassSet(n, m, frozenset(pairs))
 
 
@@ -180,25 +180,25 @@ def landry_pepin(
 
 
 def theorem4_pairs(n: int, m: int) -> list[ResiduePair]:
-    """Ordered divisor pairs (c, d) of the lifts r and r + m of n mod m.
+    """Divisor pairs c <= d of the lifts r and r + m of n mod m.
 
-    Whenever (p mod m)*(q mod m) < 2m the true residue pair is among them;
-    each pair feeds the bilinear small-root solver.
+    Whenever (p mod m)*(q mod m) < 2m the sorted true residue pair is among
+    them.  Both residues share the modulus m and the solver's box, so the
+    roots for (d, c) mirror those for (c, d) and one order is enough.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
     r = n % m
-    return [ResiduePair(c, d, m) for c, d in _lift_pairs((r, r + m))]
+    return [ResiduePair(c, d) for c, d in _lift_pairs((r, r + m))]
 
 
 def pair_driver(n: int, m: int, pairs: Callable, solve: Callable) -> Factorization:
     """Factor n by the one loop over residue pairs c*d = n (mod m).
 
     A gcd(n, m) strictly between 1 and n splits n at once.  Otherwise each
-    ResiduePair of pairs(n, m) with c <= d goes to solve(pair), which
-    returns divisors of n, and the first divisor 1 < r < n splits n.  A pair
-    with c > d is skipped: both factors share the modulus m and the search
-    bound, so its roots mirror those of (d, c).
+    ResiduePair of pairs(n, m), which yields each unordered pair once, goes
+    to solve(pair), which returns divisors of n, and the first divisor
+    1 < r < n splits n.
     """
     if n < 2:
         raise ValueError("N must be >= 2")
@@ -208,8 +208,6 @@ def pair_driver(n: int, m: int, pairs: Callable, solve: Callable) -> Factorizati
     if 1 < g < n:
         return _split(n, g)
     for pair in pairs(n, m):
-        if pair.c > pair.d:
-            continue
         for root in solve(pair):
             if 1 < root < n:
                 return _split(n, root)

@@ -186,7 +186,7 @@ def reference_algorithm_one(n: int, m: int) -> ResidueClassSet:
             if y is not None and (x - y) % 2 == 0:
                 c, d = ((x + y) // 2) % m, ((x - y) // 2) % m
                 if c != 0 and d != 0:
-                    pairs.add(ResiduePair(min(c, d), max(c, d), m))
+                    pairs.add(ResiduePair(min(c, d), max(c, d)))
     return ResidueClassSet(n, m, frozenset(pairs))
 
 

@@ -277,8 +277,9 @@ def test_criterion_07_resultant_laws():
             g = (x - r2) * rand_poly(rng.randrange(1, 3))
             res = resultant(f, g, 0)
             if not res.is_zero:
-                assert not (f.evaluate((t,)) == 0 and g.evaluate((t,)) == 0
-                            for t in ()) or True
+                # a nonzero resultant rules out any common root
+                assert not any(f.evaluate((t,)) == 0 and g.evaluate((t,)) == 0
+                               for t in range(-60, 61))
                 coprime_cases += 1
             if r1 == r2:
                 assert res.is_zero or res.evaluate((0,)) == 0

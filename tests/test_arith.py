@@ -267,8 +267,8 @@ class TestSquareCandidates:
         assert list(square_candidates(7, 3, (0,), count)) == list(range(count))
 
     def test_rules_out_most_positions(self):
-        # a 200 000-position difference-of-squares scan tests about one
-        # position in 20 000
+        # a standard scan tests about one position in 207 000; this
+        # 200 000-position one tests 2
         n = 4294967311 * 4295067319
         x0 = isqrt(4 * n) + 1
         assert len(list(square_candidates(x0, 1, (-4 * n,), 200_000))) < 200
@@ -308,6 +308,15 @@ class TestTrialFactor:
             Factorization(6, ((2, 1), (2, 1)))
         with pytest.raises(ValueError):
             Factorization(6, ((2, 1), (5, 1)))
+        # the first check, not the ordering one, rejects a factor 1 or e = 0
+        with pytest.raises(ValueError, match="factors must be >= 2"):
+            Factorization(6, ((1, 1), (6, 1)))
+        with pytest.raises(ValueError, match="positive multiplicity"):
+            Factorization(3, ((2, 0), (3, 1)))
+        with pytest.raises(ValueError, match="residual must be the last"):
+            Factorization(6, ((2, 1), (3, 1)), residual=2)
+        with pytest.raises(ValueError, match="residual must be the last"):
+            Factorization(1, (), residual=1)
 
 
 def strong_probable_prime(n: int, a: int) -> bool:

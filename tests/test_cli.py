@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from factorlab import fermat
 from factorlab.cli import (
     BENCH_METHODS,
     JSON_KEYS,
@@ -530,7 +531,17 @@ class TestMain:
     def test_negative_budget_is_a_usage_error(self, capsys, method):
         argv = ["factor", "--method", method, "--n", "2599", "--budget", "-1"]
         assert main(argv + (["--r", "2"] if method == "ratio" else [])) == 1
-        assert capsys.readouterr().err == "error: max_steps must be >= 0\n"
+        assert capsys.readouterr().err == "error: budget must be >= 0\n"
+
+    def test_factors_of_another_n_are_an_internal_error(self, capsys, monkeypatch):
+        # a valid FermatResult, but 4*15 = 8^2 - 2^2: run re-multiplies the
+        # factors before anything is printed
+        wrong = fermat.FermatResult(x=8, y=2, p=3, q=5, steps=1, method="standard")
+        monkeypatch.setattr(fermat, "fermat_standard", lambda n, budget: wrong)
+        assert main(["factor", "--method", "standard", "--n", "2599"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal error: (3, 5) does not multiply to 2599\n"
 
     def test_json_lines_output(self, capsys):
         code = main(

@@ -25,6 +25,7 @@ from factorlab import coppersmith
 from factorlab.coppersmith import (
     _first_failure,
     _howgrave_halfwidth,
+    _quad_roots,
     _univariate_interval,
 )
 from factorlab.errors import (
@@ -277,7 +278,7 @@ class TestUnivariateSplitter:
         self, p, q, m, shift_c, shift_d, wrong, slack
     ):
         # X = Y and m = n: (d, c) has the roots (y, x) of (c, d), which lets
-        # theorem4_driver skip the pairs with c > d
+        # theorem4_pairs yield each unordered pair once
         p, q = next_prime(p), next_prime(q)
         c, d = p % m + shift_c * m + wrong, q % m + shift_d * m
         box = max(abs(p - c), abs(q - d)) // m + slack + 1
@@ -687,6 +688,16 @@ class TestReach:
         h_c = _howgrave_halfwidth(big_n, lead, low)
         bound = low + above
         assert h_c * bound // low <= _howgrave_halfwidth(big_n, lead, bound)
+
+
+class TestQuadRoots:
+    def test_roots_by_degree(self):
+        assert _quad_roots(1, 0, -4, -5, 5) == [-2, 2]
+        assert _quad_roots(1, 0, -4, 0, 5) == [2]
+        assert _quad_roots(0, 2, -6, -5, 5) == [3]
+        assert _quad_roots(0, 2, -5, -5, 5) == []
+        # a nonzero constant has no root, and u1 = 0 is never divided by
+        assert _quad_roots(0, 0, 7, -5, 5) == []
 
 
 class TestGates:

@@ -295,7 +295,7 @@ class TestPairDriver:
                 residue_driver(10807, 10**6, t_bound=-1)
         enumerate_pairs.assert_not_called()
 
-    def test_skips_mirrored_pairs(self):
+    def test_tries_each_unordered_pair_once(self):
         tried = []
 
         def solve(pair):
@@ -312,12 +312,11 @@ class TestTheorem4Pairs:
         # r = 79 (prime), r + m = 169 = 13^2
         assert 2599 % 90 == 79
         pairs = [(p.c, p.d) for p in theorem4_pairs(2599, 90)]
-        assert pairs == [(1, 79), (79, 1), (1, 169), (13, 13), (169, 1)]
+        assert pairs == [(1, 79), (1, 169), (13, 13)]
 
     def test_10807_mod_100(self):
         pairs = [(p.c, p.d) for p in theorem4_pairs(10807, 100)]
-        assert (1, 7) in pairs and (7, 1) in pairs
-        assert (1, 107) in pairs
+        assert pairs == [(1, 7), (1, 107)]
         # true residues (101 mod 100, 107 mod 100) = (1, 7) are present
         assert (101 % 100, 107 % 100) == (1, 7)
 
@@ -330,13 +329,20 @@ class TestTheorem4Pairs:
                 continue
             n = p * q
             m = rng.randrange(max(3, isqrt(isqrt(n))), 4 * isqrt(isqrt(n)) + 4)
-            c, d = p % m, q % m
-            if c == 0 or d == 0 or c * d >= 2 * m:
+            c, d = sorted((p % m, q % m))
+            if c == 0 or c * d >= 2 * m:
                 continue
             pairs = [(x.c, x.d) for x in theorem4_pairs(n, m)]
             assert (c, d) in pairs, (n, m)
             hits += 1
         assert hits > 20
+
+    @given(n=st.integers(min_value=2, max_value=10**6), m=st.integers(2, 300))
+    def test_each_unordered_divisor_pair_once(self, n, m):
+        lifts = [cd for cd in (n % m, n % m + m) if cd > 0]
+        want = [(c, cd // c) for cd in lifts for c in range(1, cd + 1)
+                if cd % c == 0 and c * c <= cd]
+        assert [(p.c, p.d) for p in theorem4_pairs(n, m)] == want
 
     def test_unit_lift(self):
         pairs = [(p.c, p.d) for p in theorem4_pairs(22, 3)]
