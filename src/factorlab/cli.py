@@ -276,6 +276,8 @@ def bench(config: RunConfig):
     Instances are generated from the seed alone, so two runs with the same
     seed emit identical reports apart from the wall-time fields.
     """
+    if config.instances < 0:
+        raise UsageError("--instances must be >= 0")
     rng = random.Random(config.seed)
     ratio = arith.as_fraction(config.r or 2)
     reports = []

@@ -27,19 +27,11 @@ Only the first attempt of the walk reduces N, f and t*f; every later
 attempt warm-starts from the previous reduced basis, shifted to its own
 centre, which keeps the determinant the certificate rests on.
 
-The one-shot primitive (gated_polynomial, solve_bivariate_single,
-empirical_envelope) keeps the bivariate route: rows are the scaled
-coefficient vectors of f together with working-modulus multiples of the
-box monomials 1, x, y, xy, a reduced vector that passes the Howgrave-Graham
-norm test and the multiple-of-f gate is an independent g with the same
-in-box roots, and the resultant in y of f and g is an at most quadratic
-polynomial in x.  Its certified regime (X*Y bounded by the 2/3 power of the
-scaled height) is what solve_bivariate reports as `certified`; the splitter
-itself needs no such bound.
-
-Both lattices state the Howgrave-Graham test one way: a reduced vector's
-l1 norm bounds |g| at every point it vouches for, and must stay below the
-modulus that divides g there.
+solve_bivariate also reports `certified`: whether the box meets
+Coppersmith's bivariate bound X*Y <= W^(2/3), W the height of f(x*X, y*Y)
+with its content removed.  No lattice here depends on it; the splitter is
+exact for every box.  empirical_envelope measures how far one attempt
+centred on the whole box reaches, next to that bound.
 """
 
 from __future__ import annotations
@@ -47,18 +39,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd, isqrt
-from operator import floordiv, mul
 
 from .arith import Factorization, is_perfect_square, random_prime
-from .errors import (
-    Exhausted,
-    NoIndependentPolynomial,
-    NonInvertibleResidue,
-    NoRoot,
-)
+from .errors import Exhausted, NonInvertibleResidue, NoRoot
 # lll_reduce and resultant are unused here; perfbench/tracing.py wraps them by name.
 from .lattice import lll_reduce, lll_rows  # noqa: F401
-from .polynomial import MultiPoly, resultant  # noqa: F401
+from .polynomial import resultant  # noqa: F401
 from .residue import ResiduePair, pair_driver, theorem4_pairs
 
 __all__ = [
@@ -67,9 +53,7 @@ __all__ = [
     "TrivariateProblem",
     "default_box_bound",
     "empirical_envelope",
-    "gated_polynomial",
     "solve_bivariate",
-    "solve_bivariate_single",
     "solve_lsb_known",
     "solve_msb_known",
     "solve_trivariate",
@@ -133,24 +117,14 @@ class RootSolution:
     z0: int | None = None
 
 
-def _stripped(prob: BivariateProblem) -> tuple[tuple[int, int, int, int], int]:
-    """The coefficients (c11, c10, c01, c00) of f = (m*x + P0)(n*y + Q0) - N
-    with their content removed, and the height of f(x*X, y*Y): the one place
-    f's coefficients are written."""
+def certified_regime(prob: BivariateProblem) -> bool:
+    """Coppersmith's bivariate bound X*Y <= W**(2/3), compared exactly, where
+    W is the height of f(x*X, y*Y) for f = (m*x + P0)(n*y + Q0) - N with its
+    content removed."""
     m, n, p0, q0 = prob.m, prob.n, prob.P0, prob.Q0
     coeffs = (m * n, m * q0, n * p0, p0 * q0 - prob.N)
-    content = gcd(*coeffs)
-    c11, c10, c01, c00 = (c // content for c in coeffs)
-    height = max(
-        abs(c11 * prob.X * prob.Y), abs(c10 * prob.X), abs(c01 * prob.Y), abs(c00)
-    )
-    return (c11, c10, c01, c00), height
-
-
-def certified_regime(prob: BivariateProblem) -> bool:
-    """Exact form of the certified small-root condition X*Y <= W**(2/3) for
-    the bilinear family (degree 1 per variable)."""
-    w = _stripped(prob)[1]
+    scales = (prob.X * prob.Y, prob.X, prob.Y, 1)
+    w = max(abs(c * s) for c, s in zip(coeffs, scales)) // gcd(*coeffs)
     return (prob.X * prob.Y) ** 3 <= w * w
 
 
@@ -158,44 +132,6 @@ def default_box_bound(big_n: int) -> int:
     """Symmetric box default covering a quarter-of-the-bits hint: one power
     of two above 2**(bits/4), so the derived co-factor offset fits too."""
     return 1 << (big_n.bit_length() // 4 + 1)
-
-
-def _gated_vector(prob: BivariateProblem) -> tuple[
-    tuple[int, int, int, int], tuple[int, int, int, int], tuple[int, int, int]
-]:
-    """One bivariate lattice attempt on raw coefficient vectors.
-
-    Content-stripped f, working modulus W/4, integer LLL on the dim-4 basis,
-    the Howgrave and multiple-of-f gates as integer comparisons, and the
-    y-eliminant from the closed 2 x 2 form f1*g0 - f0*g1.  Returns the f
-    coefficients (c11, c10, c01, c00), the unscaled g coefficients
-    (g00, g10, g01, g11) and the eliminant (u2, u1, u0); raises
-    NoIndependentPolynomial when no reduced vector qualifies.
-    """
-    (c11, c10, c01, c00), w_height = _stripped(prob)
-    x_bound, y_bound = prob.X, prob.Y
-    modulus = max(2, w_height // 4)
-    rows = [
-        [modulus, 0, 0, 0],
-        [0, modulus * x_bound, 0, 0],
-        [0, 0, modulus * y_bound, 0],
-        [c00, c10 * x_bound, c01 * y_bound, c11 * x_bound * y_bound],
-    ]
-    w_sq = w_height * w_height
-    scales = (1, x_bound, y_bound, x_bound * y_bound)
-    for vec in lll_rows(rows)[0]:
-        # Howgrave-Graham: modulus divides g(x0, y0) and |g(x0, y0)| <= ||v||_1
-        if sum(map(abs, vec)) >= modulus:
-            continue
-        if (sum(map(mul, vec, vec)) << 6) >= w_sq:  # multiple-of-f gate at degree 1
-            continue
-        g00, g10, g01, g11 = map(floordiv, vec, scales)
-        u2 = c11 * g10 - c10 * g11
-        u1 = c11 * g00 + c01 * g10 - c10 * g01 - c00 * g11
-        u0 = c01 * g00 - c00 * g01
-        if u2 or u1 or u0:
-            return (c11, c10, c01, c00), (g00, g10, g01, g11), (u2, u1, u0)
-    raise NoIndependentPolynomial(f"no gated vector for box {prob.X} x {prob.Y}")
 
 
 def _quad_roots(u2: int, u1: int, u0: int, lo: int, hi: int) -> list[int]:
@@ -255,15 +191,6 @@ def _solutions(
     if not solutions:
         raise NoRoot(f"no factor pair of {prob.N} inside the box")
     return solutions
-
-
-def gated_polynomial(prob: BivariateProblem) -> tuple[MultiPoly, MultiPoly]:
-    """Expose the (f, g) pair from a one-shot lattice; raises
-    NoIndependentPolynomial when no reduced vector clears the gates."""
-    (c11, c10, c01, c00), (g00, g10, g01, g11), _ = _gated_vector(prob)
-    f = MultiPoly(2, {(1, 1): c11, (1, 0): c10, (0, 1): c01, (0, 0): c00})
-    g = MultiPoly(2, {(1, 1): g11, (1, 0): g10, (0, 1): g01, (0, 0): g00})
-    return f, g
 
 
 def _howgrave_halfwidth(big_n: int, lead: int, bound: int) -> int:
@@ -486,7 +413,8 @@ def solve_bivariate(
     with p < 0 (and q < 0) is never returned.
 
     The result is exact for every box size.  stats["certified"] records
-    whether the box lies in the one-shot lattice's certified regime,
+    whether the box meets Coppersmith's bound (certified_regime), which the
+    splitter does not need,
     stats["boxes"] and stats["column_scans"] count lattice attempts and
     column scans, and stats["lattice_dim"] is 3 once an attempt covers a
     column.  Raises NoRoot when the box holds no such root.
@@ -499,17 +427,6 @@ def solve_bivariate(
     xlo = max(-prob.X, -((prob.P0 - 1) // prob.m))
     xhi = min(prob.X, (prob.N - prob.P0) // prob.m)
     _solve_interval(prob, xlo, xhi, acc, stats)
-    return _solutions(prob, acc)
-
-
-def solve_bivariate_single(prob: BivariateProblem) -> list[RootSolution]:
-    """One-shot lattice attempt on the whole box, with no splitting: the
-    measured-envelope primitive.  Raises NoIndependentPolynomial when the
-    gates reject every reduced vector."""
-    _, _, (u2, u1, u0) = _gated_vector(prob)
-    acc: dict[tuple[int, int], tuple[int, int]] = {}
-    for x0 in _quad_roots(u2, u1, u0, -prob.X, prob.X):
-        _record(prob, x0, acc)
     return _solutions(prob, acc)
 
 
@@ -632,10 +549,11 @@ def empirical_envelope(
     seed: int = 2024,
     exponents=range(8, 21, 2),
 ) -> list[dict]:
-    """Measure where the one-shot lattice stops working as the box grows.
+    """Measure how large a box one lattice attempt covers.
 
     For random balanced semiprimes and a hint inside each box, records the
-    certified flag and whether a single gated lattice (no splitting)
+    certified flag (Coppersmith's bound on the box) and whether a single
+    splitter attempt centred on the whole box, with no walk and no retry,
     recovered a true factor.  The full solver is exact for every box; this
     report documents the one-shot envelope instead of asserting any
     uncertified range.
@@ -660,10 +578,12 @@ def empirical_envelope(
                 "x_log2": e,
                 "certified": certified_regime(prob),
             }
+            acc: dict[tuple[int, int], tuple[int, int]] = {}
+            # m = 1: the attempt's f is t + xc + P0 (lead 1, m^(-1) = 1)
+            _univariate_interval(prob, 1, 1, -x_bound, x_bound, x_bound, acc, {}, [])
             try:
-                found = solve_bivariate_single(prob)
-                entry["one_shot"] = any(s.p in (p, q) or s.q in (p, q) for s in found)
-            except (NoIndependentPolynomial, NoRoot):
+                entry["one_shot"] = any(s.p in (p, q) for s in _solutions(prob, acc))
+            except NoRoot:
                 entry["one_shot"] = False
             report.append(entry)
     return report

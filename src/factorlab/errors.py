@@ -61,10 +61,6 @@ class NoRoot(FactorlabError):
     """No root of the polynomial lies within the requested box."""
 
 
-class NoIndependentPolynomial(FactorlabError):
-    """No reduced lattice vector cleared the independence and norm gates."""
-
-
 class BoundTooLargeWarning(UserWarning):
     """Kept so that code importing it by name still works; factorlab no
     longer emits it.  Whether a box lies in the certified small-root regime

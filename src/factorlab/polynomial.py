@@ -1,8 +1,7 @@
 """Sparse multivariate integer polynomials with exact norms, Sylvester-matrix
 resultants and discriminants.  A resultant is lattice.bareiss run on the
 Sylvester matrix; MultiPoly's // is the exact division its elimination steps
-need.  howgrave_predicate and multiple_bound_predicate are the tests'
-reference for the small-root solvers' integer gates."""
+need."""
 
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ __all__ = [
     "discriminant",
     "format_poly",
     "howgrave_predicate",
-    "multiple_bound_predicate",
     "norms",
     "parse_poly",
     "resultant",
@@ -280,22 +278,6 @@ def howgrave_predicate(f: MultiPoly, modulus: int, bounds) -> bool:
         raise ValueError("modulus must be positive")
     scaled = norms(scale_vars(f, bounds))
     return scaled.l2_sq * scaled.weight < modulus * modulus
-
-
-def multiple_bound_predicate(a: MultiPoly, b: MultiPoly, max_deg: int) -> bool:
-    """True iff ||b||_2 < 2^(1-(d+1)^n) * ||a||_inf, compared exactly: then b
-    is provably not an integer multiple of a (both of degree <= d per
-    variable)."""
-    if a.nvars != b.nvars:
-        raise ValueError("mixed variable counts")
-    d = int(max_deg)
-    for var in range(a.nvars):
-        if a.degree(var) > d or b.degree(var) > d:
-            raise ValueError("degree exceeds the stated max_deg")
-    shift = (d + 1) ** a.nvars - 1
-    a_height = norms(a).height
-    b_l2_sq = norms(b).l2_sq
-    return (b_l2_sq << (2 * shift)) < a_height * a_height
 
 
 _TERM_RE = re.compile(r"^([+-])?(\d+)?((?:\*?x\d+(?:\^\d+)?)+)?$")

@@ -387,15 +387,16 @@ class TestMain:
             ["--method", "trivariate", "--n", "1", "--p0", "1", "--mult", "1"],
             ["--method", "coppersmith-lsb", "--n", "-2599", "--lsb-value", "7",
              "--lsb-bits", "4"],
+            ["bench", "--method", "standard", "--seed", "1", "--instances", "-1"],
         ],
     )
     def test_precondition_errors_are_usage_errors(self, capsys, args):
-        assert main(["factor", *args]) == 1
+        assert main(args if args[0] == "bench" else ["factor", *args]) == 1
         captured = capsys.readouterr()
         err_lines = captured.err.strip().splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
         assert "Traceback" not in captured.err + captured.out
-        if int(args[args.index("--n") + 1]) < 2:  # rejected once, before dispatch
+        if "--n" in args and int(args[args.index("--n") + 1]) < 2:  # rejected before dispatch
             assert err_lines == ["error: N must be >= 2"]
 
     @pytest.mark.parametrize(

@@ -12,9 +12,7 @@ from factorlab.coppersmith import (
     TrivariateProblem,
     default_box_bound,
     empirical_envelope,
-    gated_polynomial,
     solve_bivariate,
-    solve_bivariate_single,
     solve_lsb_known,
     solve_msb_known,
     solve_trivariate,
@@ -30,12 +28,10 @@ from factorlab.coppersmith import (
 )
 from factorlab.errors import (
     Exhausted,
-    NoIndependentPolynomial,
     NonInvertibleResidue,
     NoRoot,
 )
 from factorlab.lattice import Basis, determinant
-from factorlab.polynomial import multiple_bound_predicate, resultant, scale_vars
 from factorlab.residue import theorem4_pairs
 
 from conftest import (
@@ -109,12 +105,12 @@ class TestSolveBivariate:
                 solve_bivariate(prob, stats)
             assert stats["certified"] is certified
 
-    def test_one_shot_failure_raises_and_splitter_still_solves(self):
+    def test_splitter_solves_a_box_one_attempt_cannot(self):
+        # no single attempt centred on the box finds this root; the walk does
         prob = BivariateProblem(N=4305481, P0=2074, Q0=2074, X=46, Y=46)
-        with pytest.raises(NoIndependentPolynomial):
-            gated_polynomial(prob)
-        with pytest.raises(NoIndependentPolynomial):
-            solve_bivariate_single(prob)
+        acc = {}
+        _univariate_interval(prob, 1, 1, -46, 46, 46, acc, {}, [])
+        assert acc == {}
         assert (-11, 13) in roots_of(solve_bivariate(prob))
 
     def test_oracle_equivalence_random_boxes(self, rng):
@@ -209,14 +205,6 @@ class TestDegenerateScale:
         except NoRoot:
             full = []
         assert full == expected
-        try:
-            one = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate_single(prob)]
-        except (NoIndependentPolynomial, NoRoot):
-            one = []
-        # the one-shot route searches the whole box, p < 0 included
-        for x0, y0, p, q in one:
-            assert abs(x0) <= x and abs(y0) <= y and p * q == big_n
-            assert (p, q) == (m * x0 + p0, n * y0 + q0)
 
 
 class TestUnivariateSplitter:
@@ -700,48 +688,6 @@ class TestQuadRoots:
         assert _quad_roots(0, 0, 7, -5, 5) == []
 
 
-class TestGates:
-    def test_gate_invariants(self, rng):
-        checked = 0
-        for _ in range(60):
-            n, p, q = balanced_semiprime(rng, 40)
-            p0 = p + rng.randrange(-6, 7)
-            if p0 < 2:
-                continue
-            prob = BivariateProblem(N=n, P0=p0, Q0=n // p0, X=8, Y=16)
-            try:
-                f, g = gated_polynomial(prob)
-            except NoIndependentPolynomial:
-                continue
-            f_s = scale_vars(f, (prob.X, prob.Y))
-            g_s = scale_vars(g, (prob.X, prob.Y))
-            assert multiple_bound_predicate(f_s, g_s, 1)
-            if g.degree(1) > 0:
-                assert not resultant(f, g, 1).is_zero
-            checked += 1
-        assert checked > 30
-
-    def test_single_shot_matches_full(self, rng):
-        agreed = 0
-        for _ in range(60):
-            n, p, q = balanced_semiprime(rng, 36)
-            p0 = p + rng.randrange(-3, 4)
-            if p0 < 2:
-                continue
-            prob = BivariateProblem(N=n, P0=p0, Q0=n // p0, X=6, Y=12)
-            try:
-                one = roots_of(solve_bivariate_single(prob))
-            except (NoIndependentPolynomial, NoRoot):
-                continue
-            try:
-                full = roots_of(solve_bivariate(prob))
-            except NoRoot:
-                full = []
-            assert one == full
-            agreed += 1
-        assert agreed > 25
-
-
 class TestLsbKnown:
     def test_worked_example_2599(self):
         # p = 23: low 4 bits are 7; the cofactor's low bits follow as
@@ -1097,3 +1043,53 @@ class TestEnvelope:
         assert any(e["one_shot"] for e in report)
         assert any(not e["certified"] for e in report)
         assert all(isinstance(e["certified"], bool) for e in report)
+
+    def test_one_attempt_reaches_2_8_but_not_2_14(self, monkeypatch):
+        boxes = []
+        real = coppersmith._univariate_interval
+
+        def recording(prob, *args):
+            boxes.append(prob)
+            return real(prob, *args)
+
+        monkeypatch.setattr(coppersmith, "_univariate_interval", recording)
+        report = empirical_envelope(bits=64, instances=2, seed=1010, exponents=(8, 14))
+        assert [(e["x_log2"], e["one_shot"]) for e in report] == [
+            (8, True), (14, False), (8, True), (14, False)
+        ]
+        # one attempt per entry, on the entry's box; certified is
+        # Coppersmith's bound on that box
+        assert len(boxes) == len(report)
+        for e, prob in zip(report, boxes):
+            assert (prob.N, prob.X, prob.Y) == (e["n"], 1 << e["x_log2"], 2 << e["x_log2"])
+            assert e["certified"] is certified_regime(prob)
+
+    def test_every_basis_coppersmith_reduces_has_three_rows(self, monkeypatch):
+        # the splitter's dim-3 attempt is the only lattice: no solve and not
+        # the envelope builds a basis of any other size
+        dims = []
+        real = coppersmith.lll_rows
+
+        def recording(rows, *args, **kwargs):
+            dims.append(len(rows))
+            return real(rows, *args, **kwargs)
+
+        monkeypatch.setattr(coppersmith, "lll_rows", recording)
+        rng = random.Random(2222)
+        n, p, q = balanced_semiprime(rng, 48)
+        tp, tq, m = t4_semiprime(rng, 44, 8)
+        mult = q // 5  # q = 5*mult + a with 0 <= a < 5
+        solves = [
+            lambda: solve_msb_known(n, (p >> 12) << 12),
+            lambda: solve_lsb_known(n, p % (1 << 14), 14),
+            lambda: theorem4_driver(tp * tq, m),
+            lambda: solve_trivariate(TrivariateProblem(
+                N=n, P0=(p >> 8) << 8, M=mult, a_max=4, z_max=5, X=1 << 9, Y=1 << 9
+            )),
+            lambda: empirical_envelope(bits=64, instances=2, seed=1010, exponents=(8, 14)),
+        ]
+        for solve in solves:
+            before = len(dims)
+            solve()
+            assert len(dims) > before
+        assert set(dims) == {3}

@@ -10,7 +10,6 @@ from factorlab.polynomial import (
     discriminant,
     format_poly,
     howgrave_predicate,
-    multiple_bound_predicate,
     norms,
     parse_poly,
     resultant,
@@ -312,32 +311,3 @@ class TestHowgrave:
             assert point_value % modulus == 0
             bounds = (abs(a) + 1, abs(b) + 1)
             assert howgrave_predicate(f, modulus, bounds) is False
-
-
-class TestMultipleBound:
-    def test_examples(self):
-        a = MultiPoly(2, {(1, 1): 2**40, (0, 0): 1})
-        assert multiple_bound_predicate(a, MultiPoly.const(2, 1), 1) is True
-        assert multiple_bound_predicate(a, a, 1) is False
-        assert multiple_bound_predicate(a, a * 7, 1) is False
-
-    def test_true_multiples_always_rejected(self, rng):
-        # soundness: the predicate never certifies an actual multiple
-        for _ in range(100):
-            a = MultiPoly(
-                2,
-                {
-                    (i, j): rng.randrange(-9, 9)
-                    for i in range(2)
-                    for j in range(2)
-                },
-            )
-            if a.is_zero:
-                continue
-            mult = rng.randrange(1, 20)
-            assert multiple_bound_predicate(a, a * mult, 1) is False
-
-    def test_degree_validation(self):
-        a = parse_poly("x1^2", 2)
-        with pytest.raises(ValueError):
-            multiple_bound_predicate(a, MultiPoly.const(2, 1), 1)
