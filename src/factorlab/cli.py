@@ -278,6 +278,8 @@ def bench(config: RunConfig):
     """
     if config.instances < 0:
         raise UsageError("--instances must be >= 0")
+    if config.bits < 4:
+        raise UsageError("--bits must be >= 4")
     rng = random.Random(config.seed)
     ratio = arith.as_fraction(config.r or 2)
     reports = []

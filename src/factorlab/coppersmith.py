@@ -101,6 +101,10 @@ class TrivariateProblem:
     Y: int
 
     def __post_init__(self):
+        if self.N < 1:
+            raise ValueError("N must be positive")
+        if self.X < 1 or self.Y < 1:
+            raise ValueError("bounds must be >= 1")
         if self.M < 1:
             raise ValueError("M must be >= 1")
 
@@ -483,41 +487,40 @@ def solve_lsb_known(
 def solve_trivariate(
     prob: TrivariateProblem, stats: dict | None = None
 ) -> list[RootSolution]:
-    """Resolve the co-factor transform Q0 = M*z0 -/+ a by ascending
-    exhaustive search over z0 then a, delegating each candidate to the
-    bivariate solver; the first verified factorization wins.
-
-    A root has 0 < q = y + Q0 <= N with |y| <= Y, so only 1 <= Q0 <= N + Y
-    can hold one.  Each such Q0 is searched once, in the first z0 whose
-    window M*z0 -/+ a_max holds it, and the first window with none left
-    ends the search, whatever z_max and a_max are.
+    """Resolve the co-factor transform Q0 = M*z0 -/+ a: the first candidate
+    in ascending (z0, a), M*z0 - a first, whose box holds a root gives that
+    box's roots, tagged with z0.  The splitter is exact, so one walk over the
+    hull of all candidate q windows finds every co-factor q any box holds.
+    The first candidate in [q - Y, q + Y] is the one nearest M*z0 in the
+    first window M*z0 -/+ a_max that reaches q - Y.  The first over all q is
+    solved again with stats, so the result is exactly that box's.
     """
-    top = prob.N + prob.Y
-    tried = 0  # the last window's top; later windows' Q0 below it are searched
-    for z0 in range(1, prob.z_max + 1):
-        base = prob.M * z0
-        # no a outside first..last has a candidate in tried + 1..top
-        first = max(0, base - top, tried + 1 - base)
-        last = min(prob.a_max, max(base - tried - 1, top - base))
-        if first > last:
-            break
-        for a in range(first, last + 1):
-            for q0 in ((base,) if a == 0 else (base - a, base + a)):
-                if not tried < q0 <= top:
-                    continue
-                sub = BivariateProblem(
-                    N=prob.N, P0=prob.P0, Q0=q0, X=prob.X, Y=prob.Y
-                )
-                try:
-                    found = solve_bivariate(sub, stats)
-                except NoRoot:
-                    continue
-                return [
-                    RootSolution(x0=s.x0, y0=s.y0, p=s.p, q=s.q, z0=z0)
-                    for s in found
-                ]
-        tried = base + prob.a_max
-    raise Exhausted("no (z0, a) candidate produced a factorization")
+    m, a_max, y = prob.M, prob.a_max, prob.Y
+    lo, hi = max(1, m - a_max - y), min(prob.N, m * prob.z_max + a_max + y)
+    found = []
+    if a_max >= 0 and prob.z_max >= 1 and lo <= hi:
+        hull = BivariateProblem(
+            N=prob.N, P0=prob.P0, Q0=(lo + hi) // 2, X=prob.X, Y=(hi - lo) // 2 + 1
+        )
+        try:
+            found = solve_bivariate(hull)
+        except NoRoot:
+            pass
+    keys = []
+    for sol in found:
+        q_lo, q_hi = sol.q - y, sol.q + y
+        z0 = max(1, -((a_max - q_lo) // m))  # the first window reaching q_lo
+        if z0 <= prob.z_max and m * z0 - a_max <= q_hi:
+            q0 = min(max(m * z0, q_lo), q_hi)
+            keys.append((z0, abs(q0 - m * z0), q0 > m * z0, q0))
+    if not keys:
+        raise Exhausted("no (z0, a) candidate produced a factorization")
+    z0, _, _, q0 = min(keys)
+    sub = BivariateProblem(N=prob.N, P0=prob.P0, Q0=q0, X=prob.X, Y=y)
+    return [
+        RootSolution(x0=s.x0, y0=s.y0, p=s.p, q=s.q, z0=z0)
+        for s in solve_bivariate(sub, stats)
+    ]
 
 
 def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorization:

@@ -322,14 +322,14 @@ class TestMain:
         assert "requires --r" in capsys.readouterr().err
 
     def test_trivariate_huge_z_max(self, capsys):
-        # the candidates z0 <= 10^12 are tried one at a time, not built first
+        # one walk covers the windows of every z0 <= 10^12, none is built
         assert main(["factor", "--method", "trivariate", "--n", "10807", "--p0", "101",
                      "--mult", "107", "--z-max", "1000000000000",
                      "--format", "json-lines"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["factors"] == ["101", "107"]
-        # with no root anywhere the search stops once M*z0 - a_max passes N + Y
+        # with no root anywhere that walk finds no co-factor and the run ends
         assert main(["factor", "--method", "trivariate", "--n", "10807", "--p0", "50",
                      "--mult", "7", "--z-max", "1000000000000",
                      "--format", "json-lines"]) == 2
@@ -388,6 +388,7 @@ class TestMain:
             ["--method", "coppersmith-lsb", "--n", "-2599", "--lsb-value", "7",
              "--lsb-bits", "4"],
             ["bench", "--method", "standard", "--seed", "1", "--instances", "-1"],
+            ["bench", "--method", "standard", "--seed", "1", "--bits", "3"],
         ],
     )
     def test_precondition_errors_are_usage_errors(self, capsys, args):
@@ -398,6 +399,8 @@ class TestMain:
         assert "Traceback" not in captured.err + captured.out
         if "--n" in args and int(args[args.index("--n") + 1]) < 2:  # rejected before dispatch
             assert err_lines == ["error: N must be >= 2"]
+        if "--bits" in args:  # the flag the user gave, not a helper's bound
+            assert err_lines == ["error: --bits must be >= 4"]
 
     @pytest.mark.parametrize(
         "argv",

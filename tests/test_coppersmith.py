@@ -823,6 +823,14 @@ class TestTrivariate:
         assert sols[0].z0 == 7
         assert any(s.p in (p, q) for s in sols)
 
+    def test_m_z0_minus_a_comes_before_m_z0_plus_a(self):
+        # 9701 = 89 * 109 and both factors lie in the x box around 99: the
+        # co-factor 89 is first held by Q0 = 99 - 2, and 109 by 99 + 2
+        prob = TrivariateProblem(N=9701, P0=99, M=99, a_max=2, z_max=1, X=40, Y=8)
+        [sol] = solve_trivariate(prob)
+        assert (sol.x0, sol.y0, sol.p, sol.q, sol.z0) == (10, -8, 109, 89, 1)
+        assert [sol] == reference_solve_trivariate(prob)
+
     def test_singleton_reduction_is_bit_exact(self, rng):
         for _ in range(50):
             n, p, q = balanced_semiprime(rng, rng.randrange(30, 44))
@@ -849,6 +857,14 @@ class TestTrivariate:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrivariateProblem(N=2599, P0=23, M=0, a_max=0, z_max=2, X=8, Y=8)
+        with pytest.raises(ValueError):
+            TrivariateProblem(N=0, P0=23, M=7, a_max=0, z_max=2, X=8, Y=8)
+        # a bad box is rejected whether or not any candidate exists
+        for a_max in (-1, 0):
+            with pytest.raises(ValueError):
+                TrivariateProblem(N=2599, P0=23, M=7, a_max=a_max, z_max=2, X=0, Y=8)
+            with pytest.raises(ValueError):
+                TrivariateProblem(N=2599, P0=23, M=7, a_max=a_max, z_max=2, X=8, Y=0)
 
     def test_excluded_z0_exhausts(self):
         # z0 = 7 lies past z_max = 6; the last two leave no candidate at all
@@ -859,80 +875,71 @@ class TestTrivariate:
                 solve_trivariate(prob)
 
     @staticmethod
-    def _searched(prob: TrivariateProblem) -> list[int]:
-        """The Q0 of every solve_bivariate call of an exhausted search."""
-        tried = []
+    def _searched(prob: TrivariateProblem) -> list[tuple[int, int]]:
+        """The q window (Q0 - Y, Q0 + Y) of every solve_bivariate call of an
+        exhausted search."""
+        windows = []
 
         def counting(sub, stats=None):
-            tried.append(sub.Q0)
+            windows.append((sub.Q0 - sub.Y, sub.Q0 + sub.Y))
             return solve_bivariate(sub, stats)
 
         with mock.patch.object(coppersmith, "solve_bivariate", counting):
             with pytest.raises(Exhausted):
                 solve_trivariate(prob)
-        return tried
-
-    @staticmethod
-    def _windows(prob: TrivariateProblem, z_last: int) -> set[int]:
-        """Every candidate Q0 = M*z0 -/+ a of z0 <= z_last that can hold a
-        root, 1 <= Q0 <= N + Y."""
-        return {
-            q0
-            for z0 in range(1, z_last + 1)
-            for q0 in range(prob.M * z0 - prob.a_max, prob.M * z0 + prob.a_max + 1)
-        } & set(range(1, prob.N + prob.Y + 1))
+        assert len(windows) <= 2
+        return windows
 
     def test_huge_z_max_stops_past_every_cofactor(self):
         # no (z0, a) gives a root of 10807 = 101 * 107 from p0 = 50, mult = 7;
-        # once 7*z0 - a_max > N + Y no candidate can hold a co-factor q <= N,
-        # so z_max = 10^12 tries the candidates of z0 <= (N + Y + a_max) // 7,
-        # each Q0 once although the windows 7*z0 -/+ 9 overlap
-        n, a_max, bound = 10807, 9, default_box_bound(10807)
+        # the windows 7*z0 -/+ 9 of z0 <= 10^12 cover every co-factor
+        # 1 <= q <= N, and one walk over them all finds none
+        n, bound = 10807, default_box_bound(10807)
         prob = TrivariateProblem(
-            N=n, P0=50, M=7, a_max=a_max, z_max=10**12, X=bound, Y=bound
+            N=n, P0=50, M=7, a_max=9, z_max=10**12, X=bound, Y=bound
         )
-        tried = self._searched(prob)
-        assert len(tried) == len(set(tried))
-        assert set(tried) == self._windows(prob, (n + bound + a_max) // 7)
-        assert set(tried) == set(range(1, n + bound + 1))
+        [(lo, hi)] = self._searched(prob)
+        assert lo <= 1 and hi >= n
 
     def test_huge_a_max_stops_past_every_cofactor(self):
-        # a root needs 1 <= Q0 <= N + Y, and the window of z0 = 1 already
-        # holds every Q0 in it, so a_max = 10^12 tries each of them once and
-        # no other
+        # the window of z0 = 1 alone holds every co-factor 1 <= q <= N when
+        # a_max = 10^12, so one walk covers it, and no Q0 is re-solved
         n, bound = 10807, default_box_bound(10807)
         prob = TrivariateProblem(
             N=n, P0=50, M=7, a_max=10**12, z_max=3, X=bound, Y=bound
         )
-        tried = self._searched(prob)
-        assert tried[:3] == [7, 6, 8]  # M*z0, then -/+ a for a = 1, 2, ...
-        assert len(tried) == n + bound
-        assert set(tried) == set(range(1, n + bound + 1))
+        [(lo, hi)] = self._searched(prob)
+        assert lo <= 1 and hi >= n
 
     @pytest.mark.parametrize(
-        "n, p0, mult, a_max, z_max, searched",
+        "n, p0, mult, a_max, z_max, per_q0_calls",
         [
-            # each window 3*z0 -/+ 1000 shares all but its top three Q0 with
+            # per_q0_calls records the solve_bivariate calls of a search that
+            # solves each candidate Q0 in 1..N + Y once, in (z0, a) order.
+            # Each window 3*z0 -/+ 1000 shares all but its top three Q0 with
             # the one before; z0 <= 1000 holds the Q0 from 1 to 4 000
             (1078649, 7, 3, 1000, 1000, 4000),
             # windows 1000*z0 -/+ 600 overlap by 200 from Q0 = 400 on, and
-            # the last one searches only its Q0 from 10 601 to N + Y = 10 823
+            # the last one holds only its Q0 from 10 601 to N + Y = 10 823
             (10807, 50, 1000, 600, 10**12, 10424),
             # windows 1000*z0 -/+ 300 leave gaps of 399 between them
             (10807, 50, 1000, 300, 10**12, 6134),
+            # a 60-bit N whose window of z0 = 1 alone holds 10^12 + 7 Q0
+            (1000000016000000063, 50, 7, 10**12, 3, 10**12 + 21),
         ],
     )
-    def test_each_q0_is_solved_once(self, n, p0, mult, a_max, z_max, searched):
+    def test_each_q0_is_solved_once(self, n, p0, mult, a_max, z_max, per_q0_calls):
+        # one walk over the hull of every window replaces all per_q0_calls
         bound = default_box_bound(n)
         prob = TrivariateProblem(
             N=n, P0=p0, M=mult, a_max=a_max, z_max=z_max, X=bound, Y=bound
         )
-        tried = self._searched(prob)
-        assert len(tried) == len(set(tried)) == searched
-        assert set(tried) == self._windows(prob, min(z_max, (n + bound + a_max) // mult))
+        [(lo, hi)] = self._searched(prob)
+        assert lo <= max(1, mult - a_max - bound)
+        assert hi >= min(n, mult * z_max + a_max + bound)
 
     def test_negative_a_max_searches_nothing(self):
-        # every window M*z0 -/+ a, 0 <= a <= a_max, is empty, so no Q0 is
+        # every window M*z0 -/+ a, 0 <= a <= a_max, is empty, so nothing is
         # solved and the search ends at once, however large N and z_max are
         n = next_prime(10**9) * next_prime(2 * 10**9)
         bound = default_box_bound(n)
@@ -972,6 +979,30 @@ class TestTrivariate:
             assert got == outcome(reference_solve_trivariate, prob), prob
             found += isinstance(got, list)
         assert 300 <= found <= 700, found  # 460 when written
+        # planted 16-40-bit inputs: q = M*z0 -/+ a with z0 < 40 and a < 20,
+        # p0 anywhere in the default box around p, so the planted root is
+        # found when z0 <= z_max and a <= a_max, unless an earlier candidate
+        # holds a root
+        rng = random.Random(0x7E2)
+        found = 0
+        for _ in range(200):
+            bits = rng.randrange(16, 41)
+            p = random_prime(rng, bits // 2)
+            q = random_prime(rng, bits - bits // 2)
+            z0 = rng.randrange(1, 40)
+            a, sign = rng.choice(
+                [(a, s) for a in range(20) for s in (-1, 1) if (q + s * a) % z0 == 0]
+            )
+            bound = default_box_bound(p * q)
+            prob = TrivariateProblem(
+                N=p * q, P0=max(1, p + rng.randrange(-bound, bound + 1)),
+                M=(q + sign * a) // z0, a_max=rng.randrange(20),
+                z_max=rng.randrange(1, 40), X=bound, Y=bound,
+            )
+            got = outcome(solve_trivariate, prob)
+            assert got == outcome(reference_solve_trivariate, prob), prob
+            found += isinstance(got, list)
+        assert 60 <= found <= 140, found  # 114 when written, 2 with two roots
 
 
 class TestTheorem4Driver:
