@@ -484,43 +484,142 @@ def solve_lsb_known(
     return solve_bivariate(prob, stats)
 
 
+def _first_candidate(
+    prob: TrivariateProblem, q: int
+) -> tuple[tuple[int, int, bool], int] | None:
+    """The search key (z0, a, Q0 > M*z0) and the Q0 of the first candidate
+    Q0 = M*z0 -/+ a whose box [Q0 - Y, Q0 + Y] holds the co-factor q, or
+    None.  It lies in the first window M*z0 -/+ a_max reaching q - Y, nearest
+    M*z0, so M*z0 - a comes before M*z0 + a."""
+    m, y = prob.M, prob.Y
+    z0 = max(1, -((prob.a_max + y - q) // m))
+    q0 = min(max(m * z0, q - y), q + y)
+    if z0 > prob.z_max or abs(q0 - m * z0) > prob.a_max:
+        return None
+    return (z0, abs(q0 - m * z0), q0 > m * z0), q0
+
+
+# The trivariate search walks windows separated by at least _GAP_COLUMNS
+# columns of the x box (or one lattice attempt's width, if wider) apart.
+# Each walk may add twice the columns of the last one, up to _WALK_GAPS
+# such gaps, so a root near the start is found by a short walk and an
+# exhausted search makes few walks.
+_GAP_COLUMNS = 64
+_WALK_GAPS = 16
+
+
+def _trivariate_walks(prob: TrivariateProblem):
+    """The q ranges [lo, hi] that solve_trivariate walks, a list at a time.
+    Each list holds every co-factor whose first candidate's key lies in the
+    next stretch of the search order, and only those: the first list to hold
+    a root holds the first candidate with one.
+
+    Window z0 holds the q within a_max + Y of M*z0 that no earlier window
+    does, and only the windows reaching a co-factor N/p of the x box are
+    walked.  A window holding more columns than the walk may add is walked
+    outwards from M*z0: each step widens the range walked by as much as
+    keeps the new columns on either side within that width.  A narrower one
+    is walked whole, joined with the next windows if the gap after it is
+    narrow, as long as the walk keeps within its width: the columns of a
+    gap shrink as z0 grows, so every later gap is narrow too.
+    """
+    big_n, m, y, a_max = prob.N, prob.M, prob.Y, prob.a_max
+    reach = a_max + y
+    pmin, pmax = max(1, prob.P0 - prob.X), min(big_n, prob.P0 + prob.X)
+    if a_max < 0 or pmin > pmax:
+        return
+
+    def columns(lo: int, hi: int) -> int:  # about; < 0 when none can be a root
+        return min(pmax, big_n // lo) - max(pmin, big_n // hi)
+
+    def upto(lo: int, width: int) -> int | None:  # max hi: columns <= width
+        target = min(pmax, big_n // lo) - width
+        return None if target <= pmin else big_n // target
+
+    def downto(hi: int, width: int) -> int | None:  # min lo: columns <= width
+        top = max(pmin, big_n // hi) + width
+        return None if top >= pmax else big_n // (top + 1) + 1
+
+    z0 = max(1, -((reach - big_n // pmax) // m))
+    z_last = min(prob.z_max, (big_n // pmin + reach) // m)
+    gaps = 1  # the walk's width in gaps
+    while z0 <= z_last:
+        centre = m * z0
+        lo = max(centre - m + reach + 1 if z0 > 1 else 1, centre - reach)
+        h = _howgrave_halfwidth(big_n, 1, min(pmax, big_n // lo))
+        gap = max(_GAP_COLUMNS, 4 * h)  # one attempt reaches about 4h columns
+        z1, a = z0, -1  # [centre - y - a, centre + y + a] is walked
+        if columns(lo, centre + reach) > gaps * gap:
+            a = max(a, lo - centre - y - 1)  # q below lo are an earlier window's
+            while a < a_max:
+                width, gaps = gaps * gap, min(2 * gaps, _WALK_GAPS)
+                left, right = centre - y - a, centre + y + a
+                wider = a_max  # upto and downto move at least one q past a
+                if (hi := upto(right + 1, width)) is not None:
+                    wider = min(wider, hi - centre - y)
+                if left > lo and (low := downto(left - 1, width)) is not None:
+                    wider = min(wider, centre - y - low)
+                new_lo, new_hi = max(lo, centre - y - wider), centre + y + wider
+                if a < 0:
+                    yield [(new_lo, new_hi)]
+                else:
+                    yield [(new_lo, left - 1), (right + 1, new_hi)]
+                a = wider
+        else:
+            width, gaps = gaps * gap, min(2 * gaps, _WALK_GAPS)
+            next_lo = centre + m - reach
+            if next_lo <= centre + reach + 1 or columns(centre + reach, next_lo) < gap:
+                # a narrow gap follows: join the next windows
+                hi = upto(lo, width)
+                z1 = z_last if hi is None else max(z0, min(z_last, (hi - reach) // m))
+            yield [(lo, m * z1 + reach)]
+        z0 = z1 + 1
+
+
 def solve_trivariate(
     prob: TrivariateProblem, stats: dict | None = None
 ) -> list[RootSolution]:
     """Resolve the co-factor transform Q0 = M*z0 -/+ a: the first candidate
     in ascending (z0, a), M*z0 - a first, whose box holds a root gives that
-    box's roots, tagged with z0.  The splitter is exact, so one walk over the
-    hull of all candidate q windows finds every co-factor q any box holds.
-    The first candidate in [q - Y, q + Y] is the one nearest M*z0 in the
-    first window M*z0 -/+ a_max that reaches q - Y.  The first over all q is
-    solved again with stats, so the result is exactly that box's.
+    box's roots, tagged with z0.
+
+    The splitter is exact, so a walk over a q range finds every root whose
+    co-factor lies in it.  The ranges are walked in candidate order
+    (_trivariate_walks), and the first walk finding a root that a candidate
+    holds ends the search: the least key among its roots is the first
+    candidate holding one, and the roots with that key are exactly its
+    box's.  stats accumulates over the walks; stats["certified"] is the
+    chosen box's, and is removed when the search is exhausted.
     """
-    m, a_max, y = prob.M, prob.a_max, prob.Y
-    lo, hi = max(1, m - a_max - y), min(prob.N, m * prob.z_max + a_max + y)
-    found = []
-    if a_max >= 0 and prob.z_max >= 1 and lo <= hi:
-        hull = BivariateProblem(
-            N=prob.N, P0=prob.P0, Q0=(lo + hi) // 2, X=prob.X, Y=(hi - lo) // 2 + 1
-        )
-        try:
-            found = solve_bivariate(hull)
-        except NoRoot:
-            pass
-    keys = []
-    for sol in found:
-        q_lo, q_hi = sol.q - y, sol.q + y
-        z0 = max(1, -((a_max - q_lo) // m))  # the first window reaching q_lo
-        if z0 <= prob.z_max and m * z0 - a_max <= q_hi:
-            q0 = min(max(m * z0, q_lo), q_hi)
-            keys.append((z0, abs(q0 - m * z0), q0 > m * z0, q0))
-    if not keys:
-        raise Exhausted("no (z0, a) candidate produced a factorization")
-    z0, _, _, q0 = min(keys)
-    sub = BivariateProblem(N=prob.N, P0=prob.P0, Q0=q0, X=prob.X, Y=y)
-    return [
-        RootSolution(x0=s.x0, y0=s.y0, p=s.p, q=s.q, z0=z0)
-        for s in solve_bivariate(sub, stats)
-    ]
+    if stats is None:
+        stats = {}
+    for ranges in _trivariate_walks(prob):
+        firsts = []
+        for lo, hi in ranges:
+            if lo > hi:
+                continue
+            window = BivariateProblem(  # [lo, hi] and at most one q past each end
+                N=prob.N, P0=prob.P0, Q0=(lo + hi) // 2, X=prob.X,
+                Y=(hi - lo) // 2 + 1,
+            )
+            try:
+                found = solve_bivariate(window, stats)
+            except NoRoot:
+                continue
+            for s in found:
+                if lo <= s.q <= hi and (c := _first_candidate(prob, s.q)):
+                    firsts.append((c, s))
+        if firsts:
+            (z0, _, _), q0 = min(c for c, _ in firsts)
+            box = BivariateProblem(N=prob.N, P0=prob.P0, Q0=q0, X=prob.X, Y=prob.Y)
+            stats["certified"] = certified_regime(box)
+            return [
+                RootSolution(x0=s.x0, y0=s.q - q0, p=s.p, q=s.q, z0=z0)
+                for (_, c_q0), s in sorted(firsts, key=lambda f: f[1].p)
+                if c_q0 == q0
+            ]
+    stats.pop("certified", None)
+    raise Exhausted("no (z0, a) candidate produced a factorization")
 
 
 def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorization:

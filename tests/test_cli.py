@@ -322,14 +322,14 @@ class TestMain:
         assert "requires --r" in capsys.readouterr().err
 
     def test_trivariate_huge_z_max(self, capsys):
-        # one walk covers the windows of every z0 <= 10^12, none is built
+        # only the windows reaching the x box are walked, not every z0 <= 10^12
         assert main(["factor", "--method", "trivariate", "--n", "10807", "--p0", "101",
                      "--mult", "107", "--z-max", "1000000000000",
                      "--format", "json-lines"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert json.loads(captured.out)["factors"] == ["101", "107"]
-        # with no root anywhere that walk finds no co-factor and the run ends
+        # with no root anywhere those walks find no co-factor and the run ends
         assert main(["factor", "--method", "trivariate", "--n", "10807", "--p0", "50",
                      "--mult", "7", "--z-max", "1000000000000",
                      "--format", "json-lines"]) == 2

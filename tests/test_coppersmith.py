@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 from unittest import mock
 
@@ -877,7 +878,8 @@ class TestTrivariate:
     @staticmethod
     def _searched(prob: TrivariateProblem) -> list[tuple[int, int]]:
         """The q window (Q0 - Y, Q0 + Y) of every solve_bivariate call of an
-        exhausted search."""
+        exhausted search, after checking that those windows hold every
+        co-factor N/p of the x box that some candidate box holds."""
         windows = []
 
         def counting(sub, stats=None):
@@ -887,29 +889,35 @@ class TestTrivariate:
         with mock.patch.object(coppersmith, "solve_bivariate", counting):
             with pytest.raises(Exhausted):
                 solve_trivariate(prob)
-        assert len(windows) <= 2
+        reach, m = prob.a_max + prob.Y, prob.M
+        for p in range(max(1, prob.P0 - prob.X), min(prob.N, prob.P0 + prob.X) + 1):
+            q = prob.N // p
+            held = any(
+                abs(q - m * z0) <= reach
+                for z0 in range(max(1, (q - reach) // m), min(prob.z_max, (q + reach) // m + 1) + 1)
+            )
+            if held and prob.a_max >= 0:
+                assert any(lo <= q <= hi for lo, hi in windows), q
         return windows
 
     def test_huge_z_max_stops_past_every_cofactor(self):
         # no (z0, a) gives a root of 10807 = 101 * 107 from p0 = 50, mult = 7;
-        # the windows 7*z0 -/+ 9 of z0 <= 10^12 cover every co-factor
-        # 1 <= q <= N, and one walk over them all finds none
+        # the windows 7*z0 -/+ 9 of z0 <= 10^12 overlap, and one walk over
+        # those reaching the box's 33 columns finds none
         n, bound = 10807, default_box_bound(10807)
         prob = TrivariateProblem(
             N=n, P0=50, M=7, a_max=9, z_max=10**12, X=bound, Y=bound
         )
-        [(lo, hi)] = self._searched(prob)
-        assert lo <= 1 and hi >= n
+        assert len(self._searched(prob)) == 1
 
     def test_huge_a_max_stops_past_every_cofactor(self):
         # the window of z0 = 1 alone holds every co-factor 1 <= q <= N when
-        # a_max = 10^12, so one walk covers it, and no Q0 is re-solved
+        # a_max = 10^12, and one walk covers it
         n, bound = 10807, default_box_bound(10807)
         prob = TrivariateProblem(
             N=n, P0=50, M=7, a_max=10**12, z_max=3, X=bound, Y=bound
         )
-        [(lo, hi)] = self._searched(prob)
-        assert lo <= 1 and hi >= n
+        assert len(self._searched(prob)) == 1
 
     @pytest.mark.parametrize(
         "n, p0, mult, a_max, z_max, per_q0_calls",
@@ -929,14 +937,13 @@ class TestTrivariate:
         ],
     )
     def test_each_q0_is_solved_once(self, n, p0, mult, a_max, z_max, per_q0_calls):
-        # one walk over the hull of every window replaces all per_q0_calls
+        # no window reaches a co-factor N/p of the x box, so nothing is
+        # walked in place of the per_q0_calls
         bound = default_box_bound(n)
         prob = TrivariateProblem(
             N=n, P0=p0, M=mult, a_max=a_max, z_max=z_max, X=bound, Y=bound
         )
-        [(lo, hi)] = self._searched(prob)
-        assert lo <= max(1, mult - a_max - bound)
-        assert hi >= min(n, mult * z_max + a_max + bound)
+        assert self._searched(prob) == []
 
     def test_negative_a_max_searches_nothing(self):
         # every window M*z0 -/+ a, 0 <= a <= a_max, is empty, so nothing is
@@ -947,6 +954,61 @@ class TestTrivariate:
             N=n, P0=50, M=7, a_max=-1, z_max=10**12, X=bound, Y=bound
         )
         assert self._searched(prob) == []
+
+    @pytest.mark.parametrize(
+        "p_bits, q_bits, z0, a_max, z_max, box",
+        [
+            # p ~ 2^30 < N^(1/3) on a 120-bit N, so no lattice attempt is
+            # certified and every column walked is checked by division; the
+            # hull of the windows q +- 2^31 and 2q +- 2^31 spans about 2^29
+            # columns, the first window a single one
+            (30, 89, 1, 0, 2, 2**31),
+            # the first window q/2 +- 2^31 holds no root, the second does
+            (30, 89, 2, 1, 3, 2**31),
+            # one window 2^81 wide whose centre box holds the root
+            (30, 89, 1, 2**80, 5, 2**31),
+            # a 103-bit N with the default box, root in the third window
+            (40, 63, 3, 3, 4, None),
+        ],
+    )
+    def test_walks_the_first_windows_only(self, p_bits, q_bits, z0, a_max, z_max, box):
+        # roots in early windows are found without walking the hull of all
+        # windows: a handful of columns and lattice attempts, in well under a
+        # second, where checking the hull's 2^29 columns would take minutes
+        p, q = next_prime(1 << p_bits), next_prime(1 << q_bits)
+        bound = box or default_box_bound(p * q)
+        prob = TrivariateProblem(
+            N=p * q, P0=p + 5, M=-(-q // z0), a_max=a_max, z_max=z_max,
+            X=bound, Y=bound,
+        )
+        checked = []
+
+        def counting(*args):
+            checked.append(args[1])
+            if len(checked) > 1000:
+                raise AssertionError("more than 1000 columns checked")
+            return record(*args)
+
+        record, stats = coppersmith._record, {}
+        started = time.perf_counter()
+        with mock.patch.object(coppersmith, "_record", counting):
+            sols = solve_trivariate(prob, stats)
+        assert time.perf_counter() - started < 2.0
+        assert stats.get("boxes", 0) <= 10
+        assert sols == reference_solve_trivariate(prob)
+        assert [s.p for s in sols] == [p]
+
+    def test_stats_count_every_walk(self):
+        # an exhausted search reports the column scans of its walk and no
+        # certified flag, since no box was chosen
+        n, bound = 10807, default_box_bound(10807)
+        prob = TrivariateProblem(
+            N=n, P0=50, M=7, a_max=9, z_max=10**12, X=bound, Y=bound
+        )
+        stats = {"certified": True}
+        with pytest.raises(Exhausted):
+            solve_trivariate(prob, stats)
+        assert stats == {"column_scans": 1}
 
     def test_matches_the_loop_that_searches_every_window(self):
         # the first z0 and roots found, or Exhausted, are those of the loop
@@ -1004,6 +1066,92 @@ class TestTrivariate:
             found += isinstance(got, list)
         assert 60 <= found <= 140, found  # 114 when written, 2 with two roots
 
+
+    @pytest.mark.parametrize("gap_columns, walk_gaps", [(1, 1), (3, 4)])
+    def test_narrow_walks_give_the_same_result(self, gap_columns, walk_gaps):
+        # with walks a few columns wide, windows are walked outwards from
+        # M*z0 in several steps, or joined with the next ones; the result is
+        # still the loop's, on planted inputs with small, uneven boxes
+        rng = random.Random(0x7E3)
+        walks = coppersmith._trivariate_walks
+        steps = []
+
+        def recording(prob):
+            for ranges in walks(prob):
+                steps.append(len(ranges))
+                yield ranges
+
+        found = 0
+        with mock.patch.multiple(
+            coppersmith, _GAP_COLUMNS=gap_columns, _WALK_GAPS=walk_gaps,
+            _trivariate_walks=recording,
+        ):
+            for _ in range(300):
+                bits = rng.randrange(12, 33)
+                p = random_prime(rng, rng.randrange(4, bits // 2 + 1))
+                q = random_prime(rng, max(3, bits - p.bit_length()))
+                z0, a = rng.randrange(1, 20), rng.randrange(40)
+                x, y = rng.randrange(1, 80), rng.randrange(1, 80)
+                prob = TrivariateProblem(
+                    N=p * q, P0=max(1, p + rng.randrange(-x, x + 1)),
+                    M=max(1, (q + rng.choice((-a, a))) // z0),
+                    a_max=rng.randrange(60), z_max=rng.randrange(1, 20), X=x, Y=y,
+                )
+                got = outcome(solve_trivariate, prob)
+                assert got == outcome(reference_solve_trivariate, prob), prob
+                found += isinstance(got, list)
+        # 168 found; 360 and 60 steps outwards when written
+        assert 120 <= found <= 220, found
+        assert steps.count(2) >= 30, steps.count(2)
+
+    @pytest.mark.parametrize("gap_columns, walk_gaps", [(1, 1), (3, 4), (64, 16)])
+    def test_walks_tile_the_held_cofactors_in_key_order(self, gap_columns, walk_gaps):
+        # on smooth N, with many divisors in the x box: each co-factor N/p
+        # that a candidate holds is walked, and walked once, and a later
+        # list of ranges holds no co-factor whose first key is smaller
+        rng = random.Random(0x7E4)
+        with mock.patch.multiple(coppersmith, _GAP_COLUMNS=gap_columns, _WALK_GAPS=walk_gaps):
+            for _ in range(300):
+                n = 1
+                while n < 1 << 14:
+                    n *= rng.choice((2, 3, 5, 7, 11, 13, 17))
+                x, y = rng.randrange(1, 200), rng.randrange(1, 60)
+                prob = TrivariateProblem(
+                    N=n, P0=rng.randrange(1, 400), M=rng.randrange(1, 300),
+                    a_max=rng.randrange(-1, 80), z_max=rng.randrange(0, 30), X=x, Y=y,
+                )
+                cofactors = [
+                    n // p for p in range(max(1, prob.P0 - x), min(n, prob.P0 + x) + 1)
+                    if n % p == 0
+                ]
+                step = {}
+                for i, ranges in enumerate(coppersmith._trivariate_walks(prob)):
+                    for lo, hi in ranges:
+                        for q in cofactors:
+                            if lo <= q <= hi:
+                                assert q not in step, (prob, q)
+                                step[q] = i
+                keys = {q: coppersmith._first_candidate(prob, q) for q in cofactors}
+                held = {q for q in cofactors if keys[q] is not None}
+                assert held <= set(step), (prob, held - set(step))
+                order = [keys[q][0] for q in sorted(held, key=lambda q: step[q])]
+                for q in held:  # the first key of each list exceeds the last one's
+                    assert all(keys[r][0] < keys[q][0] for r in held if step[r] < step[q])
+
+    @pytest.mark.parametrize(
+        "gap_columns, walk_gaps, prob",
+        [
+            (1, 1, TrivariateProblem(N=84150, P0=265, M=69, a_max=29, z_max=27, X=193, Y=19)),
+            (3, 4, TrivariateProblem(N=60060, P0=246, M=101, a_max=58, z_max=15, X=92, Y=22)),
+            (3, 4, TrivariateProblem(N=104907, P0=188, M=114, a_max=26, z_max=7, X=197, Y=34)),
+        ],
+    )
+    def test_a_root_just_past_a_walked_range_waits(self, gap_columns, walk_gaps, prob):
+        # the q window solved for a range [lo, hi] may reach one q past
+        # either end; a root found there belongs to a later walk, which may
+        # hold a root of an earlier candidate
+        with mock.patch.multiple(coppersmith, _GAP_COLUMNS=gap_columns, _WALK_GAPS=walk_gaps):
+            assert solve_trivariate(prob) == reference_solve_trivariate(prob)
 
 class TestTheorem4Driver:
     def test_worked_instance(self):
