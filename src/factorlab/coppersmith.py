@@ -23,9 +23,15 @@ and every interval with no certified width (tiny N), is scanned column by
 column, so the returned root set is exactly the set of in-box roots with
 p > 0 regardless of box size.
 
-Only the first attempt of the walk reduces N, f and t*f; every later
-attempt warm-starts from the previous reduced basis, shifted to its own
-centre, which keeps the determinant the certificate rests on.
+Only the first attempt of the walk reduces a fresh basis.  When m is
+invertible mod N it starts LLL from N and f Lagrange-reduced, and t*f: the
+same lattice as N, f, t*f, from about half the swaps.  Every later attempt
+warm-starts from the previous reduced basis, shifted to its own centre,
+which keeps the determinant the certificate rests on.
+
+theorem4_driver uses only the first proper divisor a residue pair gives, so
+its walks stop at the first attempt that records one (`first`); every
+other solver returns the whole root set.
 
 solve_bivariate also reports `certified`: whether the box meets
 Coppersmith's bivariate bound X*Y <= W^(2/3), W the height of f(x*X, y*Y)
@@ -177,6 +183,13 @@ def _record(
         acc[(x0, (q - prob.Q0) // prob.n)] = (p, q)
 
 
+def _proper(prob: BivariateProblem, acc: dict[tuple[int, int], tuple[int, int]]) -> bool:
+    """Whether acc holds an in-box root with 1 < p < N."""
+    return any(
+        1 < p < prob.N and abs(y0) <= prob.Y for (_, y0), (p, _) in acc.items()
+    )
+
+
 def _solutions(
     prob: BivariateProblem, acc: dict[tuple[int, int], tuple[int, int]]
 ) -> list[RootSolution]:
@@ -239,6 +252,25 @@ def _first_failure(a: int, b: int, c: int, lo: int, limit: int) -> int:
     return min(-((b + k) // (2 * a)), limit)  # the first u with 2au + b <= -k
 
 
+def _lagrange(big_n: int, a: int, scale: int) -> tuple[tuple, tuple]:
+    """The linear polynomials N and t + a, Lagrange-reduced as the vectors
+    (g0, g1*scale): two linear polynomials (g0, g1, 0), shortest first, that
+    span the same 2-D lattice.  Each step takes the nearest multiple of the
+    shorter vector off the longer one, a continued-fraction step on a/N, until
+    the longer one no longer gets shorter."""
+    u0, u1, v0, v1 = big_n, 0, a, scale
+    nu, nv = u0 * u0, v0 * v0 + v1 * v1
+    if nu < nv:
+        u0, u1, v0, v1, nu, nv = v0, v1, u0, u1, nv, nu
+    while True:  # |u| >= |v|
+        q = (2 * (u0 * v0 + u1 * v1) + nv) // (2 * nv)
+        u0, u1 = u0 - q * v0, u1 - q * v1
+        nu = u0 * u0 + u1 * u1
+        if nu >= nv:
+            return (v0, v1 // scale, 0), (u0, u1 // scale, 0)
+        u0, u1, v0, v1, nu, nv = v0, v1, u0, u1, nv, nu
+
+
 def _univariate_interval(
     prob: BivariateProblem,
     lead: int,
@@ -266,12 +298,16 @@ def _univariate_interval(
 
     `warm` is empty before the first attempt of a walk, which reduces N, f
     and t*f, and afterwards holds [centre, reduced polynomials] of the last
-    attempt.  A later attempt reduces those g(t + d), d the distance between
-    the centres: the shift is unimodular and keeps every polynomial
-    vanishing modulo p at the root, so the determinant N * lead^2 * half^3
-    behind the certificate is unchanged (for lead = 1 so is the lattice),
-    and LLL starts from an almost reduced basis instead of walking down
-    from N.
+    attempt.  For lead = 1 the first attempt hands LLL N and f = t + a
+    Lagrange-reduced under the scale (_lagrange), and t*f: a unimodular
+    change of the rows N, f, so the lattice and its determinant are the
+    same.  On the measured inputs LLL returned the cold start's reduced
+    basis up to row order and sign, in about half the swaps.  A later
+    attempt reduces those g(t + d), d the distance between the centres: the
+    shift is unimodular and keeps every polynomial vanishing modulo p at the
+    root, so the determinant N * lead^2 * half^3 behind the certificate is
+    unchanged (for lead = 1 so is the lattice), and LLL starts from an
+    almost reduced basis instead of walking down from N.
 
     Returns the last column that the reduced polynomial covering furthest
     vouches for, after recording the roots from s to it; None, leaving acc
@@ -281,14 +317,17 @@ def _univariate_interval(
     xc = s + half
     bound = m * s + prob.P0
     stats["boxes"] = stats.get("boxes", 0) + 1
+    scale = max(half, 1)
+    scale_sq = scale * scale
     if warm:
         centre, polys = warm
         d = xc - centre
     else:
         a = (m * xc + prob.P0) * inv % big_n
-        polys, d = ((big_n, 0, 0), (a, lead, 0), (0, a, lead)), 0
-    scale = max(half, 1)
-    scale_sq = scale * scale
+        if lead == 1:
+            polys, d = (*_lagrange(big_n, a, scale), (0, a, 1)), 0
+        else:
+            polys, d = ((big_n, 0, 0), (a, lead, 0), (0, a, lead)), 0
     rows = [
         [g0 + (g1 + g2 * d) * d, (g1 + 2 * g2 * d) * scale, g2 * scale_sq]
         for g0, g1, g2 in polys
@@ -337,6 +376,7 @@ def _solve_interval(
     xhi: int,
     acc: dict[tuple[int, int], tuple[int, int]],
     stats: dict,
+    first: bool,
 ) -> None:
     """Record every root with xlo <= x <= xhi, for an interval where
     1 <= p <= N.
@@ -350,7 +390,8 @@ def _solve_interval(
     at half-width h, where the certificate says it covers at least
     [s, s + 2h], and the walk goes on from wherever the retry reaches.  A
     retry that missed anyway has that span scanned column by column, as is
-    every interval with no certified width.
+    every interval with no certified width.  With `first`, the walk ends at
+    the first attempt or scanned column that records a proper in-box root.
     """
     big_n, m, n = prob.N, prob.m, prob.n
     p_base, q_base = prob.P0, prob.Q0
@@ -378,7 +419,7 @@ def _solve_interval(
         lead, inv = m, 1
     h_c = _howgrave_halfwidth(big_n, lead, plo)
     if h_c == 0:
-        _scan_columns(prob, xlo, xhi, acc, stats)
+        _scan_columns(prob, xlo, xhi, acc, stats, first)
         return
     s, warm, over = xlo, [], _OVERSHOOT
     while s <= xhi:
@@ -390,7 +431,9 @@ def _solve_interval(
             continue
         if reached is None:  # a certified attempt missed: scan its span
             reached = s + min(2 * half, xhi - s)
-            _scan_columns(prob, s, reached, acc, stats)
+            _scan_columns(prob, s, reached, acc, stats, first)
+        if first and acc and _proper(prob, acc):
+            return
         s, over = reached + 1, _OVERSHOOT
 
 
@@ -400,21 +443,31 @@ def _scan_columns(
     xhi: int,
     acc: dict[tuple[int, int], tuple[int, int]],
     stats: dict,
+    first: bool,
 ) -> None:
     """Check the columns xlo..xhi directly: the fallback for intervals too
-    small for a certified lattice."""
+    small for a certified lattice.  With `first`, stop at the first column
+    that records a proper in-box root."""
     stats["column_scans"] = stats.get("column_scans", 0) + 1
     for x0 in range(xlo, xhi + 1):
         _record(prob, x0, acc)
+        if first and acc and _proper(prob, acc):
+            return
 
 
 def solve_bivariate(
-    prob: BivariateProblem, stats: dict | None = None
+    prob: BivariateProblem, stats: dict | None = None, *, first: bool = False
 ) -> list[RootSolution]:
     """All roots of (m*x + P0)(n*y + Q0) - N with |x| <= X, |y| <= Y and
     p = m*x + P0 > 0, sorted by (x0, y0).  Only such a root can name a
     factor of N, so the columns with p <= 0 are not searched, and a root
     with p < 0 (and q < 0) is never returned.
+
+    With `first`, the walk stops at the first attempt (or scanned column)
+    that records a root with 1 < p < N, and the result is the roots up to
+    its last column: a prefix of the full result that holds its least proper
+    root, since the attempts cover ascending, disjoint columns.  A box with
+    no proper root is walked whole, as without `first`.
 
     The result is exact for every box size.  stats["certified"] records
     whether the box meets Coppersmith's bound (certified_regime), which the
@@ -430,7 +483,7 @@ def solve_bivariate(
     # a divisor 1 <= p <= N, whatever the requested box
     xlo = max(-prob.X, -((prob.P0 - 1) // prob.m))
     xhi = min(prob.X, (prob.N - prob.P0) // prob.m)
-    _solve_interval(prob, xlo, xhi, acc, stats)
+    _solve_interval(prob, xlo, xhi, acc, stats, first)
     return _solutions(prob, acc)
 
 
@@ -626,9 +679,12 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
     """Factor N with nearly equal factors by trying every divisor pair of
     the small lifts of N mod m in the (m*x + c)(m*y + d) form.
 
-    stats accumulates over the pairs tried, and stats["lattice_dim"] stays
-    unset when no attempt covered a column: on tiny N the column scan
-    covers them all.
+    pair_driver splits N at a pair's least root with 1 < p < N, so each
+    pair's walk ends at the first attempt that records one
+    (solve_bivariate's `first`); a pair with none is walked whole and
+    raises NoRoot when its box holds no root at all.  stats accumulates
+    over the pairs tried, and stats["lattice_dim"] stays unset when no
+    attempt covered a column: on tiny N the column scan covers them all.
     """
 
     def solve(pair: ResiduePair) -> list[int]:
@@ -638,7 +694,7 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
             N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
         )
         try:
-            return [sol.p for sol in solve_bivariate(prob, stats)]
+            return [sol.p for sol in solve_bivariate(prob, stats, first=True)]
         except NoRoot:
             return []
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -29,6 +32,8 @@ from factorlab.residue import (
     pair_driver,
     theorem4_pairs,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -264,6 +269,44 @@ def reference_theorem4_driver(
         ]
 
     return pair_driver(big_n, m, theorem4_pairs, solve)
+
+
+def reference_theorem4_full_walk(
+    big_n: int, m: int, stats: dict | None = None
+) -> Factorization:
+    """theorem4_driver with each pair's box walked whole by solve_bivariate,
+    as before the walk stopped at a pair's first proper divisor: the oracle
+    for its cli.run reports (stats accumulate the same way) and the baseline
+    for its attempt count."""
+    if stats is None:
+        stats = {}
+
+    def solve(pair: ResiduePair) -> list[int]:
+        bound = 3 * isqrt(big_n) // (2 * m) + 2
+        prob = BivariateProblem(
+            N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
+        )
+        try:
+            return [sol.p for sol in solve_bivariate(prob, stats)]
+        except NoRoot:
+            return []
+
+    return pair_driver(big_n, m, theorem4_pairs, solve)
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded as a module: the benchmark's seeded
+    instances, made without factorlab."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
 
 
 def reference_solve_trivariate(prob: TrivariateProblem) -> list[RootSolution]:

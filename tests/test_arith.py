@@ -1,11 +1,8 @@
 import dataclasses
-import importlib.util
 import itertools
 import random
-import sys
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,6 +15,7 @@ from factorlab.arith import (
     _MERGED_MAX,
     _MR_PRIMES,
     _MR_TIERS,
+    _PEEL_MAX,
     _SIEVE_MODULI,
     _class_mod_64,
     _patterns,
@@ -33,9 +31,7 @@ from factorlab.arith import (
     trial_factor,
 )
 
-from conftest import reference_square_candidates
-
-REPO = Path(__file__).resolve().parents[1]
+from conftest import perfbench_workloads, reference_square_candidates
 
 
 class TestIsqrt:
@@ -226,16 +222,8 @@ class TestSquareCandidates:
         # the first 180 seed-1 instances of perfbench's scan workload (standard,
         # ratio and Landry-Pepin, 1e5-1e6 positions): the same yields as the
         # unstepped sieve, and the same cli.run reports apart from time_ms
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", REPO / "perfbench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = workloads
-        try:
-            spec.loader.exec_module(workloads)
-            instances = [workloads.make_instance("scan", 1, i) for i in range(180)]
-        finally:
-            del sys.modules[spec.name]
+        workloads = perfbench_workloads()
+        instances = [workloads.make_instance("scan", 1, i) for i in range(180)]
         calls = []
 
         def recorded(*args):
@@ -264,6 +252,12 @@ class TestSquareCandidates:
         # every value is a square: each position is yielded once, in order,
         # across blocks of every length and two at the cap
         count = sum(_BLOCK_SIZES) + _BLOCK_SIZES[-1] + 1
+        assert list(square_candidates(7, 3, (0,), count)) == list(range(count))
+
+    @pytest.mark.parametrize("count", [_PEEL_MAX - 1, _PEEL_MAX, _PEEL_MAX + 1, 3 * _PEEL_MAX])
+    def test_dense_block_at_the_peel_limit(self, count):
+        # a block of up to _PEEL_MAX survivors is peeled off the top; past
+        # that, the rest are read from bin(mask), and the yields still ascend
         assert list(square_candidates(7, 3, (0,), count)) == list(range(count))
 
     def test_rules_out_most_positions(self):
