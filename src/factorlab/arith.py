@@ -46,13 +46,6 @@ _SIEVE_FLAGS = {
 # stays flat.
 _MERGED_MAX = 1 << 12
 _BLOCK_SIZES = (1 << 10, 1 << 12, 1 << 14, 1 << 15)
-# square_candidates peels at most this many survivors off a block's mask, one
-# copy of the mask each, before it reads the rest from bin(mask).  On a 2^15-bit
-# block (CPython 3.11), peeling 64 survivors took 23 us against 47 us for bin
-# and str.find, 256 took 78 us against 76 us, and 512 took 140 us against
-# 122 us.  Scan blocks rarely reach the limit: the densest of the first 360
-# seed-1 perfbench scan instances held 61 survivors.
-_PEEL_MAX = 256
 # Rotation tables.  When the stride s is a unit modulo q (every prime here,
 # and 9 when 3 does not divide s), (b + s*j)**2 + o = s*s*((j + c)**2 + o')
 # modulo q, with c = b/s and o' = o/s**2; the unit square s*s maps squares
@@ -243,20 +236,12 @@ def square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: i
                 block &= rep >> (start % q)
             mask |= block
         # peel survivors off the top: the top bit costs no full-length
-        # negation and AND, as the lowest one would, but each peel copies the
-        # mask, so a dense block's remaining survivors are read from its
-        # binary digits instead, lowest first
+        # negation and AND, as the lowest one would
         found = []
-        while mask and len(found) < _PEEL_MAX:
+        while mask:
             top = mask.bit_length() - 1
             found.append(top)
             mask ^= 1 << top
-        if mask:
-            digits = bin(mask)[:1:-1]
-            i = digits.find("1")
-            while i >= 0:
-                yield a + g * (start + i)
-                i = digits.find("1", i + 1)
         for i in reversed(found):
             yield a + g * (start + i)
         start += n

@@ -23,11 +23,9 @@ and every interval with no certified width (tiny N), is scanned column by
 column, so the returned root set is exactly the set of in-box roots with
 p > 0 regardless of box size.
 
-Only the first attempt of the walk reduces a fresh basis.  When m is
-invertible mod N it starts LLL from N and f Lagrange-reduced, and t*f: the
-same lattice as N, f, t*f, from about half the swaps.  Every later attempt
-warm-starts from the previous reduced basis, shifted to its own centre,
-which keeps the determinant the certificate rests on.
+Only the first attempt of the walk reduces N, f and t*f; every later
+attempt warm-starts from the previous reduced basis, shifted to its own
+centre, which keeps the determinant the certificate rests on.
 
 theorem4_driver uses only the first proper divisor a residue pair gives, so
 its walks stop at the first attempt that records one (`first`); every
@@ -252,25 +250,6 @@ def _first_failure(a: int, b: int, c: int, lo: int, limit: int) -> int:
     return min(-((b + k) // (2 * a)), limit)  # the first u with 2au + b <= -k
 
 
-def _lagrange(big_n: int, a: int, scale: int) -> tuple[tuple, tuple]:
-    """The linear polynomials N and t + a, Lagrange-reduced as the vectors
-    (g0, g1*scale): two linear polynomials (g0, g1, 0), shortest first, that
-    span the same 2-D lattice.  Each step takes the nearest multiple of the
-    shorter vector off the longer one, a continued-fraction step on a/N, until
-    the longer one no longer gets shorter."""
-    u0, u1, v0, v1 = big_n, 0, a, scale
-    nu, nv = u0 * u0, v0 * v0 + v1 * v1
-    if nu < nv:
-        u0, u1, v0, v1, nu, nv = v0, v1, u0, u1, nv, nu
-    while True:  # |u| >= |v|
-        q = (2 * (u0 * v0 + u1 * v1) + nv) // (2 * nv)
-        u0, u1 = u0 - q * v0, u1 - q * v1
-        nu = u0 * u0 + u1 * u1
-        if nu >= nv:
-            return (v0, v1 // scale, 0), (u0, u1 // scale, 0)
-        u0, u1, v0, v1, nu, nv = v0, v1, u0, u1, nv, nu
-
-
 def _univariate_interval(
     prob: BivariateProblem,
     lead: int,
@@ -298,16 +277,12 @@ def _univariate_interval(
 
     `warm` is empty before the first attempt of a walk, which reduces N, f
     and t*f, and afterwards holds [centre, reduced polynomials] of the last
-    attempt.  For lead = 1 the first attempt hands LLL N and f = t + a
-    Lagrange-reduced under the scale (_lagrange), and t*f: a unimodular
-    change of the rows N, f, so the lattice and its determinant are the
-    same.  On the measured inputs LLL returned the cold start's reduced
-    basis up to row order and sign, in about half the swaps.  A later
-    attempt reduces those g(t + d), d the distance between the centres: the
-    shift is unimodular and keeps every polynomial vanishing modulo p at the
-    root, so the determinant N * lead^2 * half^3 behind the certificate is
-    unchanged (for lead = 1 so is the lattice), and LLL starts from an
-    almost reduced basis instead of walking down from N.
+    attempt.  A later attempt reduces those g(t + d), d the distance between
+    the centres: the shift is unimodular and keeps every polynomial
+    vanishing modulo p at the root, so the determinant N * lead^2 * half^3
+    behind the certificate is unchanged (for lead = 1 so is the lattice),
+    and LLL starts from an almost reduced basis instead of walking down
+    from N.
 
     Returns the last column that the reduced polynomial covering furthest
     vouches for, after recording the roots from s to it; None, leaving acc
@@ -317,17 +292,14 @@ def _univariate_interval(
     xc = s + half
     bound = m * s + prob.P0
     stats["boxes"] = stats.get("boxes", 0) + 1
-    scale = max(half, 1)
-    scale_sq = scale * scale
     if warm:
         centre, polys = warm
         d = xc - centre
     else:
         a = (m * xc + prob.P0) * inv % big_n
-        if lead == 1:
-            polys, d = (*_lagrange(big_n, a, scale), (0, a, 1)), 0
-        else:
-            polys, d = ((big_n, 0, 0), (a, lead, 0), (0, a, lead)), 0
+        polys, d = ((big_n, 0, 0), (a, lead, 0), (0, a, lead)), 0
+    scale = max(half, 1)
+    scale_sq = scale * scale
     rows = [
         [g0 + (g1 + g2 * d) * d, (g1 + 2 * g2 * d) * scale, g2 * scale_sq]
         for g0, g1, g2 in polys

@@ -15,7 +15,6 @@ from factorlab.arith import (
     _MERGED_MAX,
     _MR_PRIMES,
     _MR_TIERS,
-    _PEEL_MAX,
     _SIEVE_MODULI,
     _class_mod_64,
     _patterns,
@@ -252,12 +251,6 @@ class TestSquareCandidates:
         # every value is a square: each position is yielded once, in order,
         # across blocks of every length and two at the cap
         count = sum(_BLOCK_SIZES) + _BLOCK_SIZES[-1] + 1
-        assert list(square_candidates(7, 3, (0,), count)) == list(range(count))
-
-    @pytest.mark.parametrize("count", [_PEEL_MAX - 1, _PEEL_MAX, _PEEL_MAX + 1, 3 * _PEEL_MAX])
-    def test_dense_block_at_the_peel_limit(self, count):
-        # a block of up to _PEEL_MAX survivors is peeled off the top; past
-        # that, the rest are read from bin(mask), and the yields still ascend
         assert list(square_candidates(7, 3, (0,), count)) == list(range(count))
 
     def test_rules_out_most_positions(self):

@@ -25,7 +25,6 @@ from factorlab import cli, coppersmith
 from factorlab.coppersmith import (
     _first_failure,
     _howgrave_halfwidth,
-    _lagrange,
     _quad_roots,
     _univariate_interval,
 )
@@ -34,7 +33,7 @@ from factorlab.errors import (
     NonInvertibleResidue,
     NoRoot,
 )
-from factorlab.lattice import Basis, determinant, lll_rows
+from factorlab.lattice import Basis, determinant
 from factorlab.residue import theorem4_pairs
 
 from conftest import (
@@ -640,86 +639,6 @@ class TestWarmStartedSplitter:
             )
             for g0, g1, g2 in polys:
                 assert (g0 - g1 * a_new + g2 * a_new * a_new) % n == 0
-
-
-def canonical(rows) -> list[tuple[int, ...]]:
-    """The rows with each one's leading nonzero entry made positive, sorted:
-    a basis up to row order and sign."""
-    return sorted(
-        tuple(-x for x in r) if next(x for x in r if x) < 0 else tuple(r) for r in rows
-    )
-
-
-class TestLagrangeStart:
-    """The first attempt of a walk with lead = 1 starts LLL from N and t + a
-    Lagrange-reduced, and t*(t + a); lead = m keeps the rows N, f, t*f."""
-
-    @staticmethod
-    def _cases(count: int):
-        """(N, a, scale) on seeded 36-64-bit semiprimes, scale up to twice the
-        certified half-width at the smaller factor (the overshoot)."""
-        rng = random.Random(1597)
-        for _ in range(count):
-            n, p, _ = balanced_semiprime(rng, rng.randrange(36, 65))
-            h = _howgrave_halfwidth(n, 1, p)
-            yield n, rng.randrange(n), rng.randrange(1, 2 * h + 2)
-
-    def test_started_rows_span_the_cold_lattice(self):
-        for n, a, scale in self._cases(200):
-            u, v = _lagrange(n, a, scale)
-            polys = [u, v, (0, a, 1)]
-            # the cold polynomials N, t + a, t*(t + a) have determinant N
-            assert determinant(Basis.from_rows(polys)) == n
-            for g0, g1, g2 in polys:
-                assert (g0 - g1 * a + g2 * a * a) % n == 0
-            # Lagrange-reduced as vectors (g0, g1*scale): u is no longer
-            # than v, and v is size-reduced against u
-            (u0, u1, _), (v0, v1, _) = u, v
-            nu = u0 * u0 + (u1 * scale) ** 2
-            assert nu <= v0 * v0 + (v1 * scale) ** 2
-            assert 2 * abs(u0 * v0 + u1 * v1 * scale * scale) <= nu
-
-    @pytest.fixture
-    def handed(self, monkeypatch) -> list:
-        """The rows each coppersmith lll_rows call is handed, as they were."""
-        handed = []
-
-        def recording(rows, *args):
-            handed.append([list(r) for r in rows])
-            return lll_rows(rows, *args)
-
-        monkeypatch.setattr(coppersmith, "lll_rows", recording)
-        return handed
-
-    def test_lll_returns_the_cold_basis(self, handed):
-        # the first attempt hands lll_rows the started rows, and they reduce
-        # to the basis the cold rows N, f, t*f reduce to, up to row order
-        # and sign
-        for n, a, scale in self._cases(300):
-            prob = BivariateProblem(N=n, P0=a - scale, Q0=1, X=1, Y=1)
-            handed.clear()
-            _univariate_interval(prob, 1, 1, 0, scale, 2 * scale, {}, {}, [])
-            (u0, u1, _), (v0, v1, _) = _lagrange(n, a, scale)
-            s2 = scale * scale
-            assert handed == [[[u0, u1 * scale, 0], [v0, v1 * scale, 0], [0, a * scale, s2]]]
-            cold = [[n, 0, 0], [a, scale, 0], [0, a * scale, s2]]
-            assert canonical(lll_rows(handed[0])[0]) == canonical(lll_rows(cold)[0])
-
-    def test_lead_m_keeps_the_cold_rows(self, handed):
-        # m shares a factor with N, so f = m*t + a and the rows stay N, f, t*f
-        rng = random.Random(2584)
-        for _ in range(50):
-            n, p, q = balanced_semiprime(rng, 40)
-            f = rng.choice([3, 5])
-            m = f * rng.randrange(1, 5)
-            prob = BivariateProblem(N=f * n, P0=p, Q0=f * q % m, X=1, Y=1, m=m, n=m)
-            half = rng.randrange(1, 1 << 8)
-            handed.clear()
-            _univariate_interval(prob, m, 1, 0, half, 2 * half, {}, {}, [])
-            a = (m * half + p) % (f * n)
-            assert handed == [
-                [[f * n, 0, 0], [a, m * half, 0], [0, a * half, m * half * half]]
-            ]
 
 
 class TestReach:
