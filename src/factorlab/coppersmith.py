@@ -540,13 +540,11 @@ def _trivariate_walks(prob: TrivariateProblem):
     a root holds the first candidate with one.
 
     Window z0 holds the q within a_max + Y of M*z0 that no earlier window
-    does, and only the windows reaching a co-factor N/p of the x box are
-    walked.  A window holding more columns than the walk may add is walked
-    outwards from M*z0: each step widens the range walked by as much as
-    keeps the new columns on either side within that width.  A narrower one
-    is walked whole, joined with the next windows if the gap after it is
-    narrow, as long as the walk keeps within its width: the columns of a
-    gap shrink as z0 grows, so every later gap is narrow too.
+    does; only the windows reaching a co-factor N/p of the x box are walked,
+    each outwards from M*z0.  A step widens the range walked by as much as
+    keeps the new columns on either side within the walk's width.  A window
+    that fits that width is one step, which takes in the next windows within
+    it if the gap after the window is narrow (gaps narrow as z0 grows).
     """
     big_n, m, y, a_max = prob.N, prob.M, prob.Y, prob.a_max
     reach = a_max + y
@@ -573,31 +571,22 @@ def _trivariate_walks(prob: TrivariateProblem):
         lo = max(centre - m + reach + 1 if z0 > 1 else 1, centre - reach)
         h = _howgrave_halfwidth(big_n, 1, min(pmax, big_n // lo))
         gap = max(_GAP_COLUMNS, 4 * h)  # one attempt reaches about 4h columns
-        z1, a = z0, -1  # [centre - y - a, centre + y + a] is walked
-        if columns(lo, centre + reach) > gaps * gap:
-            a = max(a, lo - centre - y - 1)  # q below lo are an earlier window's
-            while a < a_max:
-                width, gaps = gaps * gap, min(2 * gaps, _WALK_GAPS)
-                left, right = centre - y - a, centre + y + a
-                wider = a_max  # upto and downto move at least one q past a
-                if (hi := upto(right + 1, width)) is not None:
-                    wider = min(wider, hi - centre - y)
-                if left > lo and (low := downto(left - 1, width)) is not None:
-                    wider = min(wider, centre - y - low)
-                new_lo, new_hi = max(lo, centre - y - wider), centre + y + wider
-                if a < 0:
-                    yield [(new_lo, new_hi)]
-                else:
-                    yield [(new_lo, left - 1), (right + 1, new_hi)]
-                a = wider
-        else:
+        fits = columns(lo, centre + reach) <= gaps * gap  # walked in one step
+        z1, a = z0, max(-1, lo - centre - y - 1)  # q below lo are an earlier window's
+        while a < a_max:  # [centre - y - a, centre + y + a] is walked
             width, gaps = gaps * gap, min(2 * gaps, _WALK_GAPS)
-            next_lo = centre + m - reach
-            if next_lo <= centre + reach + 1 or columns(centre + reach, next_lo) < gap:
-                # a narrow gap follows: join the next windows
-                hi = upto(lo, width)
-                z1 = z_last if hi is None else max(z0, min(z_last, (hi - reach) // m))
-            yield [(lo, m * z1 + reach)]
+            left, right = centre - y - a, centre + y + a
+            wider = a_max  # upto and downto move at least one q past a
+            if (hi := upto(right + 1, width)) is not None:
+                wider = min(wider, hi - centre - y)
+            if not fits and left > lo and (low := downto(left - 1, width)) is not None:
+                wider = min(wider, centre - y - low)
+            if fits and (m <= 2 * reach + 1 or columns(centre + reach, centre + m - reach) < gap):
+                hi = upto(lo, width)  # a narrow gap follows: join the next windows
+                z1 = z_last if hi is None else min(z_last, (hi - reach) // m)
+            new_lo, new_hi = max(lo, centre - y - wider), m * z1 + y + wider
+            yield [(new_lo, new_hi)] if a < 0 else [(new_lo, left - 1), (right + 1, new_hi)]
+            a = wider
         z0 = z1 + 1
 
 

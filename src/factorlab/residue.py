@@ -21,7 +21,6 @@ from .arith import (
 from .errors import Exhausted, GcdFactorFound, NonPrimeModulus
 
 __all__ = [
-    "ResidueClassSet",
     "ResiduePair",
     "algorithm_one",
     "default_t_bound",
@@ -46,20 +45,9 @@ class ResiduePair:
     d: int
 
 
-@dataclass(frozen=True)
-class ResidueClassSet:
-    """Deduplicated residue pairs (c <= d) for one N and modulus."""
-
-    n: int
-    m: int
-    pairs: frozenset[ResiduePair]
-
-    def as_tuples(self) -> list[tuple[int, int]]:
-        return sorted((p.c, p.d) for p in self.pairs)
-
-
-def enumerate_pairs(n: int, m: int) -> ResidueClassSet:
-    """All (c, d), c <= d, with c*d = n (mod m) and gcd(c, m) = 1.
+def enumerate_pairs(n: int, m: int) -> list[ResiduePair]:
+    """All (c, d), c <= d, with c*d = n (mod m) and gcd(c, m) = 1, sorted
+    by c: each unordered residue pair once.
 
     Requires gcd(n, m) = 1; a nontrivial gcd is itself a factor and is
     surfaced as GcdFactorFound.
@@ -70,14 +58,14 @@ def enumerate_pairs(n: int, m: int) -> ResidueClassSet:
     if g > 1:
         raise GcdFactorFound(g)
     r = n % m
-    pairs = set()
+    pairs = []
     for c in range(1, m):
         if gcd(c, m) != 1:
             continue
         d = r * pow(c, -1, m) % m
         if c <= d:  # the pair (d, c) is added from its smaller residue
-            pairs.add(ResiduePair(c, d))
-    return ResidueClassSet(n, m, frozenset(pairs))
+            pairs.append(ResiduePair(c, d))
+    return pairs
 
 
 def _lift_pairs(lifts) -> Iterator[tuple[int, int]]:
@@ -93,14 +81,14 @@ def _lift_pairs(lifts) -> Iterator[tuple[int, int]]:
                 yield c, cd // c
 
 
-def algorithm_one(n: int, m: int) -> ResidueClassSet:
-    """Probable residue classes for a prime modulus.
+def algorithm_one(n: int, m: int) -> list[ResiduePair]:
+    """Probable residue classes for a prime modulus, as sorted pairs c <= d.
 
     Every lift cd = r0 + j*m below m^2 (r0 = n mod m) is split as c*d with
     c <= d and c + d < 2m: these are the square differences
     (c + d)^2 - 4cd = (d - c)^2 of the paper's scan over x = c + d < 2m.
-    The reduced pairs with both residues nonzero are kept; the true pair
-    (p mod m, q mod m) is always among them.
+    The reduced pairs with both residues nonzero are kept, each once; the
+    true pair (p mod m, q mod m) is always among them.
     """
     if not is_prime(m):
         raise NonPrimeModulus(f"modulus {m} is not prime")
@@ -111,7 +99,7 @@ def algorithm_one(n: int, m: int) -> ResidueClassSet:
     for c, d in _lift_pairs(range(n % m, m * m, m)):
         if c + d < 2 * m and c % m and d % m:
             pairs.add(ResiduePair(*sorted((c % m, d % m))))
-    return ResidueClassSet(n, m, frozenset(pairs))
+    return sorted(pairs)
 
 
 def _split(n: int, root: int) -> Factorization:
@@ -180,16 +168,19 @@ def landry_pepin(
 
 
 def theorem4_pairs(n: int, m: int) -> list[ResiduePair]:
-    """Divisor pairs c <= d of the lifts r and r + m of n mod m.
+    """Divisor pairs c <= d of the lifts r and r + m of n mod m, the second
+    only when it is at most n.
 
     Whenever (p mod m)*(q mod m) < 2m the sorted true residue pair is among
     them.  Both residues share the modulus m and the solver's box, so the
-    roots for (d, c) mirror those for (c, d) and one order is enough.
+    roots for (d, c) mirror those for (c, d) and one order is enough.  A
+    lift r + m > n means n = r < m, and then its pairs have no root with
+    p, q > 0 but p = 1, q = n, which the pair (1, r) of lift r gives first.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
     r = n % m
-    return [ResiduePair(c, d) for c, d in _lift_pairs((r, r + m))]
+    return [ResiduePair(c, d) for c, d in _lift_pairs((r, r + m) if r + m <= n else (r,))]
 
 
 def pair_driver(n: int, m: int, pairs: Callable, solve: Callable) -> Factorization:
@@ -222,7 +213,7 @@ def residue_driver(n: int, m: int, t_bound: int | None = None) -> Factorization:
 
     def pairs(n: int, m: int) -> list[ResiduePair]:
         # gcd(n, m) = n leaves no pair with both residues prime to m
-        return sorted(enumerate_pairs(n, m).pairs) if gcd(n, m) == 1 else []
+        return enumerate_pairs(n, m) if gcd(n, m) == 1 else []
 
     def solve(pair: ResiduePair) -> list[int]:
         bound = default_t_bound(n, m, m, pair.c, pair.d) if t_bound is None else t_bound

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from factorlab import coppersmith
 from factorlab.arith import (
     Factorization,
     is_perfect_square,
@@ -26,7 +27,6 @@ from factorlab.coppersmith import (
 from factorlab.errors import DependentBasis, Exhausted, NoRoot, TrivialOnly
 from factorlab.fermat import FermatResult
 from factorlab.residue import (
-    ResidueClassSet,
     ResiduePair,
     _split,
     pair_driver,
@@ -173,7 +173,12 @@ def reference_square_candidates(base: int, stride: int, offsets: tuple[int, ...]
         size = min(2 * size, block_cap) if found * 256 < n else block_first
 
 
-def reference_algorithm_one(n: int, m: int) -> ResidueClassSet:
+def pair_tuples(pairs: list[ResiduePair]) -> list[tuple[int, int]]:
+    """The (c, d) of each residue pair, in the list's order."""
+    return [(pair.c, pair.d) for pair in pairs]
+
+
+def reference_algorithm_one(n: int, m: int) -> list[ResiduePair]:
     """The paper's square-difference scan, written out: for every lift
     cd = r0 + j*m below m^2 (r0 = n mod m) and every x in
     [ceil(2*sqrt(cd)), 2m) with x^2 - 4cd = y^2, keep the reduced pair
@@ -192,7 +197,7 @@ def reference_algorithm_one(n: int, m: int) -> ResidueClassSet:
                 c, d = ((x + y) // 2) % m, ((x - y) // 2) % m
                 if c != 0 and d != 0:
                     pairs.add(ResiduePair(min(c, d), max(c, d)))
-    return ResidueClassSet(n, m, frozenset(pairs))
+    return sorted(pairs)
 
 
 def reference_lll_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -271,6 +276,17 @@ def reference_theorem4_driver(
     return pair_driver(big_n, m, theorem4_pairs, solve)
 
 
+def reference_theorem4_pairs(n: int, m: int) -> list[ResiduePair]:
+    """theorem4_pairs as it was, splitting both lifts r and r + m of n mod m
+    whatever their size: the oracle pair source for theorem4's outcomes."""
+    r = n % m
+    return [
+        ResiduePair(c, cd // c)
+        for cd in (r, r + m) if cd > 0
+        for c in range(1, isqrt(cd) + 1) if cd % c == 0
+    ]
+
+
 def reference_theorem4_full_walk(
     big_n: int, m: int, stats: dict | None = None
 ) -> Factorization:
@@ -334,6 +350,66 @@ def reference_solve_trivariate(prob: TrivariateProblem) -> list[RootSolution]:
                     for s in found
                 ]
     raise Exhausted("no (z0, a) candidate produced a factorization")
+
+
+def reference_trivariate_walks(prob: TrivariateProblem):
+    """coppersmith._trivariate_walks as it was with two branches: a window
+    wider than the walk's width is walked outwards from M*z0, a narrower one
+    whole and joined with the next windows when a narrow gap follows.  The
+    oracle for the walk's work: patched in for _trivariate_walks, it gives
+    the baseline lattice attempts and checked columns of each search.  Reads
+    _GAP_COLUMNS and _WALK_GAPS from coppersmith at each call."""
+    big_n, m, y, a_max = prob.N, prob.M, prob.Y, prob.a_max
+    reach = a_max + y
+    pmin, pmax = max(1, prob.P0 - prob.X), min(big_n, prob.P0 + prob.X)
+    if a_max < 0 or pmin > pmax:
+        return
+
+    def columns(lo: int, hi: int) -> int:
+        return min(pmax, big_n // lo) - max(pmin, big_n // hi)
+
+    def upto(lo: int, width: int) -> int | None:
+        target = min(pmax, big_n // lo) - width
+        return None if target <= pmin else big_n // target
+
+    def downto(hi: int, width: int) -> int | None:
+        top = max(pmin, big_n // hi) + width
+        return None if top >= pmax else big_n // (top + 1) + 1
+
+    z0 = max(1, -((reach - big_n // pmax) // m))
+    z_last = min(prob.z_max, (big_n // pmin + reach) // m)
+    gaps = 1
+    while z0 <= z_last:
+        centre = m * z0
+        lo = max(centre - m + reach + 1 if z0 > 1 else 1, centre - reach)
+        h = coppersmith._howgrave_halfwidth(big_n, 1, min(pmax, big_n // lo))
+        gap = max(coppersmith._GAP_COLUMNS, 4 * h)
+        walk_gaps = coppersmith._WALK_GAPS
+        z1, a = z0, -1
+        if columns(lo, centre + reach) > gaps * gap:
+            a = max(a, lo - centre - y - 1)
+            while a < a_max:
+                width, gaps = gaps * gap, min(2 * gaps, walk_gaps)
+                left, right = centre - y - a, centre + y + a
+                wider = a_max
+                if (hi := upto(right + 1, width)) is not None:
+                    wider = min(wider, hi - centre - y)
+                if left > lo and (low := downto(left - 1, width)) is not None:
+                    wider = min(wider, centre - y - low)
+                new_lo, new_hi = max(lo, centre - y - wider), centre + y + wider
+                if a < 0:
+                    yield [(new_lo, new_hi)]
+                else:
+                    yield [(new_lo, left - 1), (right + 1, new_hi)]
+                a = wider
+        else:
+            width, gaps = gaps * gap, min(2 * gaps, walk_gaps)
+            next_lo = centre + m - reach
+            if next_lo <= centre + reach + 1 or columns(centre + reach, next_lo) < gap:
+                hi = upto(lo, width)
+                z1 = z_last if hi is None else max(z0, min(z_last, (hi - reach) // m))
+            yield [(lo, m * z1 + reach)]
+        z0 = z1 + 1
 
 
 def outcome(fn, *args):

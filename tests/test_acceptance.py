@@ -52,7 +52,7 @@ from factorlab.polynomial import (
 )
 from factorlab.residue import algorithm_one, enumerate_pairs, landry_pepin
 
-from conftest import balanced_semiprime, box_oracle, close_semiprime
+from conftest import balanced_semiprime, box_oracle, close_semiprime, pair_tuples
 
 
 def report(criterion: int, detail: str) -> None:
@@ -134,8 +134,8 @@ def test_criterion_04_residue_oracle_equivalence():
                 continue
             got = algorithm_one(n, m)
             true_pair = tuple(sorted((p % m, q % m)))
-            assert true_pair in got.as_tuples(), (n, m)
-            assert set(got.as_tuples()) <= set(enumerate_pairs(n, m).as_tuples())
+            assert true_pair in pair_tuples(got), (n, m)
+            assert set(pair_tuples(got)) <= set(pair_tuples(enumerate_pairs(n, m)))
             semiprime_checks += 1
 
     exact_checks = 0
@@ -144,7 +144,7 @@ def test_criterion_04_residue_oracle_equivalence():
         m = rng.randrange(2, 100)
         if math.gcd(n, m) != 1:
             continue
-        assert enumerate_pairs(n, m).as_tuples() == brute(n, m)
+        assert pair_tuples(enumerate_pairs(n, m)) == brute(n, m)
         exact_checks += 1
     assert semiprime_checks > 800
     report(4, f"{semiprime_checks} (N, m) containment checks, "

@@ -45,6 +45,8 @@ from conftest import (
     reference_solve_trivariate,
     reference_theorem4_driver,
     reference_theorem4_full_walk,
+    reference_theorem4_pairs,
+    reference_trivariate_walks,
 )
 
 
@@ -1188,6 +1190,96 @@ class TestTrivariate:
         with mock.patch.multiple(coppersmith, _GAP_COLUMNS=gap_columns, _WALK_GAPS=walk_gaps):
             assert solve_trivariate(prob) == reference_solve_trivariate(prob)
 
+    @staticmethod
+    def _work(prob: TrivariateProblem, walks) -> tuple:
+        """solve_trivariate's outcome, lattice attempts and checked columns
+        with `walks` in place of _trivariate_walks."""
+        stats, checked = {}, []
+
+        def counting(*args):
+            checked.append(args[1])
+            return record(*args)
+
+        record = coppersmith._record
+        with mock.patch.multiple(coppersmith, _trivariate_walks=walks, _record=counting):
+            got = outcome(solve_trivariate, prob, stats)
+        return got, stats.get("boxes", 0), len(checked)
+
+    @pytest.mark.parametrize(
+        "gap_columns, walk_gaps, prob",
+        [
+            # joining the next windows to a wide window's last step would put
+            # them in the walk that finds the root: 13 attempts against 6,
+            # and 3 against 2
+            (64, 16, TrivariateProblem(N=16913, P0=95, M=52, a_max=64, z_max=33, X=92, Y=22)),
+            (3, 4, TrivariateProblem(N=9881, P0=242, M=5, a_max=11, z_max=6, X=16, Y=16)),
+            # a window that fits the walk's width is walked in one step, though
+            # the rule for the side below M*z0 alone would stop it short
+            (1, 1, TrivariateProblem(
+                N=7691623791780, P0=41165, M=9812, a_max=9105, z_max=46849700, X=281, Y=326,
+            )),
+        ],
+    )
+    def test_walks_as_the_two_branches_did(self, gap_columns, walk_gaps, prob):
+        with mock.patch.multiple(coppersmith, _GAP_COLUMNS=gap_columns, _WALK_GAPS=walk_gaps):
+            assert self._work(prob, coppersmith._trivariate_walks) == self._work(
+                prob, reference_trivariate_walks
+            )
+
+    @pytest.mark.parametrize("gap_columns, walk_gaps", [(64, 16), (1, 1), (3, 4)])
+    def test_one_walk_loop_does_no_more_work(self, gap_columns, walk_gaps):
+        # against the walk with a narrow and a wide branch (conftest), on
+        # seeded planted semiprimes, random N, smooth N and planted 16-40-bit
+        # semiprimes: the loop's result, in no more lattice attempts and no
+        # more checked columns per search
+        rng = random.Random(0x7E5)
+        found = 0
+        with mock.patch.multiple(coppersmith, _GAP_COLUMNS=gap_columns, _WALK_GAPS=walk_gaps):
+            for i in range(600):
+                kind = i % 4
+                if kind == 0:
+                    p = random_prime(rng, rng.randrange(5, 11))
+                    q = random_prime(rng, rng.randrange(5, 11))
+                    z0, a = rng.randrange(1, 10), rng.randrange(10)
+                    n, p0 = p * q, max(1, p + rng.randrange(-3, 4))
+                    mult = max(1, (q + rng.choice((-a, a))) // z0)
+                    x = y = default_box_bound(n)
+                    a_max, z_max = rng.randrange(-1, 12), rng.randrange(0, 16)
+                elif kind == 1:
+                    n, p0 = rng.randrange(2, 20000), rng.randrange(1, 150)
+                    mult = rng.randrange(1, 300)
+                    x, y = rng.randrange(1, 100), rng.randrange(1, 100)
+                    a_max, z_max = rng.randrange(-1, 60), rng.randrange(0, 30)
+                elif kind == 2:
+                    n = 1
+                    while n < 1 << 14:
+                        n *= rng.choice((2, 3, 5, 7, 11, 13, 17))
+                    p0, mult = rng.randrange(1, 400), rng.randrange(1, 300)
+                    x, y = rng.randrange(1, 200), rng.randrange(1, 60)
+                    a_max, z_max = rng.randrange(-1, 60), rng.randrange(0, 30)
+                else:
+                    bits = rng.randrange(16, 41)
+                    p = random_prime(rng, bits // 2)
+                    q = random_prime(rng, bits - bits // 2)
+                    z0 = rng.randrange(1, 40)
+                    a, sign = rng.choice(
+                        [(a, s) for a in range(20) for s in (-1, 1) if (q + s * a) % z0 == 0]
+                    )
+                    n, mult = p * q, (q + sign * a) // z0
+                    x = y = default_box_bound(n)
+                    p0 = max(1, p + rng.randrange(-x, x + 1))
+                    a_max, z_max = rng.randrange(20), rng.randrange(1, 40)
+                prob = TrivariateProblem(
+                    N=n, P0=p0, M=mult, a_max=a_max, z_max=z_max, X=x, Y=y
+                )
+                got, boxes, checked = self._work(prob, coppersmith._trivariate_walks)
+                want, old_boxes, old_checked = self._work(prob, reference_trivariate_walks)
+                assert got == want == outcome(reference_solve_trivariate, prob), prob
+                assert boxes <= old_boxes and checked <= old_checked, prob
+                found += isinstance(got, list)
+        assert 250 <= found <= 450, found  # 354 when written
+
+
 class TestTheorem4Driver:
     def test_worked_instance(self):
         fac = theorem4_driver(10807, 100)
@@ -1290,6 +1382,21 @@ class TestTheorem4Driver:
             )
         assert boxes.get("column_scans", 0) == 0
         assert boxes["boxes"] < full_boxes["boxes"], (boxes, full_boxes)
+
+    def test_a_lift_past_n_changes_no_outcome(self):
+        # theorem4_pairs drops the lift r + m when it exceeds N, that is when
+        # N < m; on every N < 300 with 3 <= m <= 3N the outcome and factors
+        # are those of the pair source that splits both lifts (for m <= N
+        # the two give the same pairs)
+        cases = [(n, m) for n in range(2, 300) for m in range(3, 3 * n + 1)]
+        for n, m in cases:
+            if m <= n:
+                assert theorem4_pairs(n, m) == reference_theorem4_pairs(n, m), (n, m)
+        cases = [(n, m) for n, m in cases if m > n]
+        with mock.patch.object(coppersmith, "theorem4_pairs", reference_theorem4_pairs):
+            want = [outcome(theorem4_driver, n, m) for n, m in cases]
+        for (n, m), fac in zip(cases, want):
+            assert outcome(theorem4_driver, n, m) == fac, (n, m)
 
     def test_gcd_short_circuit(self):
         fac = theorem4_driver(15 * 101, 15)

@@ -1,3 +1,4 @@
+import time
 from math import gcd
 from unittest import mock
 
@@ -10,6 +11,7 @@ from factorlab.arith import is_perfect_square, is_prime, isqrt, next_prime, rand
 from factorlab.coppersmith import theorem4_driver
 from factorlab.errors import Exhausted, GcdFactorFound, NonPrimeModulus
 from factorlab.residue import (
+    ResiduePair,
     algorithm_one,
     default_t_bound,
     enumerate_pairs,
@@ -19,7 +21,7 @@ from factorlab.residue import (
     theorem4_pairs,
 )
 
-from conftest import outcome, reference_algorithm_one, reference_landry_pepin
+from conftest import outcome, pair_tuples, reference_algorithm_one, reference_landry_pepin
 
 # moduli that share factors with several sieve moduli
 SIEVE_SHARED = (63, 64, 65, 210, 143)
@@ -41,12 +43,12 @@ class TestEnumeratePairs:
     def test_example_2599_mod_5(self):
         assert brute_pairs(2599, 5) == [(1, 4), (2, 2), (3, 3)]
         got = enumerate_pairs(2599, 5)
-        assert got.as_tuples() == [(1, 4), (2, 2), (3, 3)]
+        assert pair_tuples(got) == [(1, 4), (2, 2), (3, 3)]
         # the true residues of 23 and 113 are (3, 3)
         assert (23 % 5, 113 % 5) == (3, 3)
 
     def test_odd_mod_2(self):
-        assert enumerate_pairs(2599, 2).as_tuples() == [(1, 1)]
+        assert pair_tuples(enumerate_pairs(2599, 2)) == [(1, 1)]
 
     def test_shared_factor_short_circuits(self):
         with pytest.raises(GcdFactorFound) as info:
@@ -65,12 +67,12 @@ class TestEnumeratePairs:
             m = rng.randrange(2, 100)
             if gcd(n, m) != 1:
                 continue
-            assert enumerate_pairs(n, m).as_tuples() == brute_pairs(n, m)
+            assert pair_tuples(enumerate_pairs(n, m)) == brute_pairs(n, m)
 
     def test_pair_invariants(self):
         got = enumerate_pairs(7919 * 104729, 83)
         n = 7919 * 104729
-        for pair in got.pairs:
+        for pair in got:
             assert 0 < pair.c <= pair.d < 83
             assert pair.c * pair.d % 83 == n % 83
             assert gcd(pair.c, 83) == 1
@@ -79,19 +81,19 @@ class TestEnumeratePairs:
 class TestAlgorithmOne:
     def test_example_2599_mod_5(self):
         got = algorithm_one(2599, 5)
-        assert (3, 3) in got.as_tuples()
-        assert set(got.as_tuples()) <= set(enumerate_pairs(2599, 5).as_tuples())
+        assert (3, 3) in pair_tuples(got)
+        assert set(pair_tuples(got)) <= set(pair_tuples(enumerate_pairs(2599, 5)))
 
     def test_unit_pair(self):
         # p = q = 1 (mod m) forces the lift cd = 1, whose only split is (1, 1)
         p, q = 31, 61  # both 1 mod 5
         got = algorithm_one(p * q, 5)
-        assert (1, 1) in got.as_tuples()
+        assert (1, 1) in pair_tuples(got)
 
     def test_10807_mod_3(self):
         got = algorithm_one(10807, 3)
         assert (101 % 3, 107 % 3) == (2, 2)
-        assert (2, 2) in got.as_tuples()
+        assert (2, 2) in pair_tuples(got)
 
     def test_requires_prime_modulus(self):
         with pytest.raises(NonPrimeModulus):
@@ -115,8 +117,8 @@ class TestAlgorithmOne:
                     continue
                 got = algorithm_one(n, m)
                 true_pair = tuple(sorted((p % m, q % m)))
-                assert true_pair in got.as_tuples(), (n, m)
-                assert set(got.as_tuples()) <= set(enumerate_pairs(n, m).as_tuples())
+                assert true_pair in pair_tuples(got), (n, m)
+                assert set(pair_tuples(got)) <= set(pair_tuples(enumerate_pairs(n, m)))
 
     @given(
         m=st.sampled_from([p for p in range(2, 60) if is_prime(p)]),
@@ -339,10 +341,18 @@ class TestTheorem4Pairs:
 
     @given(n=st.integers(min_value=2, max_value=10**6), m=st.integers(2, 300))
     def test_each_unordered_divisor_pair_once(self, n, m):
-        lifts = [cd for cd in (n % m, n % m + m) if cd > 0]
+        # a lift past n (n < m) is not split: its pairs hold only p = 1
+        lifts = [cd for cd in (n % m, n % m + m) if 0 < cd <= n]
         want = [(c, cd // c) for cd in lifts for c in range(1, cd + 1)
                 if cd % c == 0 and c * c <= cd]
         assert [(p.c, p.d) for p in theorem4_pairs(n, m)] == want
+
+    def test_a_lift_past_n_is_not_trial_divided(self):
+        # N = 3 with m = 10^30: the lift r + m = 10^30 + 3 exceeds N, and
+        # trial-dividing it up to its square root would not end
+        started = time.perf_counter()
+        assert theorem4_pairs(3, 10**30) == [ResiduePair(1, 3)]
+        assert time.perf_counter() - started < 0.5
 
     def test_unit_lift(self):
         pairs = [(p.c, p.d) for p in theorem4_pairs(22, 3)]
