@@ -215,16 +215,18 @@ def _howgrave_halfwidth(big_n: int, lead: int, bound: int) -> int:
     where det = N * lead^2 * h^3, so up to this h the first reduced vector
     has ||v||_1 <= sqrt(3) * ||v|| < bound.  Since |g(t)| <= ||v||_1 for
     |t| <= h and p >= bound along the walk, it vouches for all of [-h, h].
+
+    h = icbrt(isqrt(h6)) by Newton's integer step, which falls strictly from
+    above the cube root and never below it: no float to overflow.
     """
     h6 = (bound**6 - 1) // (216 * big_n * big_n * lead**4)
-    lo, hi = 0, 1 << (h6.bit_length() // 6 + 1)  # lo^6 <= h6 < hi^6
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**6 <= h6:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    r = isqrt(h6)
+    if not r:
+        return 0
+    x = 1 << -(-r.bit_length() // 3)  # x^3 > r
+    while (y := (2 * x + r // (x * x)) // 3) < x:
+        x = y
+    return x
 
 
 def _first_failure(a: int, b: int, c: int, lo: int, limit: int) -> int:
@@ -292,18 +294,18 @@ def _univariate_interval(
     xc = s + half
     bound = m * s + prob.P0
     stats["boxes"] = stats.get("boxes", 0) + 1
+    scale = max(half, 1)
+    scale_sq = scale * scale
     if warm:
         centre, polys = warm
         d = xc - centre
+        rows = []
+        for g0, g1, g2 in polys:
+            e = g2 * d
+            rows.append([g0 + (g1 + e) * d, (g1 + 2 * e) * scale, g2 * scale_sq])
     else:
         a = (m * xc + prob.P0) * inv % big_n
-        polys, d = ((big_n, 0, 0), (a, lead, 0), (0, a, lead)), 0
-    scale = max(half, 1)
-    scale_sq = scale * scale
-    rows = [
-        [g0 + (g1 + g2 * d) * d, (g1 + 2 * g2 * d) * scale, g2 * scale_sq]
-        for g0, g1, g2 in polys
-    ]
+        rows = [[big_n, 0, 0], [a, lead * scale, 0], [0, a * scale, lead * scale_sq]]
     # p = at_xc + m*t; the columns are t = lo (s) up to limit - 1 (end)
     lo, limit, at_xc = -half, end - xc + 1, bound + m * half
     polys, best, reach = [], None, lo  # reach: the first t not vouched for

@@ -8,10 +8,11 @@ resultant, so every contract here is bit-exact and testable without
 tolerances.
 
 lll_rows hands 3x3 bases at the default delta without a transform, the
-coppersmith splitter's, to _lll3: the same integer steps written out for
-n = 3 with the bookkeeping in locals.  Every integer it computes equals the
-general kernel's, so it makes the same swaps and returns the same rows,
-in well under half the time; all other calls run the general kernel.
+coppersmith splitter's, to _lll3: the same steps written out for n = 3,
+with the same swaps and rows, in well under half the time.  Row 2's scaled
+coefficients are recomputed from the rows after a run of k = 1 swaps
+instead of being updated at each swap.  All other calls run the general
+kernel.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ def lll_rows(
     the unimodular transform.  A delta other than LLL_DELTA is read by as_fraction.
 
     A 3x3 basis at LLL_DELTA with no transform (the splitter's bases) goes
-    to _lll3, which runs these steps unrolled on the same integers, so the
-    swaps, the reduced rows and the DependentBasis messages are the same."""
+    to _lll3, which runs these steps unrolled (row 2's bookkeeping aside), so
+    the swaps, the reduced rows and the DependentBasis messages are the same."""
     if delta is LLL_DELTA and not transform and len(rows) == 3:
         _lll3(rows)
         return rows, None
@@ -214,12 +215,16 @@ def lll_rows(
 
 
 def _lll3(rows: list[list[int]]) -> None:
-    """lll_rows at LLL_DELTA on a 3x3 basis, with d1, d2, d3 and the scaled
-    lambda_10, lambda_20, lambda_21 in locals.  Each size reduction, Lovasz
-    test (4*d_{k+1}*d_{k-1} >= 3*d_k^2 - 4*lambda^2) and swap update is the
-    general kernel's for k = 1 or 2, in its order.  Each d is checked, with
-    the general kernel's message, before anything divides by it.  Reduces
-    `rows` in place."""
+    """lll_rows at LLL_DELTA on a 3x3 basis a, b, c, with d1, d2, d3 and the
+    scaled lambda_10, lambda_20, lambda_21 in locals.  Each size reduction,
+    Lovasz test (4*e >= 3*d_k^2, e = d_{k+1}*d_{k-1} + lambda^2, which a
+    swap divides by d_k for the new d_k) and swap is the general kernel's
+    for k = 1 or 2, in its order, so it returns the same rows.  Row 2's
+    integers come from the rows instead: d3 = det^2, which no step changes,
+    and, after each run of k = 1 swaps (which never read them), lambda_20 =
+    <c, a> and lambda_21 = d1*<c, b> - lambda_20*lambda_10.  Each d is
+    checked, with the general kernel's message, before anything divides by
+    it.  Reduces `rows` in place."""
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     d1 = a0 * a0 + a1 * a1 + a2 * a2
     if d1 <= 0:
@@ -228,11 +233,11 @@ def _lll3(rows: list[list[int]]) -> None:
     d2 = d1 * (b0 * b0 + b1 * b1 + b2 * b2) - l10 * l10
     if d2 <= 0:
         raise DependentBasis("row 1 is in the span of the earlier rows")
-    l20 = c0 * a0 + c1 * a1 + c2 * a2
-    l21 = d1 * (c0 * b0 + c1 * b1 + c2 * b2) - l20 * l10
-    d3 = (d2 * (d1 * (c0 * c0 + c1 * c1 + c2 * c2) - l20 * l20) - l21 * l21) // d1
-    if d3 <= 0:
+    d3 = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    if not d3:
         raise DependentBasis("row 2 is in the span of the earlier rows")
+    d3 *= d3
+    stale = True  # lambda_20 and lambda_21 are not computed yet
     while True:
         while True:  # k = 1
             if 2 * abs(l10) > d1:
@@ -241,14 +246,16 @@ def _lll3(rows: list[list[int]]) -> None:
                 b1 -= q * a1
                 b2 -= q * a2
                 l10 -= q * d1
-            if 4 * d2 >= 3 * d1 * d1 - 4 * l10 * l10:
+            e = d2 + l10 * l10
+            if 4 * e >= 3 * d1 * d1:
                 break
             a0, a1, a2, b0, b1, b2 = b0, b1, b2, a0, a1, a2
-            d_new = (d2 + l10 * l10) // d1
-            t = l21
-            l21 = (d2 * l20 - l10 * t) // d1
-            l20 = (d_new * t + l10 * l21) // d2
-            d1 = d_new
+            d1 = e // d1
+            stale = True
+        if stale:
+            l20 = c0 * a0 + c1 * a1 + c2 * a2
+            l21 = d1 * (c0 * b0 + c1 * b1 + c2 * b2) - l20 * l10
+            stale = False
         # k = 2
         if 2 * abs(l21) > d2:
             q = (2 * l21 + d2) // (2 * d2)
@@ -257,7 +264,8 @@ def _lll3(rows: list[list[int]]) -> None:
             c2 -= q * b2
             l21 -= q * d2
             l20 -= q * l10
-        if 4 * d3 * d1 >= 3 * d2 * d2 - 4 * l21 * l21:
+        e = d1 * d3 + l21 * l21
+        if 4 * e >= 3 * d2 * d2:
             if 2 * abs(l20) > d1:
                 q = (2 * l20 + d1) // (2 * d1)
                 c0 -= q * a0
@@ -266,7 +274,7 @@ def _lll3(rows: list[list[int]]) -> None:
             break
         b0, b1, b2, c0, c1, c2 = c0, c1, c2, b0, b1, b2
         l10, l20 = l20, l10
-        d2 = (d1 * d3 + l21 * l21) // d2
+        d2 = e // d2
     rows[:] = [a0, a1, a2], [b0, b1, b2], [c0, c1, c2]
 
 

@@ -200,11 +200,14 @@ def reference_algorithm_one(n: int, m: int) -> list[ResiduePair]:
     return sorted(pairs)
 
 
-def reference_lll_rows(rows: list[list[int]]) -> list[list[int]]:
+def reference_lll_rows(
+    rows: list[list[int]], swaps: list[int] | None = None
+) -> list[list[int]]:
     """The general integral LLL kernel at delta = 3/4 (Cohen, Alg. 2.6.7),
     with Gram determinants d and scaled lam[i][j] = d[j+1] * mu[i][j] in
     lists: the oracle for lattice.lll_rows (same rows, same exceptions).
-    Reduces `rows` in place and returns it."""
+    Reduces `rows` in place and returns it; appends the k of each swap to
+    `swaps` when given."""
     n = len(rows)
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
@@ -239,6 +242,8 @@ def reference_lll_rows(rows: list[list[int]]) -> list[list[int]]:
                 size_reduce(k, j)
             k += 1
         else:
+            if swaps is not None:
+                swaps.append(k)
             rows[k - 1], rows[k] = rows[k], rows[k - 1]
             for j in range(k - 1):
                 lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
@@ -250,6 +255,132 @@ def reference_lll_rows(rows: list[list[int]]) -> list[list[int]]:
             d[k] = d_new
             k = max(k - 1, 1)
     return rows
+
+
+def reference_lll3(rows: list[list[int]]) -> None:
+    """lattice._lll3 as it was, updating lambda_20 and lambda_21 at each
+    k = 1 swap and d3 from the Gram-Schmidt recurrence: the oracle for the
+    unrolled kernel's work (same rows, same exceptions), patched in for it."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    d1 = a0 * a0 + a1 * a1 + a2 * a2
+    if d1 <= 0:
+        raise DependentBasis("row 0 is in the span of the earlier rows")
+    l10 = b0 * a0 + b1 * a1 + b2 * a2
+    d2 = d1 * (b0 * b0 + b1 * b1 + b2 * b2) - l10 * l10
+    if d2 <= 0:
+        raise DependentBasis("row 1 is in the span of the earlier rows")
+    l20 = c0 * a0 + c1 * a1 + c2 * a2
+    l21 = d1 * (c0 * b0 + c1 * b1 + c2 * b2) - l20 * l10
+    d3 = (d2 * (d1 * (c0 * c0 + c1 * c1 + c2 * c2) - l20 * l20) - l21 * l21) // d1
+    if d3 <= 0:
+        raise DependentBasis("row 2 is in the span of the earlier rows")
+    while True:
+        while True:  # k = 1
+            if 2 * abs(l10) > d1:
+                q = (2 * l10 + d1) // (2 * d1)
+                b0 -= q * a0
+                b1 -= q * a1
+                b2 -= q * a2
+                l10 -= q * d1
+            if 4 * d2 >= 3 * d1 * d1 - 4 * l10 * l10:
+                break
+            a0, a1, a2, b0, b1, b2 = b0, b1, b2, a0, a1, a2
+            d_new = (d2 + l10 * l10) // d1
+            t = l21
+            l21 = (d2 * l20 - l10 * t) // d1
+            l20 = (d_new * t + l10 * l21) // d2
+            d1 = d_new
+        # k = 2
+        if 2 * abs(l21) > d2:
+            q = (2 * l21 + d2) // (2 * d2)
+            c0 -= q * b0
+            c1 -= q * b1
+            c2 -= q * b2
+            l21 -= q * d2
+            l20 -= q * l10
+        if 4 * d3 * d1 >= 3 * d2 * d2 - 4 * l21 * l21:
+            if 2 * abs(l20) > d1:
+                q = (2 * l20 + d1) // (2 * d1)
+                c0 -= q * a0
+                c1 -= q * a1
+                c2 -= q * a2
+            break
+        b0, b1, b2, c0, c1, c2 = c0, c1, c2, b0, b1, b2
+        l10, l20 = l20, l10
+        d2 = (d1 * d3 + l21 * l21) // d2
+    rows[:] = [a0, a1, a2], [b0, b1, b2], [c0, c1, c2]
+
+
+def reference_howgrave_halfwidth(big_n: int, lead: int, bound: int) -> int:
+    """coppersmith._howgrave_halfwidth as it was, by bisection: the largest
+    h with 216 * N^2 * lead^4 * h^6 < bound^6."""
+    h6 = (bound**6 - 1) // (216 * big_n * big_n * lead**4)
+    lo, hi = 0, 1 << (h6.bit_length() // 6 + 1)  # lo^6 <= h6 < hi^6
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**6 <= h6:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def reference_univariate_interval(
+    prob: BivariateProblem,
+    lead: int,
+    inv: int,
+    s: int,
+    half: int,
+    end: int,
+    acc: dict[tuple[int, int], tuple[int, int]],
+    stats: dict,
+    warm: list,
+) -> int | None:
+    """coppersmith._univariate_interval as it was, building every basis row
+    from a tuple of polynomials by one comprehension: the oracle for the
+    attempts' work, patched in for it.  Reduces through coppersmith.lll_rows,
+    looked up at each call."""
+    big_n, m = prob.N, prob.m
+    xc = s + half
+    bound = m * s + prob.P0
+    stats["boxes"] = stats.get("boxes", 0) + 1
+    if warm:
+        centre, polys = warm
+        d = xc - centre
+    else:
+        a = (m * xc + prob.P0) * inv % big_n
+        polys, d = ((big_n, 0, 0), (a, lead, 0), (0, a, lead)), 0
+    scale = max(half, 1)
+    scale_sq = scale * scale
+    rows = [
+        [g0 + (g1 + g2 * d) * d, (g1 + 2 * g2 * d) * scale, g2 * scale_sq]
+        for g0, g1, g2 in polys
+    ]
+    # p = at_xc + m*t; the columns are t = lo (s) up to limit - 1 (end)
+    lo, limit, at_xc = -half, end - xc + 1, bound + m * half
+    polys, best, reach = [], None, lo  # reach: the first t not vouched for
+    for v0, v1, v2 in coppersmith.lll_rows(rows)[0]:
+        g = g0, g1, g2 = v0, v1 // scale, v2 // scale_sq
+        polys.append(g)
+        if (
+            reach < limit
+            and abs(g0 + (g1 + g2 * reach) * reach) < at_xc + m * reach
+            and abs(g0 + (g1 + g2 * lo) * lo) < bound  # covers s
+        ):
+            r = min(
+                coppersmith._first_failure(-g2, m - g1, at_xc - g0, lo, limit),
+                coppersmith._first_failure(g2, m + g1, at_xc + g0, lo, limit),
+            )
+            if r > reach:
+                best, reach = g, r
+    warm[:] = xc, polys
+    if best is None:
+        return None
+    stats["lattice_dim"] = 3
+    g0, g1, g2 = best
+    for tr in coppersmith._quad_roots(g2, g1, g0, lo, reach - 1):
+        coppersmith._record(prob, xc + tr, acc)
+    return xc + reach - 1
 
 
 def reference_theorem4_driver(

@@ -2,13 +2,14 @@ import dataclasses
 import random
 import time
 import warnings
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from factorlab.arith import is_prime, isqrt, next_prime, random_prime
+from factorlab.arith import Factorization, is_prime, isqrt, next_prime, random_prime
 from factorlab.coppersmith import (
     BivariateProblem,
     TrivariateProblem,
@@ -21,7 +22,7 @@ from factorlab.coppersmith import (
     certified_regime,
     theorem4_driver,
 )
-from factorlab import cli, coppersmith
+from factorlab import cli, coppersmith, lattice
 from factorlab.coppersmith import (
     _first_failure,
     _howgrave_halfwidth,
@@ -42,11 +43,14 @@ from conftest import (
     lsb_problem,
     outcome,
     perfbench_workloads,
+    reference_howgrave_halfwidth,
+    reference_lll3,
     reference_solve_trivariate,
     reference_theorem4_driver,
     reference_theorem4_full_walk,
     reference_theorem4_pairs,
     reference_trivariate_walks,
+    reference_univariate_interval,
 )
 
 
@@ -714,6 +718,126 @@ class TestReach:
         h_c = _howgrave_halfwidth(big_n, lead, low)
         bound = low + above
         assert h_c * bound // low <= _howgrave_halfwidth(big_n, lead, bound)
+
+
+def _sixth_root(n: int) -> int:
+    """The largest r with r^6 <= n, by bisection."""
+    lo, hi = 0, 1 << (n.bit_length() // 6 + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**6 <= n else (lo, mid)
+    return lo
+
+
+# lead is 1 when m is invertible mod N, else m itself (a power of two for
+# solve_lsb_known)
+LEADS = st.one_of(st.sampled_from([1, 3]), st.integers(0, 64).map(lambda k: 1 << k))
+
+
+class TestCertifiedWidth:
+    """_howgrave_halfwidth is the h with K*h^6 < bound^6 <= K*(h+1)^6,
+    K = 216*N^2*lead^4, exactly, on N far past float range."""
+
+    @staticmethod
+    def _width(big_n: int, lead: int, bound: int) -> int:
+        h = _howgrave_halfwidth(big_n, lead, bound)
+        k = 216 * big_n * big_n * lead**4
+        assert h >= 0 and k * h**6 < bound**6 <= k * (h + 1) ** 6
+        return h
+
+    @given(big_n=st.integers(1, 2**3000), lead=LEADS, data=st.data())
+    @example(big_n=1, lead=1, data=None)
+    @example(big_n=2**3000, lead=2**64, data=None)
+    def test_is_the_largest_certified_width(self, big_n, lead, data):
+        bound = big_n if data is None else data.draw(st.integers(1, big_n))
+        self._width(big_n, lead, bound)
+
+    @given(
+        big_n=st.integers(1, 2**3000),
+        lead=LEADS,
+        h=st.one_of(st.integers(0, 3), st.integers(0, 2**80)),
+    )
+    def test_is_exact_at_the_boundaries(self, big_n, lead, h):
+        # b is the least bound with b^6 > K*h^6: b gives h, b - 1 gives h - 1
+        k = 216 * big_n * big_n * lead**4
+        b = _sixth_root(k * h**6) + 1
+        assert self._width(big_n, lead, b) == h
+        assert self._width(big_n, lead, b + 1) >= h
+        if h:
+            assert self._width(big_n, lead, b - 1) == h - 1
+
+
+class TestAttemptWork:
+    """Each attempt does the work it did with the kernel, row build and
+    certified width that conftest keeps as reference_*: the same lll_rows
+    inputs and outputs, the same stats and the same results."""
+
+    @staticmethod
+    def _t4_prime(rng: random.Random, res: int, m: int) -> int:
+        while True:
+            p = m * rng.randrange((1 << 23) // m + 1, (1 << 24) // m) + res
+            if is_prime(p):
+                return p
+
+    def _instances(self):
+        """solve_lsb_known and theorem4_driver on perfbench's shapes, and
+        boxes where m shares a factor with N, the only attempts with lead
+        = m."""
+        rng = random.Random(2626)
+        lsb = []
+        for i in range(150):
+            n, p, _ = balanced_semiprime(rng, 56 + i % 9)
+            k = n.bit_length() // 4
+            lsb.append((n, p % (1 << k), k))
+        t4 = []
+        while len(t4) < 150:
+            m = rng.randrange(1 << 11, 1 << 12)
+            c, d = rng.randrange(1, 8), rng.randrange(1, 8)
+            if gcd(c * d, m) == 1:
+                p, q = self._t4_prime(rng, c, m), self._t4_prime(rng, d, m)
+                if p != q and (p * q).bit_length() == 48:
+                    t4.append((p * q, m))
+        shared = [
+            (TestWarmStartedSplitter._box("shared", 40 + i % 9, 13, rng),)
+            for i in range(30)
+        ]
+        return lsb, t4, shared
+
+    @staticmethod
+    def _work(monkeypatch, lsb, t4, shared, reference: bool):
+        calls, results = [], []
+        reduce = coppersmith.lll_rows
+
+        def recording(rows):
+            given = [list(r) for r in rows]
+            reduced, _ = reduce(rows)
+            calls.append((given, [list(r) for r in reduced]))
+            return reduced, None
+
+        with monkeypatch.context() as patch:
+            patch.setattr(coppersmith, "lll_rows", recording)
+            if reference:
+                patch.setattr(lattice, "_lll3", reference_lll3)
+                patch.setattr(coppersmith, "_univariate_interval", reference_univariate_interval)
+                patch.setattr(coppersmith, "_howgrave_halfwidth", reference_howgrave_halfwidth)
+            for solve, args in (
+                [(solve_lsb_known, a) for a in lsb]
+                + [(theorem4_driver, a) for a in t4]
+                + [(solve_bivariate, a) for a in shared]
+            ):
+                stats = {}
+                results.append((outcome(solve, *args, stats), stats))
+        return calls, results
+
+    def test_same_lattices_stats_and_results(self, monkeypatch):
+        sets = self._instances()
+        calls, results = self._work(monkeypatch, *sets, reference=False)
+        assert (calls, results) == self._work(monkeypatch, *sets, reference=True)
+        # every instance factors, over thousands of fresh and warm attempts
+        assert len(calls) > 2000
+        assert all(isinstance(r, list) for r, _ in results[:150])
+        assert all(isinstance(r, Factorization) for r, _ in results[150:300])
+        assert all(isinstance(r, list) for r, _ in results[300:])
 
 
 class TestQuadRoots:

@@ -284,6 +284,52 @@ class TestDim3Kernel:
             assert got == expected
 
 
+    def test_splitter_bases_with_swap_runs(self):
+        # fresh splitter bases (N, f, t*f) need many swaps, and a shifted
+        # reduced basis mostly needs a run of k = 1 swaps and then a k = 2
+        # swap, which reads row 2's scaled coefficients recomputed after
+        # the run
+        rng = random.Random(2607)
+        long_runs = deferred = 0
+        for _ in range(150):
+            big_n = rng.randrange(2**40, 2**70)
+            a, h = rng.randrange(big_n), rng.randrange(1, 2**16)
+            lead = rng.choice([1, rng.randrange(2, 2**12)])
+            rows = [[big_n, 0, 0], [a, lead * h, 0], [0, a * h, lead * h * h]]
+            swaps = []
+            expected = reference_lll_rows([list(r) for r in rows], swaps)
+            assert lll_rows(rows)[0] == expected
+            long_runs += len(swaps) >= 8
+            polys = [[r[0], r[1] // h, r[2] // (h * h)] for r in rows]
+            s, h2 = rng.randrange(2 * h, 4 * h + 1), rng.randrange(h, 2 * h + 1)
+            rows = [
+                [g0 + (g1 + g2 * s) * s, (g1 + 2 * g2 * s) * h2, g2 * h2 * h2]
+                for g0, g1, g2 in polys
+            ]
+            swaps = []
+            expected = reference_lll_rows([list(r) for r in rows], swaps)
+            assert lll_rows(rows)[0] == expected
+            deferred += (1, 2) in zip(swaps, swaps[1:])
+        assert long_runs >= 140 and deferred >= 75, (long_runs, deferred)
+
+    @pytest.mark.parametrize(
+        "rows, row",
+        [
+            ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], 0),
+            ([[1, 2, 3], [-2, -4, -6], [0, 0, 1]], 1),
+            ([[1, 2, 3], [0, 1, 1], [2, 5, 7]], 2),
+            ([[3, 0, 0], [0, 5, 0], [0, 0, 0]], 2),
+        ],
+    )
+    def test_dependent_messages(self, rows, row):
+        message = f"row {row} is in the span of the earlier rows"
+        with pytest.raises(DependentBasis) as general:
+            reference_lll_rows([list(r) for r in rows])
+        with pytest.raises(DependentBasis) as unrolled:
+            lll_rows([list(r) for r in rows])
+        assert str(general.value) == str(unrolled.value) == message
+
+
 class TestHadamard:
     def test_identity_equality(self):
         assert hadamard_check(Basis.from_rows([(1, 0), (0, 1)]))
