@@ -21,15 +21,17 @@ at its first column is retried from there at the certified width, which
 the certificate says always suffices.  What a retry left uncovered anyway,
 and every interval with no certified width (tiny N), is scanned column by
 column, so the returned root set is exactly the set of in-box roots with
-p > 0 regardless of box size.
+p > 0 regardless of box size.  Attempts and scans cover ascending, disjoint
+columns, each with at most one root, which _record (the box rule, |y0| <= Y,
+and the re-verification) appends to the result: it comes out sorted.
 
 Only the first attempt of the walk reduces N, f and t*f; every later
 attempt warm-starts from the previous reduced basis, shifted to its own
 centre, which keeps the determinant the certificate rests on.
 
 theorem4_driver uses only the first proper divisor a residue pair gives, so
-its walks stop at the first attempt that records one (`first`); every
-other solver returns the whole root set.
+its walks stop after the first attempt or scanned span that records one
+(`first`); every other solver returns the whole root set.
 
 solve_bivariate also reports `certified`: whether the box meets
 Coppersmith's bivariate bound X*Y <= W^(2/3), W the height of f(x*X, y*Y)
@@ -167,45 +169,20 @@ def _quad_roots(u2: int, u1: int, u0: int, lo: int, hi: int) -> list[int]:
     return sorted(roots)
 
 
-def _record(
-    prob: BivariateProblem, x0: int, acc: dict[tuple[int, int], tuple[int, int]]
-) -> None:
-    """Record (x0, y0) -> (p, q) when p = m*x0 + P0 divides N and the
-    co-factor q lies on the residue line n*y0 + Q0: the only place a
-    candidate x becomes a root."""
+def _record(prob: BivariateProblem, x0: int, roots: list[RootSolution]) -> None:
+    """Append the root at column x0 when p = m*x0 + P0 divides N and the
+    co-factor q = N/p lies on the residue line n*y0 + Q0 with |y0| <= Y: the
+    only place a column becomes a root, re-verified against f."""
     p = prob.m * x0 + prob.P0
     if p == 0 or prob.N % p:
         return
     q = prob.N // p
-    if (q - prob.Q0) % prob.n == 0:
-        acc[(x0, (q - prob.Q0) // prob.n)] = (p, q)
-
-
-def _proper(prob: BivariateProblem, acc: dict[tuple[int, int], tuple[int, int]]) -> bool:
-    """Whether acc holds an in-box root with 1 < p < N."""
-    return any(
-        1 < p < prob.N and abs(y0) <= prob.Y for (_, y0), (p, _) in acc.items()
-    )
-
-
-def _solutions(
-    prob: BivariateProblem, acc: dict[tuple[int, int], tuple[int, int]]
-) -> list[RootSolution]:
-    """The in-box roots of acc in (x0, y0) order, each re-verified; raises
-    NoRoot when none is left."""
-    solutions = []
-    for (x0, y0), (p, q) in sorted(acc.items()):
-        if abs(x0) > prob.X or abs(y0) > prob.Y:
-            continue
-        if (
-            p * q != prob.N
-            or (prob.m * x0 + prob.P0) * (prob.n * y0 + prob.Q0) != prob.N
-        ):
-            raise AssertionError("solver produced an invalid root")
-        solutions.append(RootSolution(x0=x0, y0=y0, p=p, q=q))
-    if not solutions:
-        raise NoRoot(f"no factor pair of {prob.N} inside the box")
-    return solutions
+    y0, r = divmod(q - prob.Q0, prob.n)
+    if r or abs(y0) > prob.Y:
+        return
+    if p * (prob.n * y0 + prob.Q0) != prob.N:
+        raise AssertionError("solver produced an invalid root")
+    roots.append(RootSolution(x0=x0, y0=y0, p=p, q=q))
 
 
 def _howgrave_halfwidth(big_n: int, lead: int, bound: int) -> int:
@@ -259,7 +236,7 @@ def _univariate_interval(
     s: int,
     half: int,
     end: int,
-    acc: dict[tuple[int, int], tuple[int, int]],
+    roots: list[RootSolution],
     stats: dict,
     warm: list,
 ) -> int | None:
@@ -287,7 +264,7 @@ def _univariate_interval(
     from N.
 
     Returns the last column that the reduced polynomial covering furthest
-    vouches for, after recording the roots from s to it; None, leaving acc
+    vouches for, after recording the roots from s to it; None, leaving roots
     alone, when no reduced polynomial covers s.
     """
     big_n, m = prob.N, prob.m
@@ -329,7 +306,7 @@ def _univariate_interval(
     stats["lattice_dim"] = 3
     g0, g1, g2 = best
     for tr in _quad_roots(g2, g1, g0, lo, reach - 1):
-        _record(prob, xc + tr, acc)
+        _record(prob, xc + tr, roots)
     return xc + reach - 1
 
 
@@ -345,15 +322,9 @@ _OVERSHOOT = 2
 
 
 def _solve_interval(
-    prob: BivariateProblem,
-    xlo: int,
-    xhi: int,
-    acc: dict[tuple[int, int], tuple[int, int]],
-    stats: dict,
-    first: bool,
+    prob: BivariateProblem, roots: list[RootSolution], stats: dict, first: bool
 ) -> None:
-    """Record every root with xlo <= x <= xhi, for an interval where
-    1 <= p <= N.
+    """Record every root of the box with 1 <= p <= N, in ascending columns.
 
     After narrowing against the q window, the interval is walked up from
     xlo, where p is smallest.  h_c, the certified half-width at that p,
@@ -364,11 +335,15 @@ def _solve_interval(
     at half-width h, where the certificate says it covers at least
     [s, s + 2h], and the walk goes on from wherever the retry reaches.  A
     retry that missed anyway has that span scanned column by column, as is
-    every interval with no certified width.  With `first`, the walk ends at
-    the first attempt or scanned column that records a proper in-box root.
+    every interval with no certified width.  With `first`, the walk ends
+    after the first attempt or scanned span that records a root with
+    1 < p < N.
     """
     big_n, m, n = prob.N, prob.m, prob.n
     p_base, q_base = prob.P0, prob.Q0
+    # a divisor 1 <= p <= N, whatever the requested box
+    xlo = max(-prob.X, -((p_base - 1) // m))
+    xhi = min(prob.X, (big_n - p_base) // m)
 
     # Narrow the x interval against the q window until stable; p <= N keeps
     # the window's q >= 1.
@@ -393,40 +368,34 @@ def _solve_interval(
         lead, inv = m, 1
     h_c = _howgrave_halfwidth(big_n, lead, plo)
     if h_c == 0:
-        _scan_columns(prob, xlo, xhi, acc, stats, first)
+        _scan_columns(prob, xlo, xhi, roots, stats)
         return
     s, warm, over = xlo, [], _OVERSHOOT
     while s <= xhi:
         h = h_c * (m * s + p_base) // plo
         half = min(over * h, (xhi - s + 1) // 2)
-        reached = _univariate_interval(prob, lead, inv, s, half, xhi, acc, stats, warm)
+        reached = _univariate_interval(prob, lead, inv, s, half, xhi, roots, stats, warm)
         if reached is None and over > 1:
             over = 1  # retry from s at the certified half-width
             continue
         if reached is None:  # a certified attempt missed: scan its span
             reached = s + min(2 * half, xhi - s)
-            _scan_columns(prob, s, reached, acc, stats, first)
-        if first and acc and _proper(prob, acc):
+            _scan_columns(prob, s, reached, roots, stats)
+        # an earlier proper root would have ended the walk, and p = N is
+        # its last column: only the newest root needs checking
+        if first and roots and 1 < roots[-1].p < big_n:
             return
         s, over = reached + 1, _OVERSHOOT
 
 
 def _scan_columns(
-    prob: BivariateProblem,
-    xlo: int,
-    xhi: int,
-    acc: dict[tuple[int, int], tuple[int, int]],
-    stats: dict,
-    first: bool,
+    prob: BivariateProblem, xlo: int, xhi: int, roots: list[RootSolution], stats: dict
 ) -> None:
     """Check the columns xlo..xhi directly: the fallback for intervals too
-    small for a certified lattice.  With `first`, stop at the first column
-    that records a proper in-box root."""
+    small for a certified lattice."""
     stats["column_scans"] = stats.get("column_scans", 0) + 1
     for x0 in range(xlo, xhi + 1):
-        _record(prob, x0, acc)
-        if first and acc and _proper(prob, acc):
-            return
+        _record(prob, x0, roots)
 
 
 def solve_bivariate(
@@ -435,13 +404,14 @@ def solve_bivariate(
     """All roots of (m*x + P0)(n*y + Q0) - N with |x| <= X, |y| <= Y and
     p = m*x + P0 > 0, sorted by (x0, y0).  Only such a root can name a
     factor of N, so the columns with p <= 0 are not searched, and a root
-    with p < 0 (and q < 0) is never returned.
+    with p < 0 (and q < 0) is never returned.  _record appends each root
+    in the box, re-verified, as the walk reaches its column.
 
-    With `first`, the walk stops at the first attempt (or scanned column)
+    With `first`, the walk stops after the first attempt (or scanned span)
     that records a root with 1 < p < N, and the result is the roots up to
     its last column: a prefix of the full result that holds its least proper
-    root, since the attempts cover ascending, disjoint columns.  A box with
-    no proper root is walked whole, as without `first`.
+    root, since the attempts and scans cover ascending, disjoint columns.  A
+    box with no proper root is walked whole, as without `first`.
 
     The result is exact for every box size.  stats["certified"] records
     whether the box meets Coppersmith's bound (certified_regime), which the
@@ -453,12 +423,11 @@ def solve_bivariate(
     if stats is None:
         stats = {}
     stats["certified"] = certified_regime(prob)
-    acc: dict[tuple[int, int], tuple[int, int]] = {}
-    # a divisor 1 <= p <= N, whatever the requested box
-    xlo = max(-prob.X, -((prob.P0 - 1) // prob.m))
-    xhi = min(prob.X, (prob.N - prob.P0) // prob.m)
-    _solve_interval(prob, xlo, xhi, acc, stats, first)
-    return _solutions(prob, acc)
+    roots: list[RootSolution] = []
+    _solve_interval(prob, roots, stats, first)
+    if not roots:
+        raise NoRoot(f"no factor pair of {prob.N} inside the box")
+    return roots
 
 
 def solve_msb_known(big_n: int, p0: int, stats: dict | None = None) -> list[RootSolution]:
@@ -643,7 +612,7 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
     the small lifts of N mod m in the (m*x + c)(m*y + d) form.
 
     pair_driver splits N at a pair's least root with 1 < p < N, so each
-    pair's walk ends at the first attempt that records one
+    pair's walk ends after the first attempt or scanned span that records one
     (solve_bivariate's `first`); a pair with none is walked whole and
     raises NoRoot when its box holds no root at all.  stats accumulates
     over the pairs tried, and stats["lattice_dim"] stays unset when no
@@ -699,12 +668,9 @@ def empirical_envelope(
                 "x_log2": e,
                 "certified": certified_regime(prob),
             }
-            acc: dict[tuple[int, int], tuple[int, int]] = {}
+            roots: list[RootSolution] = []
             # m = 1: the attempt's f is t + xc + P0 (lead 1, m^(-1) = 1)
-            _univariate_interval(prob, 1, 1, -x_bound, x_bound, x_bound, acc, {}, [])
-            try:
-                entry["one_shot"] = any(s.p in (p, q) for s in _solutions(prob, acc))
-            except NoRoot:
-                entry["one_shot"] = False
+            _univariate_interval(prob, 1, 1, -x_bound, x_bound, x_bound, roots, {}, [])
+            entry["one_shot"] = any(s.p in (p, q) for s in roots)
             report.append(entry)
     return report

@@ -100,6 +100,8 @@ def fermat_standard(n: int, budget: int | None = None) -> FermatResult:
 def predict_steps(p: int, n: int) -> int:
     """Scan length p + n/p - ceil(2*sqrt(n)) + 1 for the divisor pair led by
     p: every x from ceil(2*sqrt(n)) up to p + n/p, the hit included."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
     if n % p != 0:
         raise NotADivisor(f"{p} does not divide {n}")
     if p * p > n:

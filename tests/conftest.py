@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
 import importlib.util
+import os
 import random
 import sys
 from pathlib import Path
@@ -37,6 +39,27 @@ REPO = Path(__file__).resolve().parents[1]
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+# A test still running after this many seconds dumps every thread's stack
+# and ends the run with exit 1, so a kernel that stops terminating fails in
+# minutes.  The slowest test takes about 5 s.  Not an exception raised from
+# SIGALRM: Hypothesis would re-run the hanging example while shrinking.
+TEST_TIME_LIMIT_S = 120
+_stderr_fd = 2
+
+
+def pytest_configure(config):
+    # a copy of fd 2 taken outside capture: pytest redirects fd 2 during
+    # each test, which would swallow the dump
+    global _stderr_fd
+    _stderr_fd = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True, file=_stderr_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def box_oracle(prob: BivariateProblem) -> list[tuple[int, int, int, int]]:
@@ -332,7 +355,7 @@ def reference_univariate_interval(
     s: int,
     half: int,
     end: int,
-    acc: dict[tuple[int, int], tuple[int, int]],
+    roots: list[RootSolution],
     stats: dict,
     warm: list,
 ) -> int | None:
@@ -379,7 +402,7 @@ def reference_univariate_interval(
     stats["lattice_dim"] = 3
     g0, g1, g2 = best
     for tr in coppersmith._quad_roots(g2, g1, g0, lo, reach - 1):
-        coppersmith._record(prob, xc + tr, acc)
+        coppersmith._record(prob, xc + tr, roots)
     return xc + reach - 1
 
 

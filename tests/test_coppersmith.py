@@ -118,9 +118,9 @@ class TestSolveBivariate:
     def test_splitter_solves_a_box_one_attempt_cannot(self):
         # no single attempt centred on the box finds this root; the walk does
         prob = BivariateProblem(N=4305481, P0=2074, Q0=2074, X=46, Y=46)
-        acc = {}
-        _univariate_interval(prob, 1, 1, -46, 46, 46, acc, {}, [])
-        assert acc == {}
+        roots = []
+        _univariate_interval(prob, 1, 1, -46, 46, 46, roots, {}, [])
+        assert roots == []
         assert (-11, 13) in roots_of(solve_bivariate(prob))
 
     def test_oracle_equivalence_random_boxes(self, rng):
@@ -491,6 +491,39 @@ class TestWarmStartedSplitter:
         assert got == box_oracle(prob)
         assert stats.get("boxes", 0) == 0 and stats["column_scans"] == 1
 
+    def test_first_returns_a_scanned_interval_whole(self):
+        # a tiny N often has no certified width, so the interval is one
+        # scanned span and `first` stops only after it: every root of the
+        # box, and the same stats as the full walk, even past the first
+        # proper root
+        def solve(prob, stats, first):
+            try:
+                return [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, stats, first=first)]
+            except NoRoot:
+                return []
+
+        scanned = past_proper = 0
+        for big_n in range(2, 200):
+            for m in (2, 3, 4, 7):
+                bound = 3 * isqrt(big_n) // (2 * m) + 2
+                for c in range(1, m):
+                    for d in range(1, m):
+                        if (c * d - big_n) % m:
+                            continue
+                        prob = BivariateProblem(
+                            N=big_n, P0=c, Q0=d, X=bound, Y=bound, m=m, n=m
+                        )
+                        stats, full_stats = {}, {}
+                        want = solve(prob, full_stats, False)
+                        if "boxes" in full_stats:  # a lattice attempt covered some
+                            continue
+                        got = solve(prob, stats, True)
+                        assert got == want == box_oracle(prob) and stats == full_stats
+                        scanned += "column_scans" in stats
+                        proper = [i for i, r in enumerate(got) if 1 < r[2] < big_n]
+                        past_proper += bool(proper) and proper[0] < len(got) - 1
+        assert scanned > 1000 and past_proper > 100, (scanned, past_proper)
+
     def _retried_walks(self, monkeypatch, retry_misses: bool) -> tuple[int, int]:
         """Solve twelve boxes with every other walk attempt reported as a
         miss: it still reduces (the retry warm-starts from its basis) but
@@ -505,7 +538,7 @@ class TestWarmStartedSplitter:
         walks, walked, misses, missed_spans, scanned_spans = [], [], [], [], []
         retry = []  # the column a missed attempt must be retried from
 
-        def counted(prob, lead, inv, s, half, end, acc, stats, warm):
+        def counted(prob, lead, inv, s, half, end, roots, stats, warm):
             if not warm:  # the first attempt of a walk: s and end span it
                 plo = prob.m * s + prob.P0
                 h_c = _howgrave_halfwidth(prob.N, lead, plo)
@@ -515,27 +548,27 @@ class TestWarmStartedSplitter:
                 assert s == retry.pop()  # from the missed attempt's column
                 assert half <= h_c * (prob.m * s + prob.P0) // plo  # certified
                 if retry_misses:
-                    attempt(prob, lead, inv, s, half, end, {}, stats, warm)
+                    attempt(prob, lead, inv, s, half, end, [], stats, warm)
                     missed_spans.append((s, min(s + 2 * half, end)))
                     return None
             else:
                 walked.append(s)
                 if len(walked) % 2 == 0:
-                    attempt(prob, lead, inv, s, half, end, {}, stats, warm)
+                    attempt(prob, lead, inv, s, half, end, [], stats, warm)
                     misses.append(s)
                     retry.append(s)
                     return None
-            reached = attempt(prob, lead, inv, s, half, end, acc, stats, warm)
+            reached = attempt(prob, lead, inv, s, half, end, roots, stats, warm)
             if reached is None:
                 retry.append(s)
             else:
                 covered.append((s, reached))
             return reached
 
-        def scanned(prob, xlo, xhi, acc, stats, first):
+        def scanned(prob, xlo, xhi, roots, stats):
             walks[-1][1].append((xlo, xhi))
             scanned_spans.append((xlo, xhi))
-            scan(prob, xlo, xhi, acc, stats, first)
+            scan(prob, xlo, xhi, roots, stats)
 
         monkeypatch.setattr(coppersmith, "_univariate_interval", counted)
         monkeypatch.setattr(coppersmith, "_scan_columns", scanned)
@@ -587,25 +620,25 @@ class TestWarmStartedSplitter:
         # that some fall short: a hit records exactly the roots from s to
         # the column it returns, and some reduced polynomial g has
         # |g(x - xc)| < p(x) at every one of them, so that g vanishes at
-        # each root there.
+        # each root there.  Y = N keeps every co-factor's column in the box.
         rng = random.Random(seed)
         n, p, q = balanced_semiprime(rng, bits)
         mod = 1 << (bits // 4)
         x0 = (p - p % mod) // mod
         prob = BivariateProblem(
-            N=n, P0=p % mod, Q0=q % mod, X=1, Y=1, m=mod, n=mod
+            N=n, P0=p % mod, Q0=q % mod, X=1, Y=n, m=mod, n=mod
         )
         h_c = _howgrave_halfwidth(n, 1, p // 2)
         half = rng.randrange(over * h_c + 1)
         s = x0 - rng.randrange(2 * half + 1)
         end = s + 2 * half + rng.randrange(4 * h_c + 1)
         assume(mod * s + p % mod >= p // 2)
-        acc, warm = {}, []
+        roots, warm = [], []
         reached = _univariate_interval(
-            prob, 1, pow(mod, -1, n), s, half, end, acc, {}, warm
+            prob, 1, pow(mod, -1, n), s, half, end, roots, {}, warm
         )
         if reached is None:
-            assert acc == {}
+            assert roots == []
             return
         assert s <= reached <= end
         xc, polys = warm
@@ -617,12 +650,12 @@ class TestWarmStartedSplitter:
             )
             for g0, g1, g2 in polys
         )
-        expected = {}
+        expected = []
         for x in columns:
             d = mod * x + prob.P0
             if d and n % d == 0 and (n // d - prob.Q0) % mod == 0:
-                expected[(x, (n // d - prob.Q0) // mod)] = (d, n // d)
-        assert acc == expected
+                expected.append((x, (n // d - prob.Q0) // mod, d, n // d))
+        assert [(r.x0, r.y0, r.p, r.q) for r in roots] == expected
 
     def test_shift_spans_the_fresh_lattice(self, rng):
         # lead = 1: the attempt's basis shifted by s and reduced has the fresh
@@ -634,8 +667,8 @@ class TestWarmStartedSplitter:
         inv = pow(m, -1, n)
         for s in (1, 37, 201, -90, 5000):
             warm = []
-            _univariate_interval(prob, 1, inv, 100, 40, 180, {}, {}, warm)
-            _univariate_interval(prob, 1, inv, 100 + s, 40, 180 + s, {}, {}, warm)
+            _univariate_interval(prob, 1, inv, 100, 40, 180, [], {}, warm)
+            _univariate_interval(prob, 1, inv, 100 + s, 40, 180 + s, [], {}, warm)
             centre, polys = warm
             assert centre == 140 + s
             a_new = (m * centre + prob.P0) * inv % n

@@ -117,6 +117,13 @@ class TestPredictSteps:
         with pytest.raises(ValueError):
             predict_steps(113, 2599)
 
+    @pytest.mark.parametrize("p", [0, -1, -3])
+    def test_a_divisor_below_one_is_rejected(self, p):
+        # checked before divisibility: 0 would divide by zero, and -1 and -3
+        # divide 15 but would predict a negative step count
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            predict_steps(p, 15)
+
     def test_matches_measurement(self, rng):
         for _ in range(60):
             n, p, q = close_semiprime(rng, rng.randrange(20, 40))
