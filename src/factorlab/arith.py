@@ -144,8 +144,7 @@ def _patterns(q: int, base: int, stride: int, offsets: tuple[int, ...]) -> list[
 def _rotation(q: int, o: int) -> int:
     """Fill and return _ROTATIONS[q][o]: bit k is set when k*k + o is a
     square modulo q, for every k < _MERGED_MAX + 2q."""
-    bits = sum(1 << k for k in range(q) if (k * k + o) % q in _SIEVE_SQUARES[q])
-    _ROTATIONS[q][o] = rep = bits * _REPUNITS[q]
+    _ROTATIONS[q][o] = rep = _patterns(q, 0, 1, (o,))[0] * _REPUNITS[q]
     return rep
 
 

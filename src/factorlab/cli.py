@@ -27,18 +27,44 @@ from .errors import (
 )
 from .residue import default_t_bound, landry_pepin, residue_driver
 
-# The flags each method requires, in the order its report's params record them.
-METHOD_FLAGS = {
-    "standard": (),
-    "triangular": (),
-    "ratio": ("r",),
-    "residue": ("mod",),
-    "landry-pepin": ("mod", "mod2", "c", "d"),
-    "coppersmith-msb": ("p0",),
-    "coppersmith-lsb": ("lsb_value", "lsb_bits"),
-    "trivariate": ("p0", "mult"),
-    "theorem4": ("mod",),
+
+def _landry_pepin(config, params, stats):
+    t_bound = config.t_bound
+    if t_bound is None:
+        t_bound = default_t_bound(config.n, config.mod, config.mod2, config.c, config.d)
+    params["t_bound"] = t_bound
+    return landry_pepin(config.n, config.mod, config.mod2, config.c, config.d, t_bound)
+
+
+def _trivariate(config, params, stats):
+    bound = coppersmith.default_box_bound(config.n)
+    prob = coppersmith.TrivariateProblem(
+        N=config.n, P0=config.p0, M=config.mult, a_max=config.a_max,
+        z_max=config.z_max, X=bound, Y=bound,
+    )
+    result = coppersmith.solve_trivariate(prob, stats)
+    params["z0"] = result[0].z0
+    return result
+
+
+# Each method's required flags, in the order its report's params record them,
+# and its call (config, params, stats) -> result.  The calls look each solver
+# up when they run, so a wrapper set on its module after import sees them.
+_METHOD_TABLE = {
+    "standard": ((), lambda c, _, s: fermat.fermat_standard(c.n, c.budget)),
+    "triangular": ((), lambda c, _, s: fermat.fermat_triangular(c.n, c.budget)),
+    "ratio": (("r",), lambda c, _, s: fermat.fermat_ratio(c.n, c.r, c.budget)),
+    "residue": (("mod",), lambda c, _, s: residue_driver(c.n, c.mod, c.t_bound)),
+    "landry-pepin": (("mod", "mod2", "c", "d"), _landry_pepin),
+    "coppersmith-msb": (("p0",), lambda c, _, s: coppersmith.solve_msb_known(c.n, c.p0, s)),
+    "coppersmith-lsb": (
+        ("lsb_value", "lsb_bits"),
+        lambda c, _, s: coppersmith.solve_lsb_known(c.n, c.lsb_value, c.lsb_bits, s),
+    ),
+    "trivariate": (("p0", "mult"), _trivariate),
+    "theorem4": (("mod",), lambda c, _, s: coppersmith.theorem4_driver(c.n, c.mod, s)),
 }
+METHOD_FLAGS = {method: flags for method, (flags, _) in _METHOD_TABLE.items()}
 METHODS = tuple(METHOD_FLAGS)
 
 # The hints `bench` plants from the generated p, given ell = N.bit_length() // 4:
@@ -152,7 +178,8 @@ def run(config: RunConfig) -> RunReport:
         raise UsageError("--n is required")
     n = config.n
     params: dict = {}
-    for name in METHOD_FLAGS[method]:
+    flags, call = _METHOD_TABLE[method]
+    for name in flags:
         if getattr(config, name) is None:
             raise UsageError(f"method {method!r} requires --{name.replace('_', '-')}")
         params[name] = getattr(config, name)
@@ -163,40 +190,7 @@ def run(config: RunConfig) -> RunReport:
     stats: dict = {}
     started = time.perf_counter()
     try:
-        if method == "standard":
-            result = fermat.fermat_standard(n, config.budget)
-        elif method == "triangular":
-            result = fermat.fermat_triangular(n, config.budget)
-        elif method == "ratio":
-            result = fermat.fermat_ratio(n, config.r, config.budget)
-        elif method == "residue":
-            result = residue_driver(n, config.mod, config.t_bound)
-        elif method == "landry-pepin":
-            t_bound = config.t_bound
-            if t_bound is None:
-                t_bound = default_t_bound(n, config.mod, config.mod2, config.c, config.d)
-            params["t_bound"] = t_bound
-            result = landry_pepin(n, config.mod, config.mod2, config.c, config.d, t_bound)
-        elif method == "coppersmith-msb":
-            result = coppersmith.solve_msb_known(n, config.p0, stats)
-        elif method == "coppersmith-lsb":
-            result = coppersmith.solve_lsb_known(n, config.lsb_value, config.lsb_bits, stats)
-        elif method == "trivariate":
-            bound = coppersmith.default_box_bound(n)
-            prob = coppersmith.TrivariateProblem(
-                N=n,
-                P0=config.p0,
-                M=config.mult,
-                a_max=config.a_max,
-                z_max=config.z_max,
-                X=bound,
-                Y=bound,
-            )
-            result = coppersmith.solve_trivariate(prob, stats)
-            params["z0"] = result[0].z0
-        elif method == "theorem4":
-            result = coppersmith.theorem4_driver(n, config.mod, stats)
-        factors, steps = _factors(n, result)
+        factors, steps = _factors(n, call(config, params, stats))
     except (Exhausted, MultiplierCollision):
         outcome = "exhausted"
     except NoRoot:

@@ -20,18 +20,21 @@ last column its best g vouches for.  An attempt whose polynomials all fail
 at its first column is retried from there at the certified width, which
 the certificate says always suffices.  What a retry left uncovered anyway,
 and every interval with no certified width (tiny N), is scanned column by
-column, so the returned root set is exactly the set of in-box roots with
-p > 0 regardless of box size.  Attempts and scans cover ascending, disjoint
-columns, each with at most one root, which _record (the box rule, |y0| <= Y,
-and the re-verification) appends to the result: it comes out sorted.
+column, so the walk finds exactly the in-box roots with p > 0 regardless
+of box size.  Attempts and scans cover ascending, disjoint columns, each
+with at most one root, which _record (the box rule, |y0| <= Y, and the
+re-verification) appends to the list of the attempt or scan that reached
+it.  The walk (_walk) yields each such list that is not empty, so the
+roots come out sorted.
 
 Only the first attempt of the walk reduces N, f and t*f; every later
 attempt warm-starts from the previous reduced basis, shifted to its own
 centre, which keeps the determinant the certificate rests on.
 
-theorem4_driver uses only the first proper divisor a residue pair gives, so
-its walks stop after the first attempt or scanned span that records one
-(`first`); every other solver returns the whole root set.
+solve_bivariate consumes the walk for the hint solvers and theorem4: it
+joins the lists, and with `first` stops after the first one that holds a
+proper divisor 1 < p < N, all that theorem4_driver uses of a residue pair.
+solve_trivariate consumes the walk directly, one q window at a time.
 
 solve_bivariate also reports `certified`: whether the box meets
 Coppersmith's bivariate bound X*Y <= W^(2/3), W the height of f(x*X, y*Y)
@@ -321,10 +324,9 @@ def _univariate_interval(
 _OVERSHOOT = 2
 
 
-def _solve_interval(
-    prob: BivariateProblem, roots: list[RootSolution], stats: dict, first: bool
-) -> None:
-    """Record every root of the box with 1 <= p <= N, in ascending columns.
+def _walk(prob: BivariateProblem, stats: dict):
+    """Yield the roots of the box with 1 <= p <= N in ascending columns: one
+    non-empty list for each attempt or scanned span that records any.
 
     After narrowing against the q window, the interval is walked up from
     xlo, where p is smallest.  h_c, the certified half-width at that p,
@@ -335,9 +337,8 @@ def _solve_interval(
     at half-width h, where the certificate says it covers at least
     [s, s + 2h], and the walk goes on from wherever the retry reaches.  A
     retry that missed anyway has that span scanned column by column, as is
-    every interval with no certified width.  With `first`, the walk ends
-    after the first attempt or scanned span that records a root with
-    1 < p < N.
+    every interval with no certified width.  A missed attempt records
+    nothing, so the list is its retry's, or the span's scanned after that.
     """
     big_n, m, n = prob.N, prob.m, prob.n
     p_base, q_base = prob.P0, prob.Q0
@@ -367,8 +368,11 @@ def _solve_interval(
     else:
         lead, inv = m, 1
     h_c = _howgrave_halfwidth(big_n, lead, plo)
+    roots: list[RootSolution] = []
     if h_c == 0:
         _scan_columns(prob, xlo, xhi, roots, stats)
+        if roots:
+            yield roots
         return
     s, warm, over = xlo, [], _OVERSHOOT
     while s <= xhi:
@@ -381,10 +385,9 @@ def _solve_interval(
         if reached is None:  # a certified attempt missed: scan its span
             reached = s + min(2 * half, xhi - s)
             _scan_columns(prob, s, reached, roots, stats)
-        # an earlier proper root would have ended the walk, and p = N is
-        # its last column: only the newest root needs checking
-        if first and roots and 1 < roots[-1].p < big_n:
-            return
+        if roots:
+            yield roots
+            roots = []
         s, over = reached + 1, _OVERSHOOT
 
 
@@ -404,27 +407,32 @@ def solve_bivariate(
     """All roots of (m*x + P0)(n*y + Q0) - N with |x| <= X, |y| <= Y and
     p = m*x + P0 > 0, sorted by (x0, y0).  Only such a root can name a
     factor of N, so the columns with p <= 0 are not searched, and a root
-    with p < 0 (and q < 0) is never returned.  _record appends each root
-    in the box, re-verified, as the walk reaches its column.
+    with p < 0 (and q < 0) is never returned.  The walk yields the roots of
+    each attempt or scanned span that records any, in ascending columns,
+    and the result joins them.
 
     With `first`, the walk stops after the first attempt (or scanned span)
-    that records a root with 1 < p < N, and the result is the roots up to
-    its last column: a prefix of the full result that holds its least proper
-    root, since the attempts and scans cover ascending, disjoint columns.  A
-    box with no proper root is walked whole, as without `first`.
+    whose roots include one with 1 < p < N, and the result joins the lists
+    up to and including that one: a prefix of the full result that holds
+    its least proper root.  A box with no proper root is walked whole, as
+    without `first`.
 
     The result is exact for every box size.  stats["certified"] records
     whether the box meets Coppersmith's bound (certified_regime), which the
-    splitter does not need,
-    stats["boxes"] and stats["column_scans"] count lattice attempts and
-    column scans, and stats["lattice_dim"] is 3 once an attempt covers a
-    column.  Raises NoRoot when the box holds no such root.
+    splitter does not need, stats["boxes"] and stats["column_scans"] count
+    lattice attempts and column scans, and stats["lattice_dim"] is 3 once
+    an attempt covers a column.  Raises NoRoot when the box holds no such root.
     """
     if stats is None:
         stats = {}
     stats["certified"] = certified_regime(prob)
     roots: list[RootSolution] = []
-    _solve_interval(prob, roots, stats, first)
+    for found in _walk(prob, stats):
+        roots += found
+        # p = 1 and p = N are the walk's first and last columns, so a list
+        # holding a proper root ends the walk here or anyway: test its last
+        if first and 1 < found[-1].p < prob.N:
+            break
     if not roots:
         raise NoRoot(f"no factor pair of {prob.N} inside the box")
     return roots
@@ -587,13 +595,10 @@ def solve_trivariate(
                 N=prob.N, P0=prob.P0, Q0=(lo + hi) // 2, X=prob.X,
                 Y=(hi - lo) // 2 + 1,
             )
-            try:
-                found = solve_bivariate(window, stats)
-            except NoRoot:
-                continue
-            for s in found:
-                if lo <= s.q <= hi and (c := _first_candidate(prob, s.q)):
-                    firsts.append((c, s))
+            for found in _walk(window, stats):
+                for s in found:
+                    if lo <= s.q <= hi and (c := _first_candidate(prob, s.q)):
+                        firsts.append((c, s))
         if firsts:
             (z0, _, _), q0 = min(c for c, _ in firsts)
             box = BivariateProblem(N=prob.N, P0=prob.P0, Q0=q0, X=prob.X, Y=prob.Y)
@@ -611,10 +616,10 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
     """Factor N with nearly equal factors by trying every divisor pair of
     the small lifts of N mod m in the (m*x + c)(m*y + d) form.
 
-    pair_driver splits N at a pair's least root with 1 < p < N, so each
-    pair's walk ends after the first attempt or scanned span that records one
-    (solve_bivariate's `first`); a pair with none is walked whole and
-    raises NoRoot when its box holds no root at all.  stats accumulates
+    pair_driver splits N at a pair's least root with 1 < p < N, so
+    solve_bivariate, with `first`, stops each pair's walk after the first
+    attempt or scanned span whose roots include one; a pair with none is
+    walked whole and raises NoRoot when its box holds no root at all.  stats accumulates
     over the pairs tried, and stats["lattice_dim"] stays unset when no
     attempt covered a column: on tiny N the column scan covers them all.
     """

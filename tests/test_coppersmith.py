@@ -524,6 +524,69 @@ class TestWarmStartedSplitter:
                         past_proper += bool(proper) and proper[0] < len(got) - 1
         assert scanned > 1000 and past_proper > 100, (scanned, past_proper)
 
+    @given(
+        primes=st.lists(
+            st.sampled_from([2, 3, 5, 7, 11, 13, 101, 1009, 10007, 100003]),
+            min_size=1, max_size=12,
+        ),
+        m=st.integers(min_value=1, max_value=60),
+        pick=st.integers(min_value=0, max_value=2**32 - 1),
+        x=st.integers(min_value=1, max_value=1 << 12),
+    )
+    # lattice walks of 21 and 4 lists; boxes with no certified width, each
+    # scanned whole as one list holding p = 1 and several proper roots
+    @example(primes=[2, 2, 3, 7, 13, 13, 101], m=1, pick=642606812, x=2961)
+    @example(primes=[2, 5, 5, 7, 11, 13, 101, 10007], m=3, pick=1460958650, x=1)
+    @example(primes=[2, 3, 11, 10007], m=1, pick=1719704081, x=596)
+    @example(primes=[2, 5, 7, 11, 13], m=6, pick=3844534363, x=1)
+    @settings(max_examples=150, deadline=None)
+    def test_walk_yields_the_roots_in_disjoint_ascending_lists(self, primes, m, pick, x):
+        # the walk yields a non-empty list for each attempt or scanned span
+        # that records roots; joined they are the box scan, and with `first`
+        # solve_bivariate returns the lists up to the first one holding a
+        # root with 1 < p < N.  N is the product of the drawn primes, as
+        # many as stay below 2^64 (m = 1) or 2^20, and p one of its
+        # divisors: m = 1 draws a hint box of half-width x holding p, any
+        # other m the residue box of p's pair as theorem4 builds it, where
+        # many intervals have no certified width and are scanned whole.
+        big_n, limit = 1, 1 << (64 if m == 1 else 20)
+        for f in sorted(primes):
+            if big_n * f < limit:
+                big_n *= f
+        divisors = {1}
+        for f in primes:
+            divisors |= {d * f for d in divisors if big_n % (d * f) == 0}
+        p = sorted(divisors)[pick % len(divisors)]
+        if m == 1:
+            p0 = max(1, p + pick % (2 * x + 1) - x)
+            prob = BivariateProblem(N=big_n, P0=p0, Q0=big_n // p0, X=x, Y=big_n)
+        else:
+            box = 3 * isqrt(big_n) // (2 * m) + 2
+            prob = BivariateProblem(
+                N=big_n, P0=p % m, Q0=big_n // p % m, X=box, Y=box, m=m, n=m
+            )
+        stats, full_stats = {}, {}
+        lists = [[(s.x0, s.y0, s.p, s.q) for s in found]
+                 for found in coppersmith._walk(prob, stats)]
+        joined = [root for found in lists for root in found]
+        assert all(lists)
+        assert [r[0] for r in joined] == sorted({r[0] for r in joined})
+
+        def solve(stats, first):
+            try:
+                return [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, stats, first=first)]
+            except NoRoot:
+                return []
+
+        assert joined == solve(full_stats, False) == box_oracle(prob)
+        assert full_stats == {**stats, "certified": certified_regime(prob)}
+        want = []
+        for found in lists:
+            want += found
+            if any(1 < r[2] < big_n for r in found):
+                break
+        assert solve({}, True) == want
+
     def _retried_walks(self, monkeypatch, retry_misses: bool) -> tuple[int, int]:
         """Solve twelve boxes with every other walk attempt reported as a
         miss: it still reduces (the retry warm-starts from its basis) but
@@ -1071,16 +1134,16 @@ class TestTrivariate:
 
     @staticmethod
     def _searched(prob: TrivariateProblem) -> list[tuple[int, int]]:
-        """The q window (Q0 - Y, Q0 + Y) of every solve_bivariate call of an
-        exhausted search, after checking that those windows hold every
-        co-factor N/p of the x box that some candidate box holds."""
-        windows = []
+        """The q window (Q0 - Y, Q0 + Y) of every walk of an exhausted
+        search, after checking that those windows hold every co-factor N/p
+        of the x box that some candidate box holds."""
+        windows, walk = [], coppersmith._walk
 
-        def counting(sub, stats=None):
+        def counting(sub, stats):
             windows.append((sub.Q0 - sub.Y, sub.Q0 + sub.Y))
-            return solve_bivariate(sub, stats)
+            return walk(sub, stats)
 
-        with mock.patch.object(coppersmith, "solve_bivariate", counting):
+        with mock.patch.object(coppersmith, "_walk", counting):
             with pytest.raises(Exhausted):
                 solve_trivariate(prob)
         reach, m = prob.a_max + prob.Y, prob.M
