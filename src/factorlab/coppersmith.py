@@ -1,5 +1,5 @@
 """Small-root solvers for the bilinear factoring family
-f(x, y) = (m*x + P0)(n*y + Q0) - N.
+f(x, y) = (m*x + P0)(m*y + Q0) - N.
 
 The splitter (solve_bivariate) works on x alone and searches only the
 columns where p = m*x + P0 > 0, the only ones that can name a factor.  After
@@ -32,8 +32,9 @@ attempt warm-starts from the previous reduced basis, shifted to its own
 centre, which keeps the determinant the certificate rests on.
 
 solve_bivariate consumes the walk for the hint solvers and theorem4: it
-joins the lists, and with `first` stops after the first one that holds a
-proper divisor 1 < p < N, all that theorem4_driver uses of a residue pair.
+joins the lists, and with `first` stops after the first one, which holds
+the least proper divisor 1 < p < N if there is one (only the last list can
+hold p = 1 or p = N): all that theorem4_driver uses of a residue pair.
 solve_trivariate consumes the walk directly, one q window at a time.
 
 solve_bivariate also reports `certified`: whether the box meets
@@ -73,10 +74,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BivariateProblem:
-    """Root search for (m*x + P0)(n*y + Q0) - N over |x| <= X, |y| <= Y.
+    """Root search for (m*x + P0)(m*y + Q0) - N over |x| <= X, |y| <= Y.
 
-    The plain approximation form uses m = n = 1 with P0, Q0 the factor
-    hints; the residue form uses moduli m, n with P0, Q0 the residues.
+    The plain approximation form uses m = 1 with P0, Q0 the factor hints;
+    the residue form uses the one modulus m of both factors, with P0, Q0
+    their residues.
     """
 
     N: int
@@ -85,15 +87,14 @@ class BivariateProblem:
     X: int
     Y: int
     m: int = 1
-    n: int = 1
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be positive")
         if self.X < 1 or self.Y < 1:
             raise ValueError("bounds must be >= 1")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("moduli must be >= 1")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class TrivariateProblem:
 @dataclass(frozen=True)
 class RootSolution:
     """An in-box root and the factor pair it certifies: p = m*x0 + P0,
-    q = n*y0 + Q0, p*q = N."""
+    q = m*y0 + Q0, p*q = N."""
 
     x0: int
     y0: int
@@ -132,10 +133,10 @@ class RootSolution:
 
 def certified_regime(prob: BivariateProblem) -> bool:
     """Coppersmith's bivariate bound X*Y <= W**(2/3), compared exactly, where
-    W is the height of f(x*X, y*Y) for f = (m*x + P0)(n*y + Q0) - N with its
+    W is the height of f(x*X, y*Y) for f = (m*x + P0)(m*y + Q0) - N with its
     content removed."""
-    m, n, p0, q0 = prob.m, prob.n, prob.P0, prob.Q0
-    coeffs = (m * n, m * q0, n * p0, p0 * q0 - prob.N)
+    m, p0, q0 = prob.m, prob.P0, prob.Q0
+    coeffs = (m * m, m * q0, m * p0, p0 * q0 - prob.N)
     scales = (prob.X * prob.Y, prob.X, prob.Y, 1)
     w = max(abs(c * s) for c, s in zip(coeffs, scales)) // gcd(*coeffs)
     return (prob.X * prob.Y) ** 3 <= w * w
@@ -174,16 +175,16 @@ def _quad_roots(u2: int, u1: int, u0: int, lo: int, hi: int) -> list[int]:
 
 def _record(prob: BivariateProblem, x0: int, roots: list[RootSolution]) -> None:
     """Append the root at column x0 when p = m*x0 + P0 divides N and the
-    co-factor q = N/p lies on the residue line n*y0 + Q0 with |y0| <= Y: the
+    co-factor q = N/p lies on the residue line m*y0 + Q0 with |y0| <= Y: the
     only place a column becomes a root, re-verified against f."""
     p = prob.m * x0 + prob.P0
     if p == 0 or prob.N % p:
         return
     q = prob.N // p
-    y0, r = divmod(q - prob.Q0, prob.n)
+    y0, r = divmod(q - prob.Q0, prob.m)
     if r or abs(y0) > prob.Y:
         return
-    if p * (prob.n * y0 + prob.Q0) != prob.N:
+    if p * (prob.m * y0 + prob.Q0) != prob.N:
         raise AssertionError("solver produced an invalid root")
     roots.append(RootSolution(x0=x0, y0=y0, p=p, q=q))
 
@@ -340,7 +341,7 @@ def _walk(prob: BivariateProblem, stats: dict):
     every interval with no certified width.  A missed attempt records
     nothing, so the list is its retry's, or the span's scanned after that.
     """
-    big_n, m, n = prob.N, prob.m, prob.n
+    big_n, m = prob.N, prob.m
     p_base, q_base = prob.P0, prob.Q0
     # a divisor 1 <= p <= N, whatever the requested box
     xlo = max(-prob.X, -((p_base - 1) // m))
@@ -352,8 +353,8 @@ def _walk(prob: BivariateProblem, stats: dict):
         if xhi < xlo:
             return
         plo, phi = m * xlo + p_base, m * xhi + p_base
-        qlo = max(q_base - n * prob.Y, big_n // phi)
-        qhi = min(q_base + n * prob.Y, big_n // plo + 1)
+        qlo = max(q_base - m * prob.Y, big_n // phi)
+        qhi = min(q_base + m * prob.Y, big_n // plo + 1)
         if qlo > qhi:
             return
         p2lo, p2hi = big_n // qhi, big_n // qlo + 1
@@ -404,18 +405,19 @@ def _scan_columns(
 def solve_bivariate(
     prob: BivariateProblem, stats: dict | None = None, *, first: bool = False
 ) -> list[RootSolution]:
-    """All roots of (m*x + P0)(n*y + Q0) - N with |x| <= X, |y| <= Y and
+    """All roots of (m*x + P0)(m*y + Q0) - N with |x| <= X, |y| <= Y and
     p = m*x + P0 > 0, sorted by (x0, y0).  Only such a root can name a
     factor of N, so the columns with p <= 0 are not searched, and a root
     with p < 0 (and q < 0) is never returned.  The walk yields the roots of
     each attempt or scanned span that records any, in ascending columns,
     and the result joins them.
 
-    With `first`, the walk stops after the first attempt (or scanned span)
-    whose roots include one with 1 < p < N, and the result joins the lists
-    up to and including that one: a prefix of the full result that holds
-    its least proper root.  A box with no proper root is walked whole, as
-    without `first`.
+    With `first`, the result is the walk's first list alone: a prefix of
+    the full result that holds its least proper root 1 < p < N, if the box
+    has one.  Only the walk's last list can hold p = N, the interval's last
+    column, and p = 1 lies in the interval only when its smallest p is 1,
+    where the certified half-width is 0 and the whole interval is one
+    scanned list.  So every list but the last holds proper roots only.
 
     The result is exact for every box size.  stats["certified"] records
     whether the box meets Coppersmith's bound (certified_regime), which the
@@ -429,9 +431,9 @@ def solve_bivariate(
     roots: list[RootSolution] = []
     for found in _walk(prob, stats):
         roots += found
-        # p = 1 and p = N are the walk's first and last columns, so a list
-        # holding a proper root ends the walk here or anyway: test its last
-        if first and 1 < found[-1].p < prob.N:
+        # only the walk's last list can hold p = 1 or p = N (see above), so
+        # the first list holds the least proper root, if there is one
+        if first:
             break
     if not roots:
         raise NoRoot(f"no factor pair of {prob.N} inside the box")
@@ -482,9 +484,7 @@ def solve_lsb_known(
     y0_bits = big_n * pow(x0_bits, -1, mod) % mod
     x_bound = isqrt(big_n) // mod + 1
     y_bound = 2 * isqrt(big_n) // mod + 1
-    prob = BivariateProblem(
-        N=big_n, P0=x0_bits, Q0=y0_bits, X=x_bound, Y=y_bound, m=mod, n=mod
-    )
+    prob = BivariateProblem(N=big_n, P0=x0_bits, Q0=y0_bits, X=x_bound, Y=y_bound, m=mod)
     return solve_bivariate(prob, stats)
 
 
@@ -617,9 +617,9 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
     the small lifts of N mod m in the (m*x + c)(m*y + d) form.
 
     pair_driver splits N at a pair's least root with 1 < p < N, so
-    solve_bivariate, with `first`, stops each pair's walk after the first
-    attempt or scanned span whose roots include one; a pair with none is
-    walked whole and raises NoRoot when its box holds no root at all.  stats accumulates
+    solve_bivariate, with `first`, stops each pair's walk after its first
+    attempt or scanned span that records a root, which holds that root when
+    there is one; it raises NoRoot when the box holds no root at all.  stats accumulates
     over the pairs tried, and stats["lattice_dim"] stays unset when no
     attempt covered a column: on tiny N the column scan covers them all.
     """
@@ -627,9 +627,7 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorizat
     def solve(pair: ResiduePair) -> list[int]:
         # computed here, after pair_driver has checked N and m
         bound = 3 * isqrt(big_n) // (2 * m) + 2
-        prob = BivariateProblem(
-            N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
-        )
+        prob = BivariateProblem(N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m)
         try:
             return [sol.p for sol in solve_bivariate(prob, stats, first=True)]
         except NoRoot:

@@ -40,29 +40,27 @@ _RATIO_CAP = 10**4
 
 @dataclass(frozen=True)
 class FermatResult:
-    """A solution of 4N = x^2 - y^2 with its scan-step count."""
+    """A split N = p*q, p <= q, with its scan-step count.  The solution
+    x = p + q, y = q - p of 4N = x^2 - y^2 is derived from p and q."""
 
-    x: int
-    y: int
     p: int
     q: int
     steps: int
-    method: str
 
     def __post_init__(self):
         if self.p > self.q or self.p < 1:
             raise ValueError("need 1 <= p <= q")
-        if self.x != self.p + self.q or self.y != self.q - self.p:
-            raise ValueError("x, y must be the factor sum and gap")
-        if self.x * self.x - self.y * self.y != 4 * self.p * self.q:
-            raise ValueError("x^2 - y^2 != 4N")
 
     @property
-    def n(self) -> int:
-        return self.p * self.q
+    def x(self) -> int:
+        return self.p + self.q
+
+    @property
+    def y(self) -> int:
+        return self.q - self.p
 
 
-def _difference_scan(n: int, budget: int | None, method: str) -> FermatResult:
+def _difference_scan(n: int, budget: int | None) -> FermatResult:
     """Scan x upward from the first x with x^2 >= 4n for the first x^2 - 4n
     that is a perfect square.  Steps count the positions scanned, the hit
     included; only the positions that square_candidates lets through are
@@ -82,7 +80,7 @@ def _difference_scan(n: int, budget: int | None, method: str) -> FermatResult:
         if y is not None:
             p, q = (x - y) // 2, (x + y) // 2
             if p >= 2:
-                return FermatResult(x=x, y=y, p=p, q=q, steps=j + 1, method=method)
+                return FermatResult(p, q, j + 1)
             if p == 1:
                 raise TrivialOnly(f"{n} admits only the trivial split 1 x {n}")
     # only a budget ends the loop here: without one, x = n + 1 raises TrivialOnly
@@ -94,7 +92,7 @@ def fermat_standard(n: int, budget: int | None = None) -> FermatResult:
     testing at most `budget` positions (None: up to the trivial split)."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    return _difference_scan(n, budget, "standard")
+    return _difference_scan(n, budget)
 
 
 def predict_steps(p: int, n: int) -> int:
@@ -153,21 +151,20 @@ def fermat_triangular(n: int, budget: int | None = None) -> FermatResult:
         if y is not None:
             p, q = (x - y) // 2, (x + y) // 2
             if p >= 2:
-                return FermatResult(x=x, y=y, p=p, q=q, steps=steps, method="triangular")
+                return FermatResult(p, q, steps)
     raise Exhausted("p + q is not triangular within the scan range")
 
 
 @dataclass(frozen=True)
 class RatioGridEntry:
-    """Grid point (r, s) with r*s == 1 exactly."""
+    """Grid point r with its reciprocal s = 1/r, exactly."""
 
     index: int
     r: Fraction
-    s: Fraction
 
-    def __post_init__(self):
-        if self.r * self.s != 1:
-            raise ValueError("r*s must equal 1")
+    @property
+    def s(self) -> Fraction:
+        return 1 / self.r
 
 
 def ratio_grid(lower, upper, count: int) -> list[RatioGridEntry]:
@@ -179,11 +176,7 @@ def ratio_grid(lower, upper, count: int) -> list[RatioGridEntry]:
     if count < 1:
         raise ValueError("count must be positive")
     step = (hi - lo) / count
-    entries = []
-    for i in range(count):
-        r = lo + i * step
-        entries.append(RatioGridEntry(index=i, r=r, s=1 / r))
-    return entries
+    return [RatioGridEntry(i, lo + i * step) for i in range(count)]
 
 
 def render_ratio(value: Fraction) -> str:
@@ -211,14 +204,11 @@ def fermat_ratio(n: int, ratio, budget: int | None = None) -> FermatResult:
         raise ValueError(f"ratio numerator/denominator capped at {_RATIO_CAP}")
     if n < 3:
         raise ValueError("n must be >= 3")
-    inner = _difference_scan(a * b * n, budget, "ratio")
+    inner = _difference_scan(a * b * n, budget)
     for cand in (inner.p, inner.q):
         g = gcd(cand, n)
         if 1 < g < n:
-            p, q = sorted((g, n // g))
-            return FermatResult(
-                x=p + q, y=q - p, p=p, q=q, steps=inner.steps, method="ratio"
-            )
+            return FermatResult(*sorted((g, n // g)), inner.steps)
     raise MultiplierCollision(
         f"neither recovered factor of {a * b}*{n} yields a divisor of {n}"
     )

@@ -76,34 +76,23 @@ def _dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
 
 
-def _gso(rows: list[list[int]]):
-    """Full Gram-Schmidt pass; returns (ortho, mu-square, norms_sq)."""
-    n = len(rows)
-    ortho: list[list[Fraction]] = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
+def gram_schmidt(basis: Basis) -> GramSchmidtData:
+    """Exact rational orthogonalization of the basis rows."""
+    ortho: list[tuple[Fraction, ...]] = []
+    mu: list[tuple[Fraction, ...]] = []
     norms: list[Fraction] = []
-    for i in range(n):
-        w = [Fraction(x) for x in rows[i]]
-        for j in range(i):
-            mu[i][j] = _dot(rows[i], ortho[j]) / norms[j]
-            w = [a - mu[i][j] * b for a, b in zip(w, ortho[j])]
+    for i, row in enumerate(basis.vectors):
+        coeffs = tuple(_dot(row, b) / ns for b, ns in zip(ortho, norms))
+        w = [Fraction(x) for x in row]
+        for c, b in zip(coeffs, ortho):
+            w = [a - c * e for a, e in zip(w, b)]
         ns = _dot(w, w)
         if ns == 0:
             raise DependentBasis(f"row {i} is in the span of the earlier rows")
-        ortho.append(w)
+        ortho.append(tuple(w))
+        mu.append(coeffs)
         norms.append(ns)
-    return ortho, mu, norms
-
-
-def gram_schmidt(basis: Basis) -> GramSchmidtData:
-    """Exact rational orthogonalization of the basis rows."""
-    rows = [list(r) for r in basis.vectors]
-    ortho, mu, norms = _gso(rows)
-    return GramSchmidtData(
-        ortho=tuple(tuple(w) for w in ortho),
-        mu=tuple(tuple(mu[i][j] for j in range(i)) for i in range(len(rows))),
-        norms_sq=tuple(norms),
-    )
+    return GramSchmidtData(ortho=tuple(ortho), mu=tuple(mu), norms_sq=tuple(norms))
 
 
 def bareiss(matrix):

@@ -64,7 +64,7 @@ def _time_limit():
 
 def box_oracle(prob: BivariateProblem) -> list[tuple[int, int, int, int]]:
     """Exhaustive scan of the (x, y) box: every (x0, y0, p, q) with
-    (m*x0 + P0)(n*y0 + Q0) = N and p > 0, the roots solve_bivariate
+    (m*x0 + P0)(m*y0 + Q0) = N and p > 0, the roots solve_bivariate
     returns.  Independent of the lattice route."""
     found = []
     for x in range(-prob.X, prob.X + 1):
@@ -72,9 +72,9 @@ def box_oracle(prob: BivariateProblem) -> list[tuple[int, int, int, int]]:
         if p <= 0 or prob.N % p:
             continue
         q = prob.N // p
-        if (q - prob.Q0) % prob.n:
+        if (q - prob.Q0) % prob.m:
             continue
-        y = (q - prob.Q0) // prob.n
+        y = (q - prob.Q0) // prob.m
         if abs(y) <= prob.Y:
             found.append((x, y, p, q))
     return sorted(found)
@@ -87,11 +87,11 @@ def lsb_problem(n: int, x0: int, k: int) -> BivariateProblem:
     c = x0 % mod
     return BivariateProblem(
         N=n, P0=c, Q0=n * pow(c, -1, mod) % mod,
-        X=isqrt(n) // mod + 1, Y=2 * isqrt(n) // mod + 1, m=mod, n=mod,
+        X=isqrt(n) // mod + 1, Y=2 * isqrt(n) // mod + 1, m=mod,
     )
 
 
-def reference_difference_scan(n: int, max_steps: int | None, method: str) -> FermatResult:
+def reference_difference_scan(n: int, max_steps: int | None) -> FermatResult:
     """The difference-of-squares scan tested position by position, with no
     sieve: the oracle for fermat._difference_scan (same results, steps and
     exceptions)."""
@@ -108,7 +108,7 @@ def reference_difference_scan(n: int, max_steps: int | None, method: str) -> Fer
         if y is not None:
             p, q = (x - y) // 2, (x + y) // 2
             if p >= 2:
-                return FermatResult(x=x, y=y, p=p, q=q, steps=steps, method=method)
+                return FermatResult(p, q, steps)
             if p == 1:
                 raise TrivialOnly(f"{n} admits only the trivial split 1 x {n}")
         x += 1
@@ -415,9 +415,7 @@ def reference_theorem4_driver(
 
     def solve(pair: ResiduePair) -> list[int]:
         bound = 3 * isqrt(big_n) // (2 * m) + 2
-        prob = BivariateProblem(
-            N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
-        )
+        prob = BivariateProblem(N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m)
         if divisors is None:
             return [p for _, _, p, _ in box_oracle(prob)]
         return [
@@ -453,9 +451,7 @@ def reference_theorem4_full_walk(
 
     def solve(pair: ResiduePair) -> list[int]:
         bound = 3 * isqrt(big_n) // (2 * m) + 2
-        prob = BivariateProblem(
-            N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m
-        )
+        prob = BivariateProblem(N=big_n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m)
         try:
             return [sol.p for sol in solve_bivariate(prob, stats)]
         except NoRoot:

@@ -331,7 +331,7 @@ def test_criterion_08_partial_bits_recovery():
                 probs.append(
                     BivariateProblem(
                         N=n, P0=c, Q0=d, X=isqrt(n) // mod + 1,
-                        Y=2 * isqrt(n) // mod + 1, m=mod, n=mod,
+                        Y=2 * isqrt(n) // mod + 1, m=mod,
                     )
                 )
             for prob in probs:

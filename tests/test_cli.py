@@ -1,5 +1,7 @@
+import doctest
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -499,6 +501,20 @@ class TestMain:
             assert main(shlex.split(line)[1:]) == 0, line
             assert capsys.readouterr().err == "", line
 
+    def test_readme_python_blocks_pass_as_doctests(self):
+        # each ```python block with its fences stripped: a doctest of the
+        # whole file would read a closing fence as expected output
+        text = (REPO / "README.md").read_text()
+        blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+        parser, runner, report = doctest.DocTestParser(), doctest.DocTestRunner(), []
+        failed = attempted = 0
+        for i, block in enumerate(blocks):
+            test = parser.get_doctest(block, {}, f"README python block {i}", "README.md", 0)
+            f, a = runner.run(test, out=report.append)
+            failed, attempted = failed + f, attempted + a
+        assert failed == 0, "".join(report)
+        assert attempted >= 4
+
     @pytest.mark.parametrize("method", METHOD_FLAGS)
     def test_every_small_n_ends_cleanly(self, capsys, method):
         # a factor pair (0), a typed outcome (2) or one usage-error line (1),
@@ -540,7 +556,7 @@ class TestMain:
     def test_factors_of_another_n_are_an_internal_error(self, capsys, monkeypatch):
         # a valid FermatResult, but 4*15 = 8^2 - 2^2: run re-multiplies the
         # factors before anything is printed
-        wrong = fermat.FermatResult(x=8, y=2, p=3, q=5, steps=1, method="standard")
+        wrong = fermat.FermatResult(p=3, q=5, steps=1)
         monkeypatch.setattr(fermat, "fermat_standard", lambda n, budget: wrong)
         assert main(["factor", "--method", "standard", "--n", "2599"]) == 1
         captured = capsys.readouterr()

@@ -150,7 +150,6 @@ class TestSolveBivariate:
                     X=max(1, pb // mod + 2),
                     Y=max(1, qb // mod + 2),
                     m=mod,
-                    n=mod,
                 )
             expected = [(x, y) for x, y, _, _ in box_oracle(prob)]
             try:
@@ -194,8 +193,8 @@ class TestSolveBivariate:
 
 
 class TestDegenerateScale:
-    """Tiny N, negative offsets and m != n: boxes with no certified split,
-    which the splitter hands to the column scan."""
+    """Tiny N and negative offsets: boxes with no certified split, which the
+    splitter hands to the column scan."""
 
     @given(
         big_n=st.integers(min_value=1, max_value=2000),
@@ -204,11 +203,10 @@ class TestDegenerateScale:
         x=st.integers(min_value=1, max_value=40),
         y=st.integers(min_value=1, max_value=40),
         m=st.integers(min_value=1, max_value=12),
-        n=st.integers(min_value=1, max_value=12),
     )
     @settings(max_examples=300)
-    def test_root_sets_match_box_oracle(self, big_n, p0, q0, x, y, m, n):
-        prob = BivariateProblem(N=big_n, P0=p0, Q0=q0, X=x, Y=y, m=m, n=n)
+    def test_root_sets_match_box_oracle(self, big_n, p0, q0, x, y, m):
+        prob = BivariateProblem(N=big_n, P0=p0, Q0=q0, X=x, Y=y, m=m)
         expected = box_oracle(prob)
         try:
             full = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob)]
@@ -226,34 +224,27 @@ class TestUnivariateSplitter:
         p=st.integers(min_value=2, max_value=5000),
         q=st.integers(min_value=2, max_value=5000),
         cofactor=st.sampled_from([1, 1, 2, 3, 6]),
-        shape=st.sampled_from(["lsb", "residue", "mixed"]),
+        shape=st.sampled_from(["lsb", "residue"]),
         k=st.integers(min_value=1, max_value=6),
         modulus=st.integers(min_value=2, max_value=40),
-        other=st.integers(min_value=1, max_value=40),
         shift=st.integers(min_value=-3, max_value=3),
         slack=st.integers(min_value=0, max_value=60),
     )
     @settings(max_examples=300)
     def test_root_sets_match_box_oracle(
-        self, p, q, cofactor, shape, k, modulus, other, shift, slack
+        self, p, q, cofactor, shape, k, modulus, shift, slack
     ):
         p, q = next_prime(p), next_prime(q)
         big_n = p * q * cofactor  # cofactor 2, 3, 6 shares factors with many moduli
-        if shape == "lsb":
-            m = n = 1 << k
-        elif shape == "residue":
-            m = n = modulus
-        else:
-            m, n = modulus, other
+        m = 1 << k if shape == "lsb" else modulus
         p0 = p % m + shift * m
         prob = BivariateProblem(
             N=big_n,
             P0=p0,
-            Q0=q % n,
+            Q0=q % m,
             X=abs(p - p0) // m + slack + 1,
-            Y=q // n + slack + 1,
+            Y=q // m + slack + 1,
             m=m,
-            n=n,
         )
         expected = box_oracle(prob)
         try:
@@ -275,14 +266,14 @@ class TestUnivariateSplitter:
     def test_mirrored_residues_mirror_the_roots(
         self, p, q, m, shift_c, shift_d, wrong, slack
     ):
-        # X = Y and m = n: (d, c) has the roots (y, x) of (c, d), which lets
-        # theorem4_pairs yield each unordered pair once
+        # X = Y and one modulus m: (d, c) has the roots (y, x) of (c, d),
+        # which lets theorem4_pairs yield each unordered pair once
         p, q = next_prime(p), next_prime(q)
         c, d = p % m + shift_c * m + wrong, q % m + shift_d * m
         box = max(abs(p - c), abs(q - d)) // m + slack + 1
 
         def roots(p0, q0):
-            prob = BivariateProblem(N=p * q, P0=p0, Q0=q0, X=box, Y=box, m=m, n=m)
+            prob = BivariateProblem(N=p * q, P0=p0, Q0=q0, X=box, Y=box, m=m)
             try:
                 return [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob)]
             except NoRoot:
@@ -326,13 +317,13 @@ class TestWarmStartedSplitter:
             x0 = p % mod
             return BivariateProblem(
                 N=n, P0=x0, Q0=n * pow(x0, -1, mod) % mod,
-                X=isqrt(n) // mod + 1, Y=2 * isqrt(n) // mod + 1, m=mod, n=mod,
+                X=isqrt(n) // mod + 1, Y=2 * isqrt(n) // mod + 1, m=mod,
             )
         if case == "residue":
             n, p, q = balanced_semiprime(rng, bits)
             m = next_prime(rng.randrange(1 << (bits // 2 - width - 1), 1 << (bits // 2 - width)))
             box = 3 * isqrt(n) // (2 * m) + 2
-            return BivariateProblem(N=n, P0=p % m, Q0=q % m, X=box, Y=box, m=m, n=m)
+            return BivariateProblem(N=n, P0=p % m, Q0=q % m, X=box, Y=box, m=m)
         if case == "shared":
             # N = f*p*q and f | m: m is not invertible mod N (lead = m).
             # Every p in the box is above p/2; at 36-37 bits that is not
@@ -345,7 +336,7 @@ class TestWarmStartedSplitter:
             box = min(1 << width, p // (4 * m))
             p0 = p - m * rng.randrange(box)
             return BivariateProblem(
-                N=f * n, P0=p0, Q0=f * q % m, X=box, Y=2 * f * q // m, m=m, n=m
+                N=f * n, P0=p0, Q0=f * q % m, X=box, Y=2 * f * q // m, m=m
             )
         if case == "wrap":
             # N = f*p*q with f | m (lead = m), and the box runs from p ~ N/8
@@ -360,10 +351,7 @@ class TestWarmStartedSplitter:
             n *= f
             k = rng.randrange(1 << width, 2 << width)
             m = f * ((n - n // 8) // (2 * k * f))
-            low = n - 2 * m * k  # the smallest p in the box
-            return BivariateProblem(
-                N=n, P0=n - m * k, Q0=0, X=k, Y=n // low + 1, m=m, n=1
-            )
+            return BivariateProblem(N=n, P0=n - m * k, Q0=1, X=k, Y=1, m=m)
         if case == "negative":
             # every p in the box is negative, so no column is searched
             n, p, q = balanced_semiprime(rng, bits)
@@ -371,7 +359,7 @@ class TestWarmStartedSplitter:
             box = min(1 << width, p // (4 * m))
             p0 = p - m * rng.randrange(box)
             return BivariateProblem(
-                N=n, P0=-p0, Q0=-(q % m), X=box, Y=4 * q // m, m=m, n=m
+                N=n, P0=-p0, Q0=-(q % m), X=box, Y=4 * q // m, m=m
             )
         if case == "t4":
             # the box of one divisor pair of the lifts of N mod m, the true
@@ -380,7 +368,7 @@ class TestWarmStartedSplitter:
             pair = rng.choice(theorem4_pairs(p * q, m))
             box = 3 * isqrt(p * q) // (2 * m) + 2
             return BivariateProblem(
-                N=p * q, P0=pair.c, Q0=pair.d, X=box, Y=box, m=m, n=m
+                N=p * q, P0=pair.c, Q0=pair.d, X=box, Y=box, m=m
             )
         # straddle: m | p + q puts the roots p and -q on either side of p = 0,
         # and only p is searched for
@@ -390,7 +378,7 @@ class TestWarmStartedSplitter:
         while q == p or not is_prime(q):
             q = (-p) % m + m * rng.randrange(1 << (width - 1), 1 << width)
         box = max(p, q) // m + 2
-        return BivariateProblem(N=p * q, P0=p % m, Q0=q % m, X=box, Y=4 * box, m=m, n=m)
+        return BivariateProblem(N=p * q, P0=p % m, Q0=q % m, X=box, Y=4 * box, m=m)
 
     @given(
         case=st.sampled_from(
@@ -431,9 +419,9 @@ class TestWarmStartedSplitter:
         whole = []
         for x in range(-prob.X, prob.X + 1):
             p = prob.m * x + prob.P0
-            if p == 0 or prob.N % p or (prob.N // p - prob.Q0) % prob.n:
+            if p == 0 or prob.N % p or (prob.N // p - prob.Q0) % prob.m:
                 continue
-            y = (prob.N // p - prob.Q0) // prob.n
+            y = (prob.N // p - prob.Q0) // prob.m
             if abs(y) <= prob.Y:
                 whole.append((x, y, p, prob.N // p))
         expected = [root for root in whole if root[2] > 0]
@@ -484,7 +472,7 @@ class TestWarmStartedSplitter:
         # is below the 2.45 * N^(1/3) * m^(2/3) that a certified width
         # needs, so the interval is scanned with no lattice attempt
         prob = BivariateProblem(
-            N=213326154155, P0=146167, Q0=5, X=2048, Y=118286, m=20, n=20
+            N=213326154155, P0=146167, Q0=5, X=2048, Y=118286, m=20
         )
         stats = {}
         got = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, stats)]
@@ -511,7 +499,7 @@ class TestWarmStartedSplitter:
                         if (c * d - big_n) % m:
                             continue
                         prob = BivariateProblem(
-                            N=big_n, P0=c, Q0=d, X=bound, Y=bound, m=m, n=m
+                            N=big_n, P0=c, Q0=d, X=bound, Y=bound, m=m
                         )
                         stats, full_stats = {}, {}
                         want = solve(prob, full_stats, False)
@@ -542,9 +530,9 @@ class TestWarmStartedSplitter:
     @settings(max_examples=150, deadline=None)
     def test_walk_yields_the_roots_in_disjoint_ascending_lists(self, primes, m, pick, x):
         # the walk yields a non-empty list for each attempt or scanned span
-        # that records roots; joined they are the box scan, and with `first`
-        # solve_bivariate returns the lists up to the first one holding a
-        # root with 1 < p < N.  N is the product of the drawn primes, as
+        # that records roots; joined they are the box scan.  Only the last
+        # list can hold p = 1 or p = N, and with `first` solve_bivariate
+        # returns the first list.  N is the product of the drawn primes, as
         # many as stay below 2^64 (m = 1) or 2^20, and p one of its
         # divisors: m = 1 draws a hint box of half-width x holding p, any
         # other m the residue box of p's pair as theorem4 builds it, where
@@ -563,7 +551,7 @@ class TestWarmStartedSplitter:
         else:
             box = 3 * isqrt(big_n) // (2 * m) + 2
             prob = BivariateProblem(
-                N=big_n, P0=p % m, Q0=big_n // p % m, X=box, Y=box, m=m, n=m
+                N=big_n, P0=p % m, Q0=big_n // p % m, X=box, Y=box, m=m
             )
         stats, full_stats = {}, {}
         lists = [[(s.x0, s.y0, s.p, s.q) for s in found]
@@ -580,12 +568,8 @@ class TestWarmStartedSplitter:
 
         assert joined == solve(full_stats, False) == box_oracle(prob)
         assert full_stats == {**stats, "certified": certified_regime(prob)}
-        want = []
-        for found in lists:
-            want += found
-            if any(1 < r[2] < big_n for r in found):
-                break
-        assert solve({}, True) == want
+        assert all(1 < r[2] < big_n for found in lists[:-1] for r in found)
+        assert solve({}, True) == (lists[0] if lists else [])
 
     def _retried_walks(self, monkeypatch, retry_misses: bool) -> tuple[int, int]:
         """Solve twelve boxes with every other walk attempt reported as a
@@ -689,7 +673,7 @@ class TestWarmStartedSplitter:
         mod = 1 << (bits // 4)
         x0 = (p - p % mod) // mod
         prob = BivariateProblem(
-            N=n, P0=p % mod, Q0=q % mod, X=1, Y=n, m=mod, n=mod
+            N=n, P0=p % mod, Q0=q % mod, X=1, Y=n, m=mod
         )
         h_c = _howgrave_halfwidth(n, 1, p // 2)
         half = rng.randrange(over * h_c + 1)
@@ -726,7 +710,7 @@ class TestWarmStartedSplitter:
         # exactly the lattice of N, f and t*f at the new centre.
         n, p, q = balanced_semiprime(rng, 48)
         m = 1 << 11
-        prob = BivariateProblem(N=n, P0=p % m, Q0=q % m, X=1, Y=1, m=m, n=m)
+        prob = BivariateProblem(N=n, P0=p % m, Q0=q % m, X=1, Y=1, m=m)
         inv = pow(m, -1, n)
         for s in (1, 37, 201, -90, 5000):
             warm = []
@@ -1581,7 +1565,7 @@ class TestTheorem4Driver:
         # walk that stopped at any in-box root would skip the proper one
         bound = 3 * isqrt(n) // (2 * m) + 2
         for pair in theorem4_pairs(n, m):
-            prob = BivariateProblem(N=n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m, n=m)
+            prob = BivariateProblem(N=n, P0=pair.c, Q0=pair.d, X=bound, Y=bound, m=m)
             roots = [p for _, _, p, _ in box_oracle(prob)]
             if any(1 < p < n for p in roots):
                 assert roots[0] == 1

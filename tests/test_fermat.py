@@ -60,7 +60,6 @@ class TestStandardScan:
         res = fermat_standard(2599, budget=36)
         assert (res.x, res.y, res.p, res.q) == (136, 90, 23, 113)
         assert res.steps == 35
-        assert res.method == "standard"
 
     def test_square_input(self):
         res = fermat_standard(9)
@@ -89,9 +88,7 @@ class TestStandardScan:
 
     def test_result_invariants_enforced(self):
         with pytest.raises(ValueError):
-            FermatResult(x=10, y=2, p=3, q=7, steps=1, method="standard")
-        with pytest.raises(ValueError):
-            FermatResult(x=10, y=4, p=7, q=3, steps=1, method="standard")
+            FermatResult(p=7, q=3, steps=1)
 
     def test_finds_most_balanced_divisor_pair(self, rng):
         # the upward scan meets the divisor pair with the smallest sum first
@@ -156,7 +153,7 @@ class TestSievedScan:
     def test_standard_matches_reference(self, n, budget):
         n |= 1
         assert outcome(fermat_standard, n, budget) == outcome(
-            reference_difference_scan, n, budget, "standard"
+            reference_difference_scan, n, budget
         )
 
     @given(
@@ -189,7 +186,6 @@ class TestTriangular:
         assert (m, x0) == (14, 105)
         res = fermat_triangular(2599)
         assert (res.x, res.y, res.p, res.q, res.steps) == (136, 90, 23, 113, 3)
-        assert res.method == "triangular"
         assert fermat_triangular(2599, budget=3).steps == 3
         with pytest.raises(Exhausted):
             fermat_triangular(2599, budget=2)
@@ -293,7 +289,6 @@ class TestRatioMethod:
         res = fermat_ratio(n, "2")
         assert (res.p, res.q) == (103, 203)
         assert res.p * res.q == n
-        assert res.method == "ratio"
 
     def test_fraction_ratio(self):
         # q ~ (3/2) p: p = 211, q = 317 = 3*211/2 + 0.5 - ish
