@@ -18,13 +18,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import arith, coppersmith, fermat, lattice
-from .errors import (
-    Exhausted,
-    FactorlabError,
-    MultiplierCollision,
-    NoRoot,
-    TrivialOnly,
-)
+from .errors import Exhausted, FactorlabError, NoRoot, TrivialOnly
 from .residue import default_t_bound, landry_pepin, residue_driver
 
 
@@ -117,7 +111,7 @@ class RunReport:
     n: int | None
     method: str | None
     params: dict
-    outcome: str  # factored | exhausted | no-root | trivial-only
+    outcome: str  # factored, or an _OUTCOMES value: exhausted | no-root | trivial-only
     factors: tuple[int, ...] | None
     steps: int | None
     lattice_dim: int | None
@@ -157,46 +151,42 @@ def _decimal(value):
     return value
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Parser errors are usage errors (one `error:` line, exit 1); argparse
     would exit 2, the code of an unfactored N."""
 
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
+
+
+# Each outcome type a method raises, and the report outcome it stands for.
+_OUTCOMES = {Exhausted: "exhausted", NoRoot: "no-root", TrivialOnly: "trivial-only"}
 
 
 def run(config: RunConfig) -> RunReport:
     """Dispatch one factoring run and wrap the outcome in a RunReport."""
     method = config.method
     if method not in METHODS:
-        raise UsageError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}")
     if config.n is None:
-        raise UsageError("--n is required")
+        raise ValueError("--n is required")
     n = config.n
     params: dict = {}
     flags, call = _METHOD_TABLE[method]
     for name in flags:
         if getattr(config, name) is None:
-            raise UsageError(f"method {method!r} requires --{name.replace('_', '-')}")
+            raise ValueError(f"method {method!r} requires --{name.replace('_', '-')}")
         params[name] = getattr(config, name)
     if n < 2:
-        raise UsageError("N must be >= 2")
+        raise ValueError("N must be >= 2")
     factors = steps = None
     outcome = "factored"
     stats: dict = {}
     started = time.perf_counter()
     try:
         factors, steps = _factors(n, call(config, params, stats))
-    except (Exhausted, MultiplierCollision):
-        outcome = "exhausted"
-    except NoRoot:
-        outcome = "no-root"
-    except TrivialOnly:
-        outcome = "trivial-only"
+    except tuple(_OUTCOMES) as exc:
+        outcome = _OUTCOMES[type(exc)]
     elapsed = (time.perf_counter() - started) * 1000.0
     if factors is not None:
         product = 1
@@ -271,9 +261,9 @@ def bench(config: RunConfig):
     seed emit identical reports apart from the wall-time fields.
     """
     if config.instances < 0:
-        raise UsageError("--instances must be >= 0")
+        raise ValueError("--instances must be >= 0")
     if config.bits < 4:
-        raise UsageError("--bits must be >= 4")
+        raise ValueError("--bits must be >= 4")
     rng = random.Random(config.seed)
     ratio = arith.as_fraction(config.r or 2)
     reports = []
@@ -283,7 +273,7 @@ def bench(config: RunConfig):
         elif config.profile == "ratio":
             n, p, q = ratio_semiprime(rng, config.bits, ratio)
         else:
-            raise UsageError(f"unknown profile {config.profile!r}")
+            raise ValueError(f"unknown profile {config.profile!r}")
         sub = RunConfig(
             command="factor",
             method=config.method,
@@ -341,7 +331,7 @@ def grid_lines(config: RunConfig) -> list[str]:
 
 def lattice_lines(config: RunConfig) -> list[str]:
     if not config.rows:
-        raise UsageError("lattice requires --rows like '4,1;7,2'")
+        raise ValueError("lattice requires --rows like '4,1;7,2'")
     try:
         rows = [
             [int(x) for x in row.split(",")]
@@ -350,7 +340,7 @@ def lattice_lines(config: RunConfig) -> list[str]:
         ]
         basis = lattice.Basis.from_rows(rows)
     except ValueError as exc:
-        raise UsageError(f"bad --rows: {exc}") from exc
+        raise ValueError(f"bad --rows: {exc}") from exc
     reduced, transform = lattice.lll_reduce_with_transform(basis, config.delta)
     det = lattice.determinant(basis)
     first_norm_sq = sum(x * x for x in reduced.vectors[0])
@@ -482,8 +472,8 @@ def main(argv=None) -> int:
         for line in lines:
             print(line)
         return 0
-    except (UsageError, FactorlabError, ValueError) as exc:
-        # ValueError is the library's precondition check on its arguments
+    except (ValueError, FactorlabError) as exc:
+        # bad input, or a FactorlabError that run reports no outcome for
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import Factorization, is_perfect_square, random_prime
-from .errors import Exhausted, NonInvertibleResidue, NoRoot
+from .errors import Exhausted, NoRoot
 # lll_reduce and resultant are unused here; perfbench/tracing.py wraps them by name.
 from .lattice import lll_reduce, lll_rows  # noqa: F401
 from .polynomial import resultant  # noqa: F401
@@ -325,6 +325,33 @@ def _univariate_interval(
 _OVERSHOOT = 2
 
 
+def _narrow(prob: BivariateProblem) -> tuple[int, int] | None:
+    """The box's columns xlo..xhi narrowed against the q window
+    Q0 -/+ m*Y: a divisor 1 <= p <= N whose co-factor can lie in the window,
+    or None when no column can hold one.
+
+    This is the fixed point of bounding q by the p range (N // phi <= q <=
+    N // plo + 1) and p by the q range, reached in one pass.  Bounds derived
+    from the p range never tighten it, since N // (N // plo + 1) <= plo and
+    N // (N // phi) + 1 > phi, so only the window's two ends narrow x.  The
+    q range of the narrowed interval can still be empty, hence the last test.
+    """
+    big_n, m, p_base = prob.N, prob.m, prob.P0
+    q_lo, q_hi = prob.Q0 - m * prob.Y, prob.Q0 + m * prob.Y
+    if q_hi < 1:  # p <= N keeps every co-factor q >= 1
+        return None
+    xlo = max(-prob.X, -((p_base - 1) // m), -((p_base - big_n // q_hi) // m))
+    xhi = min(prob.X, (big_n - p_base) // m)
+    if q_lo >= 1:
+        xhi = min(xhi, (big_n // q_lo + 1 - p_base) // m)
+    if xhi < xlo:
+        return None
+    plo, phi = m * xlo + p_base, m * xhi + p_base
+    if max(q_lo, big_n // phi) > min(q_hi, big_n // plo + 1):
+        return None
+    return xlo, xhi
+
+
 def _walk(prob: BivariateProblem, stats: dict):
     """Yield the roots of the box with 1 <= p <= N in ascending columns: one
     non-empty list for each attempt or scanned span that records any.
@@ -341,29 +368,12 @@ def _walk(prob: BivariateProblem, stats: dict):
     every interval with no certified width.  A missed attempt records
     nothing, so the list is its retry's, or the span's scanned after that.
     """
-    big_n, m = prob.N, prob.m
-    p_base, q_base = prob.P0, prob.Q0
-    # a divisor 1 <= p <= N, whatever the requested box
-    xlo = max(-prob.X, -((p_base - 1) // m))
-    xhi = min(prob.X, (big_n - p_base) // m)
-
-    # Narrow the x interval against the q window until stable; p <= N keeps
-    # the window's q >= 1.
-    while True:
-        if xhi < xlo:
-            return
-        plo, phi = m * xlo + p_base, m * xhi + p_base
-        qlo = max(q_base - m * prob.Y, big_n // phi)
-        qhi = min(q_base + m * prob.Y, big_n // plo + 1)
-        if qlo > qhi:
-            return
-        p2lo, p2hi = big_n // qhi, big_n // qlo + 1
-        new_xlo = max(xlo, -((p_base - p2lo) // m))
-        new_xhi = min(xhi, (p2hi - p_base) // m)
-        if (new_xlo, new_xhi) == (xlo, xhi):
-            break
-        xlo, xhi = new_xlo, new_xhi
-
+    interval = _narrow(prob)
+    if interval is None:
+        return
+    xlo, xhi = interval
+    big_n, m, p_base = prob.N, prob.m, prob.P0
+    plo = m * xlo + p_base
     if gcd(m, big_n) == 1:
         lead, inv = 1, pow(m, -1, big_n)
     else:
@@ -475,7 +485,7 @@ def solve_lsb_known(
     if k < 1:
         raise ValueError("k must be >= 1")
     if x0_bits % 2 == 0:
-        raise NonInvertibleResidue(f"{x0_bits} is even, not invertible mod 2^{k}")
+        raise ValueError(f"{x0_bits} is even, not invertible mod 2^{k}")
     # Past both bit lengths the box is X = Y = 1 and only x = 0 can give a
     # divisor 0 < p <= N, so a larger k finds the same roots from the same box.
     k = min(k, max(big_n.bit_length(), x0_bits.bit_length()) + 1)

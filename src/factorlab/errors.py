@@ -1,8 +1,17 @@
-"""Exception taxonomy shared across the toolkit."""
+"""The toolkit's outcome types.
+
+One rule: bad input is a ValueError, and a FactorlabError is an outcome.
+Every violated precondition (a composite modulus where a prime is needed,
+dependent basis rows, an even low-bits hint, ...) raises ValueError with a
+message that names it.  A FactorlabError reports how a valid search ended
+without a factor pair: the CLI prints Exhausted, NoRoot and TrivialOnly as
+the outcomes `exhausted`, `no-root` and `trivial-only` (exit 2), and
+GcdFactorFound carries a factor found before the search began.
+"""
 
 
 class FactorlabError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class of the outcomes a valid search can end in."""
 
 
 class Exhausted(FactorlabError):
@@ -13,48 +22,12 @@ class TrivialOnly(FactorlabError):
     """Only the trivial difference-of-squares split (1, N) exists; N is prime."""
 
 
-class NonPrimeModulus(FactorlabError):
-    """An operation requiring a prime modulus was given a composite one."""
-
-
-class NotADivisor(FactorlabError):
-    """The claimed factor does not divide the target."""
-
-
 class GcdFactorFound(FactorlabError):
     """A nontrivial gcd with the modulus already factors N; carries the factor."""
 
     def __init__(self, factor: int):
         super().__init__(f"gcd with modulus is a nontrivial factor: {factor}")
         self.factor = factor
-
-
-class MultiplierCollision(FactorlabError):
-    """Stripping the ratio multipliers left no integral divisor of N."""
-
-
-class DependentBasis(FactorlabError):
-    """Basis rows are linearly dependent."""
-
-
-class DimensionTooLarge(FactorlabError):
-    """Operation is only supported up to a fixed small dimension."""
-
-
-class ZeroPolynomial(FactorlabError):
-    """The zero polynomial has no norms."""
-
-
-class ZeroDegree(FactorlabError):
-    """Polynomial is constant in the eliminated variable."""
-
-
-class NotMonic(FactorlabError):
-    """Discriminants are defined here for monic polynomials only."""
-
-
-class NonInvertibleResidue(FactorlabError):
-    """Residue is not invertible modulo the power of two."""
 
 
 class NoRoot(FactorlabError):

@@ -15,12 +15,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .arith import as_fraction, is_perfect_square, square_candidates
-from .errors import (
-    Exhausted,
-    MultiplierCollision,
-    NotADivisor,
-    TrivialOnly,
-)
+from .errors import Exhausted, TrivialOnly
 
 __all__ = [
     "FermatResult",
@@ -101,7 +96,7 @@ def predict_steps(p: int, n: int) -> int:
     if p < 1:
         raise ValueError("p must be >= 1")
     if n % p != 0:
-        raise NotADivisor(f"{p} does not divide {n}")
+        raise ValueError(f"{p} does not divide {n}")
     if p * p > n:
         raise ValueError("p must be the smaller divisor")
     return p + n // p - isqrt(4 * n - 1)
@@ -194,7 +189,7 @@ def fermat_ratio(n: int, ratio, budget: int | None = None) -> FermatResult:
 
     Runs the consecutive scan on a*b*n, whose divisor pair (b*p, a*q) is
     near-balanced, then strips the multipliers from the recovered pair via
-    gcd with n.
+    gcd with n.  Raises Exhausted when neither gcd is a proper divisor.
     """
     r = as_fraction(ratio)
     if r < 1:
@@ -209,7 +204,5 @@ def fermat_ratio(n: int, ratio, budget: int | None = None) -> FermatResult:
         g = gcd(cand, n)
         if 1 < g < n:
             return FermatResult(*sorted((g, n // g)), inner.steps)
-    raise MultiplierCollision(
-        f"neither recovered factor of {a * b}*{n} yields a divisor of {n}"
-    )
+    raise Exhausted(f"neither recovered factor of {a * b}*{n} yields a divisor of {n}")
 

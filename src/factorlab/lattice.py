@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import as_fraction
-from .errors import DependentBasis, DimensionTooLarge
 
 __all__ = [
     "Basis",
@@ -88,7 +87,7 @@ def gram_schmidt(basis: Basis) -> GramSchmidtData:
             w = [a - c * e for a, e in zip(w, b)]
         ns = _dot(w, w)
         if ns == 0:
-            raise DependentBasis(f"row {i} is in the span of the earlier rows")
+            raise ValueError(f"row {i} is in the span of the earlier rows")
         ortho.append(tuple(w))
         mu.append(coeffs)
         norms.append(ns)
@@ -120,10 +119,10 @@ def bareiss(matrix):
 
 
 def determinant(basis: Basis) -> int:
-    """|det| of the basis matrix; DependentBasis when it is 0."""
+    """|det| of the basis matrix; a ValueError when it is 0."""
     det = bareiss(basis.vectors)
     if det == 0:
-        raise DependentBasis("determinant is 0")
+        raise ValueError("determinant is 0")
     return abs(det)
 
 
@@ -139,7 +138,7 @@ def lll_rows(
 
     A 3x3 basis at LLL_DELTA with no transform (the splitter's bases) goes
     to _lll3, which runs these steps unrolled (row 2's bookkeeping aside), so
-    the swaps, the reduced rows and the DependentBasis messages are the same."""
+    the swaps, the reduced rows and a dependent basis's ValueError are the same."""
     if delta is LLL_DELTA and not transform and len(rows) == 3:
         _lll3(rows)
         return rows, None
@@ -163,7 +162,7 @@ def lll_rows(
                 lam[i][j] = s
             else:
                 if s <= 0:
-                    raise DependentBasis(f"row {i} is in the span of the earlier rows")
+                    raise ValueError(f"row {i} is in the span of the earlier rows")
                 d[i + 1] = s
 
     def size_reduce(k: int, j: int) -> None:
@@ -217,14 +216,14 @@ def _lll3(rows: list[list[int]]) -> None:
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     d1 = a0 * a0 + a1 * a1 + a2 * a2
     if d1 <= 0:
-        raise DependentBasis("row 0 is in the span of the earlier rows")
+        raise ValueError("row 0 is in the span of the earlier rows")
     l10 = b0 * a0 + b1 * a1 + b2 * a2
     d2 = d1 * (b0 * b0 + b1 * b1 + b2 * b2) - l10 * l10
     if d2 <= 0:
-        raise DependentBasis("row 1 is in the span of the earlier rows")
+        raise ValueError("row 1 is in the span of the earlier rows")
     d3 = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
     if not d3:
-        raise DependentBasis("row 2 is in the span of the earlier rows")
+        raise ValueError("row 2 is in the span of the earlier rows")
     d3 *= d3
     stale = True  # lambda_20 and lambda_21 are not computed yet
     while True:
@@ -303,7 +302,7 @@ def shortest_vector_exhaustive(basis: Basis, coeff_bound: int) -> tuple[int, ...
     """
     n = basis.n
     if n > 5:
-        raise DimensionTooLarge("exhaustive oracle supports n <= 5")
+        raise ValueError("exhaustive oracle supports n <= 5")
     best: tuple[int, tuple[int, ...]] | None = None
     for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=n):
         if not any(coeffs):
@@ -324,6 +323,6 @@ def shortest_vector_exhaustive(basis: Basis, coeff_bound: int) -> tuple[int, ...
         if best is None or key < best:
             best = key
     if best is None:
-        raise DependentBasis("no nonzero vector found")
+        raise ValueError("no nonzero vector found")
     return best[1]
 

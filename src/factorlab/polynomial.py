@@ -8,7 +8,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import NotMonic, ZeroDegree, ZeroPolynomial
 from .lattice import bareiss
 
 __all__ = [
@@ -194,7 +193,7 @@ class PolyNorms:
 
 def norms(f: MultiPoly) -> PolyNorms:
     if f.is_zero:
-        raise ZeroPolynomial("the zero polynomial has no norms")
+        raise ValueError("the zero polynomial has no norms")
     coeffs = f.terms.values()
     return PolyNorms(
         height=max(abs(c) for c in coeffs),
@@ -230,10 +229,10 @@ def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: int) -> list[list[MultiPol
     shifted coefficient columns of f followed by deg(f) columns of g,
     highest-degree coefficient at the top of each column."""
     if f.is_zero or g.is_zero:
-        raise ZeroPolynomial("resultant needs nonzero polynomials")
+        raise ValueError("resultant needs nonzero polynomials")
     k, m = f.degree(var), g.degree(var)
     if k < 1 or m < 1:
-        raise ZeroDegree(f"both polynomials must be nonconstant in variable {var}")
+        raise ValueError(f"both polynomials must be nonconstant in variable {var}")
     fc = f.coeffs_in(var)
     gc = g.coeffs_in(var)
     size = k + m
@@ -262,10 +261,10 @@ def discriminant(f: MultiPoly, var: int) -> MultiPoly:
     """(-1)^(k(k-1)/2) * Res(f, df/dvar, var) for f monic of degree k >= 2."""
     k = f.degree(var)
     if k < 2:
-        raise ZeroDegree("discriminant needs degree >= 2")
+        raise ValueError("discriminant needs degree >= 2")
     lead = f.coeffs_in(var)[k]
     if lead.terms != {(0,) * f.nvars: 1}:
-        raise NotMonic("discriminant is defined here for monic polynomials")
+        raise ValueError("discriminant is defined here for monic polynomials")
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
     return resultant(f, f.derivative(var), var) * sign
 

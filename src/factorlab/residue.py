@@ -18,7 +18,7 @@ from .arith import (
     square_candidates,
     trial_factor,
 )
-from .errors import Exhausted, GcdFactorFound, NonPrimeModulus
+from .errors import Exhausted, GcdFactorFound
 
 __all__ = [
     "ResiduePair",
@@ -91,7 +91,7 @@ def algorithm_one(n: int, m: int) -> list[ResiduePair]:
     true pair (p mod m, q mod m) is always among them.
     """
     if not is_prime(m):
-        raise NonPrimeModulus(f"modulus {m} is not prime")
+        raise ValueError(f"modulus {m} is not prime")
     g = gcd(n, m)
     if g > 1:
         raise GcdFactorFound(g)

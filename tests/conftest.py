@@ -26,7 +26,7 @@ from factorlab.coppersmith import (
     TrivariateProblem,
     solve_bivariate,
 )
-from factorlab.errors import DependentBasis, Exhausted, NoRoot, TrivialOnly
+from factorlab.errors import Exhausted, NoRoot, TrivialOnly
 from factorlab.fermat import FermatResult
 from factorlab.residue import (
     ResiduePair,
@@ -244,7 +244,7 @@ def reference_lll_rows(
                 lam[i][j] = s
             else:
                 if s <= 0:
-                    raise DependentBasis(f"row {i} is in the span of the earlier rows")
+                    raise ValueError(f"row {i} is in the span of the earlier rows")
                 d[i + 1] = s
 
     def size_reduce(k: int, j: int) -> None:
@@ -287,16 +287,16 @@ def reference_lll3(rows: list[list[int]]) -> None:
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     d1 = a0 * a0 + a1 * a1 + a2 * a2
     if d1 <= 0:
-        raise DependentBasis("row 0 is in the span of the earlier rows")
+        raise ValueError("row 0 is in the span of the earlier rows")
     l10 = b0 * a0 + b1 * a1 + b2 * a2
     d2 = d1 * (b0 * b0 + b1 * b1 + b2 * b2) - l10 * l10
     if d2 <= 0:
-        raise DependentBasis("row 1 is in the span of the earlier rows")
+        raise ValueError("row 1 is in the span of the earlier rows")
     l20 = c0 * a0 + c1 * a1 + c2 * a2
     l21 = d1 * (c0 * b0 + c1 * b1 + c2 * b2) - l20 * l10
     d3 = (d2 * (d1 * (c0 * c0 + c1 * c1 + c2 * c2) - l20 * l20) - l21 * l21) // d1
     if d3 <= 0:
-        raise DependentBasis("row 2 is in the span of the earlier rows")
+        raise ValueError("row 2 is in the span of the earlier rows")
     while True:
         while True:  # k = 1
             if 2 * abs(l10) > d1:
@@ -404,6 +404,30 @@ def reference_univariate_interval(
     for tr in coppersmith._quad_roots(g2, g1, g0, lo, reach - 1):
         coppersmith._record(prob, xc + tr, roots)
     return xc + reach - 1
+
+
+def reference_narrow(prob: BivariateProblem) -> tuple[int, int] | None:
+    """coppersmith._narrow as it was, inside _walk: narrow the columns
+    against the q window and back until stable.  The oracle for the closed
+    form."""
+    big_n, m = prob.N, prob.m
+    p_base, q_base = prob.P0, prob.Q0
+    xlo = max(-prob.X, -((p_base - 1) // m))
+    xhi = min(prob.X, (big_n - p_base) // m)
+    while True:
+        if xhi < xlo:
+            return None
+        plo, phi = m * xlo + p_base, m * xhi + p_base
+        qlo = max(q_base - m * prob.Y, big_n // phi)
+        qhi = min(q_base + m * prob.Y, big_n // plo + 1)
+        if qlo > qhi:
+            return None
+        p2lo, p2hi = big_n // qhi, big_n // qlo + 1
+        new_xlo = max(xlo, -((p_base - p2lo) // m))
+        new_xhi = min(xhi, (p2hi - p_base) // m)
+        if (new_xlo, new_xhi) == (xlo, xhi):
+            return xlo, xhi
+        xlo, xhi = new_xlo, new_xhi
 
 
 def reference_theorem4_driver(

@@ -19,7 +19,6 @@ from factorlab.cli import (
     METHOD_FLAGS,
     METHODS,
     RunConfig,
-    UsageError,
     _config_from_args,
     bench,
     build_parser,
@@ -58,7 +57,7 @@ class TestRun:
         assert report.factors == (3, 5)
 
     def test_ratio_requires_r(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError, match="method 'ratio' requires --r"):
             run(factor_config(method="ratio", n=20909))
         report = run(factor_config(method="ratio", n=20909, r="2"))
         assert report.factors == (103, 203)
@@ -71,7 +70,7 @@ class TestRun:
         ],
     )
     def test_unknown_method_or_no_n_is_a_usage_error(self, config, message):
-        with pytest.raises(UsageError, match=message):
+        with pytest.raises(ValueError, match=message):
             run(config)
 
     def test_residue_method(self):
@@ -234,7 +233,7 @@ class TestBench:
     def test_unknown_profile_or_method_is_a_usage_error(self, field):
         config = RunConfig(command="bench", method="standard", bits=24, instances=1, seed=1)
         setattr(config, field, "nosuch")
-        with pytest.raises(UsageError, match=f"unknown {field} 'nosuch'"):
+        with pytest.raises(ValueError, match=f"unknown {field} 'nosuch'"):
             bench(config)
 
     def test_instances_labeled_with_construction(self):
@@ -294,7 +293,7 @@ class TestCommands:
         ],
     )
     def test_lattice_rows_errors(self, rows, message):
-        with pytest.raises(UsageError, match=message):
+        with pytest.raises(ValueError, match=message):
             lattice_lines(RunConfig(command="lattice", rows=rows))
 
     def test_demo_walkthrough(self):
@@ -391,10 +390,13 @@ class TestMain:
              "--lsb-bits", "4"],
             ["bench", "--method", "standard", "--seed", "1", "--instances", "-1"],
             ["bench", "--method", "standard", "--seed", "1", "--bits", "3"],
+            ["lattice", "--rows", "1,2;2,4"],  # dependent rows
+            ["--method", "coppersmith-lsb", "--n", "15", "--lsb-value", "2",
+             "--lsb-bits", "3"],  # an even hint has no inverse mod 2^k
         ],
     )
     def test_precondition_errors_are_usage_errors(self, capsys, args):
-        assert main(args if args[0] == "bench" else ["factor", *args]) == 1
+        assert main(args if args[0] in ("bench", "lattice") else ["factor", *args]) == 1
         captured = capsys.readouterr()
         err_lines = captured.err.strip().splitlines()
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")

@@ -26,14 +26,11 @@ from factorlab import cli, coppersmith, lattice
 from factorlab.coppersmith import (
     _first_failure,
     _howgrave_halfwidth,
+    _narrow,
     _quad_roots,
     _univariate_interval,
 )
-from factorlab.errors import (
-    Exhausted,
-    NonInvertibleResidue,
-    NoRoot,
-)
+from factorlab.errors import Exhausted, NoRoot
 from factorlab.lattice import Basis, determinant
 from factorlab.residue import theorem4_pairs
 
@@ -45,6 +42,7 @@ from conftest import (
     perfbench_workloads,
     reference_howgrave_halfwidth,
     reference_lll3,
+    reference_narrow,
     reference_solve_trivariate,
     reference_theorem4_driver,
     reference_theorem4_full_walk,
@@ -213,6 +211,25 @@ class TestDegenerateScale:
         except NoRoot:
             full = []
         assert full == expected
+
+    @given(
+        p=st.integers(min_value=1, max_value=2**32),
+        q=st.integers(min_value=1, max_value=2**32),
+        off=st.integers(min_value=-8, max_value=8),
+        m=st.integers(min_value=1, max_value=2**19),
+        dp=st.integers(min_value=-(2**40), max_value=2**40),
+        dq=st.integers(min_value=-(2**40), max_value=2**40),
+        x=st.integers(min_value=1, max_value=2**40),
+        y=st.integers(min_value=1, max_value=2**40),
+    )
+    @example(p=1, q=12, off=0, m=1, dp=3, dq=13, x=5, y=3)  # columns left, no q
+    @settings(max_examples=1000)
+    def test_narrowing_matches_the_loop(self, p, q, off, m, dp, dq, x, y):
+        # boxes around a factor pair of N = p*q + off, up to 2^64, or far from it
+        prob = BivariateProblem(
+            N=max(1, p * q + off), P0=p + dp, Q0=q + dq, X=x, Y=y, m=m
+        )
+        assert _narrow(prob) == reference_narrow(prob)
 
 
 class TestUnivariateSplitter:
@@ -939,7 +956,7 @@ class TestLsbKnown:
         assert any(s.p == 23 and s.q == 113 for s in sols)
 
     def test_even_residue_rejected(self):
-        with pytest.raises(NonInvertibleResidue):
+        with pytest.raises(ValueError, match=r"6 is even, not invertible mod 2\^4"):
             solve_lsb_known(2599, 6, 4)
         with pytest.raises(ValueError):
             solve_lsb_known(2598, 7, 4)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorlab.errors import DependentBasis, DimensionTooLarge
 from factorlab.lattice import (
     Basis,
     bareiss,
@@ -29,7 +28,7 @@ def random_basis(rng: random.Random, max_n: int = 6, bound: int = 2**20) -> Basi
         try:
             determinant(Basis.from_rows(rows))
             return Basis.from_rows(rows)
-        except DependentBasis:
+        except ValueError:
             continue
 
 
@@ -53,7 +52,7 @@ class TestGramSchmidt:
         assert gs.mu[1] == (Fraction(1, 2),)
 
     def test_collinear_rejected(self):
-        with pytest.raises(DependentBasis):
+        with pytest.raises(ValueError, match="row 1 is in the span of the earlier rows"):
             gram_schmidt(Basis.from_rows([(2, 0), (4, 0)]))
 
     def test_reconstruction_and_orthogonality(self, rng):
@@ -122,7 +121,7 @@ class TestDeterminant:
     def test_examples(self):
         assert determinant(Basis.from_rows([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])) == 1
         assert determinant(Basis.from_rows([(2, 0), (1, 3)])) == 6
-        with pytest.raises(DependentBasis):
+        with pytest.raises(ValueError, match="determinant is 0"):
             determinant(Basis.from_rows([(1, 1), (2, 2)]))
 
     def test_row_swap_path(self):
@@ -139,7 +138,7 @@ class TestDeterminant:
         expected = leibniz(rows)
         assert bareiss(rows) == expected
         if expected == 0:
-            with pytest.raises(DependentBasis):
+            with pytest.raises(ValueError, match="determinant is 0"):
                 determinant(Basis.from_rows(rows))
         else:
             assert determinant(Basis.from_rows(rows)) == abs(expected)
@@ -167,7 +166,7 @@ class TestLLL:
         assert lll_reduce(basis) == lll_reduce(basis, Fraction(3, 4)) == lll_reduce(basis, 0.75)
 
     def test_dependent_rejected(self):
-        with pytest.raises(DependentBasis):
+        with pytest.raises(ValueError, match="row 1 is in the span of the earlier rows"):
             lll_reduce(Basis.from_rows([(2, 0), (4, 0)]))
 
     def test_full_contract(self, rng):
@@ -237,7 +236,7 @@ def nearly_reduced_bases(draw):
     rows = draw(MATRIX3)
     try:
         reference_lll_rows(rows)
-    except DependentBasis:
+    except ValueError:
         return rows
     i, j = draw(st.permutations(range(3)))[:2]
     c = draw(st.integers(min_value=-2, max_value=2))
@@ -323,9 +322,9 @@ class TestDim3Kernel:
     )
     def test_dependent_messages(self, rows, row):
         message = f"row {row} is in the span of the earlier rows"
-        with pytest.raises(DependentBasis) as general:
+        with pytest.raises(ValueError) as general:
             reference_lll_rows([list(r) for r in rows])
-        with pytest.raises(DependentBasis) as unrolled:
+        with pytest.raises(ValueError) as unrolled:
             lll_rows([list(r) for r in rows])
         assert str(general.value) == str(unrolled.value) == message
 
@@ -351,6 +350,6 @@ class TestShortestVector:
 
     def test_dimension_cap(self):
         ident6 = Basis.from_rows([[1 if i == j else 0 for j in range(6)] for i in range(6)])
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(ValueError, match="exhaustive oracle supports n <= 5"):
             shortest_vector_exhaustive(ident6, 1)
 

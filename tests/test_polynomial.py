@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlab.errors import NotMonic, ZeroDegree, ZeroPolynomial
 from factorlab.polynomial import (
     MultiPoly,
     discriminant,
@@ -93,7 +92,7 @@ class TestNorms:
         assert (n.height, n.l2_sq, n.weight) == (1, 3, 3)
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(ValueError, match="the zero polynomial has no norms"):
             norms(MultiPoly.zero(2))
 
 
@@ -235,9 +234,11 @@ class TestResultant:
 
     def test_constant_rejected(self):
         x = MultiPoly.variable(1, 0)
-        with pytest.raises(ZeroDegree):
+        with pytest.raises(
+            ValueError, match="both polynomials must be nonconstant in variable 0"
+        ):
             resultant(x - 2, MultiPoly.const(1, 5), 0)
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(ValueError, match="resultant needs nonzero polynomials"):
             resultant(x, MultiPoly.zero(1), 0)
 
 
@@ -266,9 +267,11 @@ class TestDiscriminant:
             assert discriminant(f, 0) == MultiPoly.const(1, expected)
 
     def test_non_monic_rejected(self):
-        with pytest.raises(NotMonic):
+        with pytest.raises(
+            ValueError, match="discriminant is defined here for monic polynomials"
+        ):
             discriminant(parse_poly("2*x1^2 + 1"), 0)
-        with pytest.raises(ZeroDegree):
+        with pytest.raises(ValueError, match="discriminant needs degree >= 2"):
             discriminant(parse_poly("x1 + 1"), 0)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from factorlab import residue
 from factorlab.arith import is_perfect_square, is_prime, isqrt, next_prime, random_prime
 from factorlab.coppersmith import theorem4_driver
-from factorlab.errors import Exhausted, GcdFactorFound, NonPrimeModulus
+from factorlab.errors import Exhausted, GcdFactorFound
 from factorlab.residue import (
     ResiduePair,
     algorithm_one,
@@ -96,7 +96,7 @@ class TestAlgorithmOne:
         assert (2, 2) in pair_tuples(got)
 
     def test_requires_prime_modulus(self):
-        with pytest.raises(NonPrimeModulus):
+        with pytest.raises(ValueError, match="modulus 6 is not prime"):
             algorithm_one(2599, 6)
 
     def test_shared_factor_short_circuits(self):
