@@ -9,15 +9,15 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 __all__ = [
-    "Factorization",
+    "Split",
     "as_fraction",
+    "divisors",
     "is_perfect_square",
     "is_prime",
     "isqrt",
     "next_prime",
     "random_prime",
     "square_candidates",
-    "trial_factor",
 ]
 
 # A square must land in these residue sets; testing n & 63 and n % 63 rejects
@@ -312,79 +312,50 @@ def as_fraction(value) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Factorization:
-    """n split into factor powers; `residual` flags an uncertified cofactor.
+class Split:
+    """A split N = p*q, 1 <= p <= q, with the scan's step count (None for
+    a method that does not count positions).  The solution x = p + q,
+    y = q - p of 4N = x^2 - y^2 is derived from p and q."""
 
-    parts multiply back to n, every factor is >= 2, and factors strictly
-    increase.  When residual is None the parts are all certified prime.
-    """
-
-    n: int
-    parts: tuple[tuple[int, int], ...]
-    residual: int | None = None
+    p: int
+    q: int
+    steps: int | None = None
 
     def __post_init__(self):
-        prod = 1
-        prev = 1
-        for f, e in self.parts:
-            if f < 2 or e < 1:
-                raise ValueError("factors must be >= 2 with positive multiplicity")
-            if f <= prev:
-                raise ValueError("factors must strictly increase")
-            prev = f
-            prod *= f**e
-        if prod != self.n:
-            raise ValueError(f"parts multiply to {prod}, not {self.n}")
-        if self.residual is not None and (not self.parts or self.parts[-1][0] != self.residual):
-            raise ValueError("residual must be the last listed factor")
+        if self.p > self.q or self.p < 1:
+            raise ValueError("need 1 <= p <= q")
+
+    @classmethod
+    def of(cls, n: int, d: int, steps: int | None = None) -> Split:
+        """The split of n at its divisor d, the smaller part first."""
+        if d < 1 or n % d:
+            raise ValueError(f"{d} does not divide {n}")
+        return cls(*sorted((d, n // d)), steps)
 
     @property
-    def complete(self) -> bool:
-        return self.residual is None
+    def x(self) -> int:
+        return self.p + self.q
 
-    def divisors(self) -> list[int]:
-        """All positive divisors, ascending (residual treated as prime)."""
-        divs = [1]
-        for f, e in self.parts:
-            divs = [d * f**k for d in divs for k in range(e + 1)]
-        return sorted(divs)
+    @property
+    def y(self) -> int:
+        return self.q - self.p
 
 
-def trial_factor(n: int, bound: int) -> Factorization:
-    """Trial-divide n by primes <= bound.
-
-    Complete whenever every prime factor is <= bound; otherwise the leftover
-    cofactor is included as the last part and flagged via `residual`.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    parts: list[tuple[int, int]] = []
-    r = n
-    for d in (2, 3):
-        if d > bound:
-            break
-        e = 0
-        while r % d == 0:
-            r //= d
-            e += 1
-        if e:
-            parts.append((d, e))
-    d = 5
-    while d <= bound and d * d <= r:
-        for dd in (d, d + 2):
-            if dd > bound:
-                break
-            e = 0
-            while r % dd == 0:
-                r //= dd
-                e += 1
-            if e:
-                parts.append((dd, e))
-        d += 6
-    residual = None
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending.  The prime powers come
+    from trial division by 2, 3 and 6k -/+ 1 up to the root of the cofactor
+    left, and a cofactor above 1 at the end is prime."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    divs, r, f = [1], n, 2
+    while f * f <= r:
+        if r % f == 0:
+            powers = [1]
+            while r % f == 0:
+                r //= f
+                powers.append(powers[-1] * f)
+            divs = [d * power for d in divs for power in powers]
+        f += 1 if f == 2 else 4 if f % 6 == 1 else 2  # 2, 3, 5, 7, 11, 13, ...
     if r > 1:
-        if r > bound:
-            residual = r
-        parts.append((r, 1))
-    return Factorization(n, tuple(parts), residual)
-
+        divs += [d * r for d in divs]
+    return sorted(divs)

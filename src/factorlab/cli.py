@@ -208,17 +208,15 @@ def run(config: RunConfig) -> RunReport:
 
 
 def _factors(n: int, result) -> tuple[tuple[int, ...], int | None]:
-    """(factors, steps) of a method's result: a FermatResult's pair and scan
-    steps, a Factorization's prime powers written out, or, for a solver's
-    root list, the first proper factor p as (p, n // p) ascending."""
-    if isinstance(result, fermat.FermatResult):
-        return (result.p, result.q), result.steps
-    if isinstance(result, arith.Factorization):
-        return tuple(f for f, e in result.parts for _ in range(e)), None
-    for sol in result:
-        if 1 < sol.p < n:
-            return tuple(sorted((sol.p, n // sol.p))), None
-    raise NoRoot(f"only trivial roots found for {n}")
+    """(factors, steps) of a method's result: a Split's pair and step
+    count, or, for a solver's root list, the split at its first proper
+    factor p."""
+    if not isinstance(result, arith.Split):
+        p = next((sol.p for sol in result if 1 < sol.p < n), None)
+        if p is None:
+            raise NoRoot(f"only trivial roots found for {n}")
+        result = arith.Split.of(n, p)
+    return (result.p, result.q), result.steps
 
 
 # Draws a bench generator makes before it gives up: at some sizes no draw

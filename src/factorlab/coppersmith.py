@@ -50,7 +50,7 @@ import random
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import Factorization, is_perfect_square, random_prime
+from .arith import Split, is_perfect_square, random_prime
 from .errors import Exhausted, NoRoot
 # lll_reduce and resultant are unused here; perfbench/tracing.py wraps them by name.
 from .lattice import lll_reduce, lll_rows  # noqa: F401
@@ -622,7 +622,7 @@ def solve_trivariate(
     raise Exhausted("no (z0, a) candidate produced a factorization")
 
 
-def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Factorization:
+def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Split:
     """Factor N with nearly equal factors by trying every divisor pair of
     the small lifts of N mod m in the (m*x + c)(m*y + d) form.
 

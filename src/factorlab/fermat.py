@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import as_fraction, is_perfect_square, square_candidates
+from .arith import Split, as_fraction, is_perfect_square, square_candidates
 from .errors import Exhausted, TrivialOnly
 
 __all__ = [
-    "FermatResult",
     "RatioGridEntry",
     "fermat_ratio",
     "fermat_standard",
@@ -33,29 +32,7 @@ __all__ = [
 _RATIO_CAP = 10**4
 
 
-@dataclass(frozen=True)
-class FermatResult:
-    """A split N = p*q, p <= q, with its scan-step count.  The solution
-    x = p + q, y = q - p of 4N = x^2 - y^2 is derived from p and q."""
-
-    p: int
-    q: int
-    steps: int
-
-    def __post_init__(self):
-        if self.p > self.q or self.p < 1:
-            raise ValueError("need 1 <= p <= q")
-
-    @property
-    def x(self) -> int:
-        return self.p + self.q
-
-    @property
-    def y(self) -> int:
-        return self.q - self.p
-
-
-def _difference_scan(n: int, budget: int | None) -> FermatResult:
+def _difference_scan(n: int, budget: int | None) -> Split:
     """Scan x upward from the first x with x^2 >= 4n for the first x^2 - 4n
     that is a perfect square.  Steps count the positions scanned, the hit
     included; only the positions that square_candidates lets through are
@@ -75,14 +52,14 @@ def _difference_scan(n: int, budget: int | None) -> FermatResult:
         if y is not None:
             p, q = (x - y) // 2, (x + y) // 2
             if p >= 2:
-                return FermatResult(p, q, j + 1)
+                return Split(p, q, j + 1)
             if p == 1:
                 raise TrivialOnly(f"{n} admits only the trivial split 1 x {n}")
     # only a budget ends the loop here: without one, x = n + 1 raises TrivialOnly
     raise Exhausted(f"no solution within {budget} steps")
 
 
-def fermat_standard(n: int, budget: int | None = None) -> FermatResult:
+def fermat_standard(n: int, budget: int | None = None) -> Split:
     """Factor odd n >= 3 by the consecutive difference-of-squares scan,
     testing at most `budget` positions (None: up to the trivial split)."""
     if n < 3 or n % 2 == 0:
@@ -121,7 +98,7 @@ def triangular_squares(n: int):
         x += m + i
 
 
-def fermat_triangular(n: int, budget: int | None = None) -> FermatResult:
+def fermat_triangular(n: int, budget: int | None = None) -> Split:
     """Difference-of-squares scan restricted to triangular x values.
 
     Succeeds only when p + q is a triangular number; the cube-increment
@@ -146,7 +123,7 @@ def fermat_triangular(n: int, budget: int | None = None) -> FermatResult:
         if y is not None:
             p, q = (x - y) // 2, (x + y) // 2
             if p >= 2:
-                return FermatResult(p, q, steps)
+                return Split(p, q, steps)
     raise Exhausted("p + q is not triangular within the scan range")
 
 
@@ -184,7 +161,7 @@ def render_ratio(value: Fraction) -> str:
     return text
 
 
-def fermat_ratio(n: int, ratio, budget: int | None = None) -> FermatResult:
+def fermat_ratio(n: int, ratio, budget: int | None = None) -> Split:
     """Factor n when q ~ (a/b) * p for a known ratio a/b >= 1.
 
     Runs the consecutive scan on a*b*n, whose divisor pair (b*p, a*q) is
@@ -203,6 +180,6 @@ def fermat_ratio(n: int, ratio, budget: int | None = None) -> FermatResult:
     for cand in (inner.p, inner.q):
         g = gcd(cand, n)
         if 1 < g < n:
-            return FermatResult(*sorted((g, n // g)), inner.steps)
+            return Split.of(n, g, inner.steps)
     raise Exhausted(f"neither recovered factor of {a * b}*{n} yields a divisor of {n}")
 

@@ -11,13 +11,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import (
-    Factorization,
-    is_perfect_square,
-    is_prime,
-    square_candidates,
-    trial_factor,
-)
+from .arith import Split, divisors, is_perfect_square, is_prime, square_candidates
 from .errors import Exhausted, GcdFactorFound
 
 __all__ = [
@@ -72,10 +66,8 @@ def _lift_pairs(lifts) -> Iterator[tuple[int, int]]:
     """The divisor pairs (c, cd // c) with c <= cd // c of each positive lift
     cd in turn, c ascending: the walk behind theorem4_pairs and algorithm_one."""
     for cd in lifts:
-        if cd == 1:
-            yield 1, 1
-        elif cd > 1:
-            for c in trial_factor(cd, cd).divisors():
+        if cd > 0:
+            for c in divisors(cd):
                 if c * c > cd:
                     break
                 yield c, cd // c
@@ -102,14 +94,6 @@ def algorithm_one(n: int, m: int) -> list[ResiduePair]:
     return sorted(pairs)
 
 
-def _split(n: int, root: int) -> Factorization:
-    """n = root * (n // root); complete only when both parts are prime."""
-    p, q = sorted((root, n // root))
-    parts = ((p, 2),) if p == q else ((p, 1), (q, 1))
-    residual = None if is_prime(p) and is_prime(q) else q
-    return Factorization(n, parts, residual)
-
-
 def _check_moduli(m: int, mod2: int) -> None:
     if m < 1 or mod2 < 1:
         raise ValueError("moduli must be >= 1")
@@ -126,7 +110,7 @@ def default_t_bound(n: int, m: int, mod2: int, c: int, d: int) -> int:
 
 def landry_pepin(
     n: int, m: int, mod2: int, c: int, d: int, t_bound: int
-) -> Factorization:
+) -> Split:
     """Recover factors p = m*x + c, q = mod2*y + d by scanning the scaled
     factor sum z = d*p + c*q.
 
@@ -163,7 +147,7 @@ def landry_pepin(
                     continue
                 root = num // two_d
                 if 1 < root < n and n % root == 0:
-                    return _split(n, root)
+                    return Split.of(n, root)
     raise Exhausted(f"no factor within t <= {t_bound}")
 
 
@@ -183,7 +167,7 @@ def theorem4_pairs(n: int, m: int) -> list[ResiduePair]:
     return [ResiduePair(c, d) for c, d in _lift_pairs((r, r + m) if r + m <= n else (r,))]
 
 
-def pair_driver(n: int, m: int, pairs: Callable, solve: Callable) -> Factorization:
+def pair_driver(n: int, m: int, pairs: Callable, solve: Callable) -> Split:
     """Factor n by the one loop over residue pairs c*d = n (mod m).
 
     A gcd(n, m) strictly between 1 and n splits n at once.  Otherwise each
@@ -197,15 +181,15 @@ def pair_driver(n: int, m: int, pairs: Callable, solve: Callable) -> Factorizati
         raise ValueError("modulus must be >= 2")
     g = gcd(n, m)
     if 1 < g < n:
-        return _split(n, g)
+        return Split.of(n, g)
     for pair in pairs(n, m):
         for root in solve(pair):
             if 1 < root < n:
-                return _split(n, root)
+                return Split.of(n, root)
     raise Exhausted(f"no residue pair mod {m} yields a factorization")
 
 
-def residue_driver(n: int, m: int, t_bound: int | None = None) -> Factorization:
+def residue_driver(n: int, m: int, t_bound: int | None = None) -> Split:
     """Residue-class route: scan every pair of enumerate_pairs with
     landry_pepin at mod2 = m, up to t_bound or default_t_bound per pair."""
     if t_bound is not None and t_bound < 0:
@@ -218,7 +202,7 @@ def residue_driver(n: int, m: int, t_bound: int | None = None) -> Factorization:
     def solve(pair: ResiduePair) -> list[int]:
         bound = default_t_bound(n, m, m, pair.c, pair.d) if t_bound is None else t_bound
         try:
-            return [landry_pepin(n, m, m, pair.c, pair.d, bound).parts[0][0]]
+            return [landry_pepin(n, m, m, pair.c, pair.d, bound).p]
         except Exhausted:
             return []
 

@@ -14,7 +14,7 @@ from hypothesis import settings
 
 from factorlab import coppersmith
 from factorlab.arith import (
-    Factorization,
+    Split,
     is_perfect_square,
     isqrt,
     next_prime,
@@ -27,10 +27,8 @@ from factorlab.coppersmith import (
     solve_bivariate,
 )
 from factorlab.errors import Exhausted, NoRoot, TrivialOnly
-from factorlab.fermat import FermatResult
 from factorlab.residue import (
     ResiduePair,
-    _split,
     pair_driver,
     theorem4_pairs,
 )
@@ -91,7 +89,7 @@ def lsb_problem(n: int, x0: int, k: int) -> BivariateProblem:
     )
 
 
-def reference_difference_scan(n: int, max_steps: int | None) -> FermatResult:
+def reference_difference_scan(n: int, max_steps: int | None) -> Split:
     """The difference-of-squares scan tested position by position, with no
     sieve: the oracle for fermat._difference_scan (same results, steps and
     exceptions)."""
@@ -108,7 +106,7 @@ def reference_difference_scan(n: int, max_steps: int | None) -> FermatResult:
         if y is not None:
             p, q = (x - y) // 2, (x + y) // 2
             if p >= 2:
-                return FermatResult(p, q, steps)
+                return Split(p, q, steps)
             if p == 1:
                 raise TrivialOnly(f"{n} admits only the trivial split 1 x {n}")
         x += 1
@@ -136,7 +134,7 @@ def reference_landry_pepin(n: int, m: int, mod2: int, c: int, d: int, t_bound: i
                     continue
                 root = num // two_d
                 if 1 < root < n and n % root == 0:
-                    return _split(n, root)
+                    return Split.of(n, root)
     raise Exhausted(f"no factor within t <= {t_bound}")
 
 
@@ -432,7 +430,7 @@ def reference_narrow(prob: BivariateProblem) -> tuple[int, int] | None:
 
 def reference_theorem4_driver(
     big_n: int, m: int, divisors: tuple[int, ...] | None = None
-) -> Factorization:
+) -> Split:
     """theorem4_driver with each pair's box searched by box_oracle, or, given
     the divisors of N above 1, checked at those alone: the oracle for
     coppersmith.theorem4_driver (same results and exceptions)."""
@@ -465,7 +463,7 @@ def reference_theorem4_pairs(n: int, m: int) -> list[ResiduePair]:
 
 def reference_theorem4_full_walk(
     big_n: int, m: int, stats: dict | None = None
-) -> Factorization:
+) -> Split:
     """theorem4_driver with each pair's box walked whole by solve_bivariate,
     as before the walk stopped at a pair's first proper divisor: the oracle
     for its cli.run reports (stats accumulate the same way) and the baseline

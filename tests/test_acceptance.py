@@ -159,7 +159,7 @@ def test_criterion_05_landry_pepin():
     disc = z_at_8**2 - 4 * 1 * 7 * 10807
     assert disc == 360000 and is_perfect_square(disc) == 600
     fac = landry_pepin(10807, 10, 10, 1, 7, t_bound=8)
-    assert fac.parts == ((101, 1), (107, 1))
+    assert (fac.p, fac.q) == (101, 107)
     with pytest.raises(Exhausted):
         landry_pepin(10807, 10, 10, 1, 7, t_bound=7)
 
@@ -192,10 +192,7 @@ def test_criterion_05_landry_pepin():
         # scaled-sum window: |d*p + c*q| < 3 * max(c, d) * sqrt(N)
         t_bound = 3 * max(c, d) * isqrt(n) // (m * mod2) + 2
         fac = landry_pepin(n, m, mod2, c, d, t_bound)
-        recovered = set()
-        for f, e in fac.parts:
-            recovered.update([f] * e)
-        assert recovered == {p, q}
+        assert {fac.p, fac.q} == {p, q}
         successes += 1
         lehmer += c == d == 1
     report(5, f"10807 splits at t=8 with disc 600^2; "

@@ -19,15 +19,15 @@ from factorlab.arith import (
     _class_mod_64,
     _patterns,
     _sieve_patterns,
-    Factorization,
+    Split,
     as_fraction,
+    divisors,
     is_perfect_square,
     is_prime,
     isqrt,
     next_prime,
     random_prime,
     square_candidates,
-    trial_factor,
 )
 
 from conftest import perfbench_workloads, reference_square_candidates
@@ -261,49 +261,51 @@ class TestSquareCandidates:
         assert len(list(square_candidates(x0, 1, (-4 * n,), 200_000))) < 200
 
 
-class TestTrialFactor:
+class TestDivisors:
     def test_examples(self):
-        fac = trial_factor(60, 10)
-        assert fac.parts == ((2, 2), (3, 1), (5, 1)) and fac.complete
-        fac = trial_factor(2599, 200)
-        assert fac.parts == ((23, 1), (113, 1)) and fac.complete
-        fac = trial_factor(101, 50)
-        assert fac.residual == 101 and not fac.complete
+        assert divisors(1) == [1]
+        assert divisors(60) == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
+        assert divisors(2599) == [1, 23, 113, 2599]
+        assert divisors(10201) == [1, 101, 10201]
+        assert divisors(1000003) == [1, 1000003]
+        assert divisors(3 << 20) == sorted(d << i for d in (1, 3) for i in range(21))
 
-    @given(st.integers(min_value=2, max_value=10**9), st.integers(min_value=1, max_value=10**5))
+    @given(st.integers(min_value=1, max_value=10**8))
     @settings(max_examples=300)
-    def test_product_invariant(self, n, bound):
-        fac = trial_factor(n, bound)
-        product = 1
-        for f, e in fac.parts:
-            product *= f**e
-        assert product == n
+    def test_closed_under_cofactors(self, n):
+        # ascending divisors of n, closed under d -> n // d, with every
+        # divisor up to the root of n among them
+        divs = divisors(n)
+        assert divs == sorted(set(divs)) and all(n % d == 0 for d in divs)
+        assert [n // d for d in reversed(divs)] == divs
+        assert [d for d in divs if d * d <= n] == [
+            d for d in range(1, isqrt(n) + 1) if n % d == 0
+        ]
 
-    def test_divisors_helper(self):
-        assert trial_factor(60, 60).divisors() == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
-        # bound = isqrt(n) leaves at most one prime above the root, which
-        # divisors() treats as prime: the list is complete either way
-        for n in range(2, 2000):
-            expected = [d for d in range(1, n + 1) if n % d == 0]
-            assert trial_factor(n, n).divisors() == expected, n
-            assert trial_factor(n, isqrt(n)).divisors() == expected, n
+    def test_matches_brute_force(self):
+        for n in range(1, 2000):
+            assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
 
-    def test_invariant_enforcement(self):
-        with pytest.raises(ValueError):
-            trial_factor(1, 10)
-        with pytest.raises(ValueError):
-            Factorization(6, ((2, 1), (2, 1)))
-        with pytest.raises(ValueError):
-            Factorization(6, ((2, 1), (5, 1)))
-        # the first check, not the ordering one, rejects a factor 1 or e = 0
-        with pytest.raises(ValueError, match="factors must be >= 2"):
-            Factorization(6, ((1, 1), (6, 1)))
-        with pytest.raises(ValueError, match="positive multiplicity"):
-            Factorization(3, ((2, 0), (3, 1)))
-        with pytest.raises(ValueError, match="residual must be the last"):
-            Factorization(6, ((2, 1), (3, 1)), residual=2)
-        with pytest.raises(ValueError, match="residual must be the last"):
-            Factorization(1, (), residual=1)
+    def test_rejects_n_below_one(self):
+        for n in (0, -1, -60):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                divisors(n)
+
+
+class TestSplit:
+    def test_of_puts_the_smaller_part_first(self):
+        assert Split.of(10807, 107) == Split(101, 107) == Split.of(10807, 101)
+        assert Split.of(10201, 101) == Split(101, 101, None)
+        assert Split.of(2599, 1, 35) == Split(1, 2599, 35)
+        split = Split.of(2599, 23, 35)
+        assert (split.p, split.q, split.steps, split.x, split.y) == (23, 113, 35, 136, 90)
+
+    def test_invariants_enforced(self):
+        with pytest.raises(ValueError, match="need 1 <= p <= q"):
+            Split(0, 3)
+        for d in (0, -23, 24, 2600):
+            with pytest.raises(ValueError, match="does not divide 2599"):
+                Split.of(2599, d)
 
 
 def strong_probable_prime(n: int, a: int) -> bool:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorlab import fermat
+from factorlab.arith import Split
 from factorlab.cli import (
     BENCH_METHODS,
     JSON_KEYS,
@@ -322,6 +323,21 @@ class TestMain:
         assert main(["factor", "--method", "ratio", "--n", "15"]) == 1  # missing --r
         assert "requires --r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--method", "theorem4", "--mod", "10"],
+            ["--method", "residue", "--mod", "10"],
+            ["--method", "landry-pepin", "--mod", "10", "--mod2", "10", "--c", "1",
+             "--d", "1"],
+            ["--method", "standard"],
+        ],
+    )
+    def test_a_square_reports_its_root_twice(self, capsys, args):
+        # 10201 = 101^2 splits as 101 * 101 whichever method finds it
+        assert main(["factor", "--n", "10201", *args, "--format", "json-lines"]) == 0
+        assert json.loads(capsys.readouterr().out)["factors"] == ["101", "101"]
+
     def test_trivariate_huge_z_max(self, capsys):
         # only the windows reaching the x box are walked, not every z0 <= 10^12
         assert main(["factor", "--method", "trivariate", "--n", "10807", "--p0", "101",
@@ -556,9 +572,9 @@ class TestMain:
         assert capsys.readouterr().err == "error: budget must be >= 0\n"
 
     def test_factors_of_another_n_are_an_internal_error(self, capsys, monkeypatch):
-        # a valid FermatResult, but 4*15 = 8^2 - 2^2: run re-multiplies the
+        # a valid Split, but 4*15 = 8^2 - 2^2: run re-multiplies the
         # factors before anything is printed
-        wrong = fermat.FermatResult(p=3, q=5, steps=1)
+        wrong = Split(p=3, q=5, steps=1)
         monkeypatch.setattr(fermat, "fermat_standard", lambda n, budget: wrong)
         assert main(["factor", "--method", "standard", "--n", "2599"]) == 1
         captured = capsys.readouterr()

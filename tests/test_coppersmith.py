@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from factorlab.arith import Factorization, is_prime, isqrt, next_prime, random_prime
+from factorlab.arith import Split, is_prime, isqrt, next_prime, random_prime
 from factorlab.coppersmith import (
     BivariateProblem,
     TrivariateProblem,
@@ -933,7 +933,7 @@ class TestAttemptWork:
         # every instance factors, over thousands of fresh and warm attempts
         assert len(calls) > 2000
         assert all(isinstance(r, list) for r, _ in results[:150])
-        assert all(isinstance(r, Factorization) for r, _ in results[150:300])
+        assert all(isinstance(r, Split) for r, _ in results[150:300])
         assert all(isinstance(r, list) for r, _ in results[300:])
 
 
@@ -1503,11 +1503,9 @@ class TestTrivariate:
 
 class TestTheorem4Driver:
     def test_worked_instance(self):
-        fac = theorem4_driver(10807, 100)
-        assert fac.parts == ((101, 1), (107, 1))
+        assert theorem4_driver(10807, 100) == Split(101, 107)
         # 1009 = 1109 = 9 (mod 100): the pair (9, 9) is its own mirror
-        fac = theorem4_driver(1009 * 1109, 100)
-        assert fac.parts == ((1009, 1), (1109, 1))
+        assert theorem4_driver(1009 * 1109, 100) == Split(1009, 1109)
 
     def test_prime_exhausts(self):
         assert is_prime(10009)
@@ -1536,7 +1534,7 @@ class TestTheorem4Driver:
         # 6 = 2*3 with m = 7: the boxes' p > 0 columns have no certified
         # width and are scanned, so no attempt is made at all
         stats = {}
-        assert theorem4_driver(6, 7, stats).parts == ((2, 1), (3, 1))
+        assert theorem4_driver(6, 7, stats) == Split(2, 3)
         assert "boxes" not in stats and "lattice_dim" not in stats
         assert stats["column_scans"] == 2
 
@@ -1620,11 +1618,7 @@ class TestTheorem4Driver:
             assert outcome(theorem4_driver, n, m) == fac, (n, m)
 
     def test_gcd_short_circuit(self):
-        fac = theorem4_driver(15 * 101, 15)
-        product = 1
-        for f, e in fac.parts:
-            product *= f**e
-        assert product == 15 * 101
+        assert theorem4_driver(15 * 101, 15) == Split(15, 101)
 
 
 class TestEnvelope:

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlab import fermat
-from factorlab.arith import isqrt, next_prime, random_prime
+from factorlab.arith import Split, isqrt, next_prime, random_prime
 from factorlab.errors import Exhausted, TrivialOnly
 from factorlab.fermat import (
-    FermatResult,
     fermat_ratio,
     fermat_standard,
     fermat_triangular,
@@ -83,7 +82,7 @@ class TestStandardScan:
 
     def test_result_invariants_enforced(self):
         with pytest.raises(ValueError):
-            FermatResult(p=7, q=3, steps=1)
+            Split(p=7, q=3, steps=1)
 
     def test_finds_most_balanced_divisor_pair(self, rng):
         # the upward scan meets the divisor pair with the smallest sum first

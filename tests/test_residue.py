@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factorlab import residue
-from factorlab.arith import is_perfect_square, is_prime, isqrt, next_prime, random_prime
+from factorlab.arith import Split, is_perfect_square, is_prime, isqrt, next_prime, random_prime
 from factorlab.coppersmith import theorem4_driver
 from factorlab.errors import Exhausted, GcdFactorFound
 from factorlab.residue import (
@@ -140,8 +140,7 @@ class TestLandryPepin:
         assert disc == 360000 and is_perfect_square(disc) == 600
         assert (814 + 600) % 14 == 0 and (814 + 600) // 14 == 101
 
-        fac = landry_pepin(10807, 10, 10, 1, 7, t_bound=8)
-        assert fac.parts == ((101, 1), (107, 1))
+        assert landry_pepin(10807, 10, 10, 1, 7, t_bound=8) == Split(101, 107)
         with pytest.raises(Exhausted):
             landry_pepin(10807, 10, 10, 1, 7, t_bound=7)
 
@@ -150,8 +149,7 @@ class TestLandryPepin:
         p, q = 101, 151  # both 1 mod 10
         n = p * q
         t_needed = (p + q - (n + 1) % 100) // 100
-        fac = landry_pepin(n, 10, 10, 1, 1, t_bound=t_needed)
-        assert fac.parts == ((101, 1), (151, 1))
+        assert landry_pepin(n, 10, 10, 1, 1, t_bound=t_needed) == Split(101, 151)
 
     def test_wrong_guess_exhausts(self):
         with pytest.raises(Exhausted):
@@ -171,12 +169,19 @@ class TestLandryPepin:
                 default_t_bound(n, 10, 10, 1, 7)
 
     def test_composite_parts_are_not_certified(self):
-        fac = landry_pepin(292248, 25, 25, 27, 36, 105)
-        assert fac.parts == ((328, 1), (891, 1)) and fac.complete is False
-        assert fac.residual == 891
-        fac = theorem4_driver(15 * 101, 15)
-        assert fac.parts == ((15, 1), (101, 1)) and fac.complete is False
-        assert landry_pepin(10807, 10, 10, 1, 7, 8).complete is True
+        # a split is any divisor pair: neither part is tested for primality
+        assert landry_pepin(292248, 25, 25, 27, 36, 105) == Split(328, 891)
+        assert theorem4_driver(15 * 101, 15) == Split(15, 101)
+
+    def test_no_primality_test_on_the_split_path(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) on the split path")
+
+        monkeypatch.setattr(residue, "is_prime", refuse)
+        assert landry_pepin(10807, 10, 10, 1, 7, 8) == Split(101, 107)
+        assert residue_driver(10201, 10) == Split(101, 101)
+        assert theorem4_driver(10807, 100) == Split(101, 107)
+        assert theorem4_driver(15 * 101, 15) == Split(15, 101)
 
     @given(
         a=st.integers(min_value=2, max_value=400),
@@ -257,7 +262,7 @@ class TestLandryPepin:
             # |d*p + c*q| <= max(c, d) * (p + q) < 3 * max(c, d) * sqrt(N)
             t_bound = 3 * max(c, d) * isqrt(n) // (m * mod2) + 2
             fac = landry_pepin(n, m, mod2, c, d, t_bound)
-            assert set(f for f, _ in fac.parts) == {p, q} or fac.parts == ((p, 2),)
+            assert (fac.p, fac.q) == (min(p, q), max(p, q))
 
 
 class TestPairDriver:
@@ -277,11 +282,8 @@ class TestPairDriver:
             fac = driver(n, m)
         except Exhausted:
             return
-        product = 1
-        for f, e in fac.parts:
-            assert f >= 2
-            product *= f**e
-        assert product == n
+        assert isinstance(fac, Split) and fac.steps is None
+        assert 1 < fac.p <= fac.q and fac.p * fac.q == n
 
     @pytest.mark.parametrize("driver", [theorem4_driver, residue_driver])
     @pytest.mark.parametrize("n", [1, 0, -15])
