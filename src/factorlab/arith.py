@@ -39,23 +39,24 @@ _SIEVE_FLAGS = {
     q: bytes(b"01"[r in squares] for r in range(q)) for q, squares in _SIEVE_SQUARES.items()
 }
 # Patterns of moduli whose product stays within _MERGED_MAX bits are merged
-# into one, so a block takes 7 shift-and-AND steps instead of 16.  Blocks
-# take the lengths of _BLOCK_SIZES in turn and the last from then on: 4-fold
-# growth up to a cap, so a short scan builds small masks while a long one
-# rebuilds its patterns and sets up blocks a few times only, and its memory
-# stays flat.
+# into one, so a block takes 7 shift-and-AND steps instead of 16.  Every
+# block but a scan's last takes _BLOCK positions, and every pattern is built
+# long enough for any block, so a scan's set-up is its only pattern work.
 _MERGED_MAX = 1 << 12
-_BLOCK_SIZES = (1 << 10, 1 << 12, 1 << 14, 1 << 15)
+_BLOCK = 1 << 14
 # Rotation tables.  When the stride s is a unit modulo q (every prime here,
 # and 9 when 3 does not divide s), (b + s*j)**2 + o = s*s*((j + c)**2 + o')
 # modulo q, with c = b/s and o' = o/s**2; the unit square s*s maps squares
 # onto squares, so the pattern of (b, s, o) is the pattern of j**2 + o'
 # shifted right by c.  _ROTATIONS[q][o'] holds that pattern repeated to
-# _MERGED_MAX + 2q bits (0 until a scan first needs it), _INVERSES[q][s % q]
-# holds 1/s modulo q (0 where s is no unit, and for 64, whose patterns are
-# always built), and _REPUNITS[q] * bits repeats a q-bit pattern as far.
+# _BLOCK + _MERGED_MAX + 2q bits (0 until a scan first needs it), so after
+# the shift by c < q it still covers a block read at any shift below the
+# merged period; _INVERSES[q][s % q] holds 1/s modulo q (0 where s is no
+# unit, and for 64, whose patterns are always built), and _REPUNITS[q] * bits
+# repeats a q-bit pattern as far.
 _REPUNITS = {
-    q: ((1 << q * -(-(_MERGED_MAX + 2 * q) // q)) - 1) // ((1 << q) - 1) for q in _SIEVE_MODULI
+    q: ((1 << q * -(-(_BLOCK + _MERGED_MAX + 2 * q) // q)) - 1) // ((1 << q) - 1)
+    for q in _SIEVE_MODULI
 }
 _ROTATIONS = {q: [0] * q for q in _SIEVE_MODULI[1:]}
 _INVERSES = {
@@ -94,35 +95,20 @@ def is_perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def _repeat(bits: int, length: int, q: int, width: int) -> tuple[int, int]:
-    """A pattern of period q, given on `length` bits (a multiple of q),
-    repeated over the fewest whole periods that cover `width` bits: the
-    pattern and its length.  Doubling alone would overshoot by up to twice
-    the need, and every shift of the pattern copies all of it."""
-    while length < width:
-        bits |= bits << length
-        length *= 2
-    length = width + (-width) % q
-    return bits & ((1 << length) - 1), length
-
-
 def _merge(pats: list[tuple[int, int]]) -> list[list[int]]:
-    """Merge consecutive (modulus, pattern) pairs, each pattern repeated to
-    more than _MERGED_MAX bits, while the product Q of the moduli stays
-    within _MERGED_MAX: bit j of the AND of the members is set when bit
-    j mod q is set in each (the moduli are coprime).  Returns [Q, pattern,
-    length] lists for the block loop, the pattern cut to the largest multiple
-    of Q up to _MERGED_MAX."""
+    """Merge consecutive (modulus, pattern) pairs while the product Q of the
+    moduli stays within _MERGED_MAX: bit j of the AND of the members is set
+    when bit j mod q is set in each (the moduli are coprime).  Returns
+    [Q, pattern] lists; every member is exact over more than
+    _BLOCK + _MERGED_MAX bits, so the AND is exact over the _BLOCK + Q - 1
+    bits that a block shifted by up to Q - 1 reads."""
     merged: list[list[int]] = []
     for q, rep in pats:
         if merged and merged[-1][0] * q <= _MERGED_MAX:
             merged[-1][0] *= q
             merged[-1][1] &= rep
         else:
-            merged.append([q, rep, 0])
-    for pat in merged:
-        pat[2] = _MERGED_MAX - _MERGED_MAX % pat[0]
-        pat[1] &= (1 << pat[2]) - 1
+            merged.append([q, rep])
     return merged
 
 
@@ -143,7 +129,7 @@ def _patterns(q: int, base: int, stride: int, offsets: tuple[int, ...]) -> list[
 
 def _rotation(q: int, o: int) -> int:
     """Fill and return _ROTATIONS[q][o]: bit k is set when k*k + o is a
-    square modulo q, for every k < _MERGED_MAX + 2q."""
+    square modulo q, for every k < _BLOCK + _MERGED_MAX + 2q."""
     _ROTATIONS[q][o] = rep = _patterns(q, 0, 1, (o,))[0] * _REPUNITS[q]
     return rep
 
@@ -153,8 +139,9 @@ def _sieve_patterns(
 ) -> list[list[tuple[int, int]]]:
     """Per offset, the (q, pattern) pairs of the sieve moduli, in order, whose
     pattern (that of _patterns) does not pass every position, each pattern
-    repeated to more than _MERGED_MAX + q bits.  A unit stride reads it off
-    the rotation table; modulus 64 and the other strides build it."""
+    repeated to more than _BLOCK + _MERGED_MAX + q bits.  A unit stride
+    reads it off the rotation table; modulus 64 and the other strides build
+    it."""
     patterns: list[list[tuple[int, int]]] = [[] for _ in offsets]
     for q in _SIEVE_MODULI:
         inv = _INVERSES[q][stride % q]
@@ -206,9 +193,9 @@ def square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: i
     (see _ROTATIONS), so only modulus 64 and the moduli that share a factor
     with the stride build theirs.  Patterns are merged while their moduli
     multiply to at most _MERGED_MAX; a block of positions is the AND of the
-    merged patterns, each repeated across the block and shifted to its
-    start, and the OR of that over the offsets.  Blocks take 2^10, 2^12 and
-    2^14 positions and 2^15 from then on (_BLOCK_SIZES).
+    merged patterns, each shifted to the block's start, and the OR of that
+    over the offsets.  Every block but the last takes _BLOCK = 2^14
+    positions, and every pattern is long enough for any block.
     """
     step = _class_mod_64(base, stride, offsets)
     if step is None:
@@ -221,17 +208,14 @@ def square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: i
         for pats in _sieve_patterns(base, stride, offsets)
         if all(rep for _, rep in pats)
     ]
-    start, sizes = 0, iter(_BLOCK_SIZES)
-    while start < count and sieves:
-        n = min(next(sizes, _BLOCK_SIZES[-1]), count - start)
+    if not sieves:
+        return
+    for start in range(0, count, _BLOCK):
+        n = min(_BLOCK, count - start)
         mask = 0
         for pats in sieves:
             block = (1 << n) - 1
-            for pat in pats:
-                q, rep, length = pat
-                if length < n + q:
-                    rep, length = _repeat(rep, length, q, n + q)
-                    pat[1:] = rep, length
+            for q, rep in pats:
                 block &= rep >> (start % q)
             mask |= block
         # peel survivors off the top: the top bit costs no full-length
@@ -243,7 +227,6 @@ def square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: i
             mask ^= 1 << top
         for i in reversed(found):
             yield a + g * (start + i)
-        start += n
 
 
 def is_prime(n: int) -> bool:

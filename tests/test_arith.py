@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from factorlab import cli, fermat, residue
 from factorlab.arith import (
-    _BLOCK_SIZES,
+    _BLOCK,
     _MERGED_MAX,
     _MR_PRIMES,
     _MR_TIERS,
@@ -77,20 +76,16 @@ class TestPerfectSquare:
 
 
 def block_edges(limit: int):
-    """The positions at which square_candidates' blocks end, up to limit."""
-    edge = 0
-    for size in itertools.chain(_BLOCK_SIZES, itertools.repeat(_BLOCK_SIZES[-1])):
-        if edge >= limit:
-            return
-        edge += size
-        yield edge
+    """The positions at which square_candidates' blocks end, up to limit:
+    the multiples of _BLOCK."""
+    return range(_BLOCK, limit + _BLOCK, _BLOCK)
 
 
 def assert_sieve_patterns(base: int, stride: int, offsets: tuple[int, ...]) -> None:
     """_sieve_patterns, read off the rotation tables or built, agrees with
     _patterns for every sieve modulus: a pattern that passes every position
     is left out, and every other one is repeated to more than
-    _MERGED_MAX + q bits."""
+    _BLOCK + _MERGED_MAX + q bits, so any block reads it whole."""
     for off, pats in zip(offsets, _sieve_patterns(base, stride, offsets)):
         got = dict(pats)
         assert [q for q, _ in pats] == [q for q in _SIEVE_MODULI if q in got]
@@ -99,7 +94,7 @@ def assert_sieve_patterns(base: int, stride: int, offsets: tuple[int, ...]) -> N
             if bits == (1 << q) - 1:
                 assert q not in got
                 continue
-            width = _MERGED_MAX + q + 1
+            width = _BLOCK + _MERGED_MAX + q + 1
             want = sum(bits << k for k in range(0, width, q)) & ((1 << width) - 1)
             assert got[q] & ((1 << width) - 1) == want, (q, base, stride, off)
 
@@ -166,17 +161,49 @@ class TestSquareCandidates:
     @example(base=5478744786, stride=97, offsets=[906207720515], count=3000)
     @example(base=3337446730, stride=3, offsets=[278292735142, 331721306073], count=3000)
     @example(base=9654989331, stride=97, offsets=[667131928356], count=3000)
+    # counts that cross two or three blocks (g = 1, so the stepped index is
+    # j).  The first three end one short of, at and one past a block edge,
+    # with a survivor at their last position: strides that share most sieve
+    # moduli leave 40 to 1 750 survivors.  The last is a Landry-Pepin scan
+    # of N = 1000000007*1000000009 with m = mod2 = 210 and (c, d) = (11, 13):
+    # stride m^2, offsets -/+4cdN
+    @example(
+        base=-455104175872,
+        stride=19399380,
+        offsets=[-207119810895451636064479, -207119810899944988357909],
+        count=2 * _BLOCK - 1,
+    )
+    @example(
+        base=-340288974678,
+        stride=1203362940780,
+        offsets=[-115796534142379053119139],
+        count=2 * _BLOCK,
+    )
+    @example(
+        base=804261702860,
+        stride=1203362940780,
+        offsets=[-646836761545042109439475, -646836968117934612556615],
+        count=3 * _BLOCK + 1,
+    )
+    @example(
+        base=1906,
+        stride=210**2,
+        offsets=[-572 * 1000000016000000063, 572 * 1000000016000000063],
+        count=3 * _BLOCK + 1,
+    )
     def test_yields_exactly_the_sieve_survivors(self, base, stride, offsets, count):
         # the positions at which some offset gives a square modulo every
         # sieve modulus, and no others
-        squares = {q: {i * i % q for i in range(q)} for q in _SIEVE_MODULI}
-        want = [
-            j for j in range(count)
-            if any(
-                all(((base + stride * j) ** 2 + off) % q in sq for q, sq in squares.items())
-                for off in offsets
-            )
-        ]
+        survivors = set()
+        for off in offsets:
+            left = range(count)
+            for q in _SIEVE_MODULI:
+                squares = {i * i % q for i in range(q)}
+                # the value modulo q depends on j mod q alone
+                passes = [((base + stride * r) ** 2 + off) % q in squares for r in range(q)]
+                left = [j for j in left if passes[j % q]]
+            survivors.update(left)
+        want = sorted(survivors)
         assert list(square_candidates(base, stride, tuple(offsets), count)) == want
         step = _class_mod_64(base, stride, tuple(offsets))
         if step is not None:
@@ -249,8 +276,8 @@ class TestSquareCandidates:
 
     def test_dense_positions(self):
         # every value is a square: each position is yielded once, in order,
-        # across blocks of every length and two at the cap
-        count = sum(_BLOCK_SIZES) + _BLOCK_SIZES[-1] + 1
+        # across two full blocks and one position of a third
+        count = 2 * _BLOCK + 1
         assert list(square_candidates(7, 3, (0,), count)) == list(range(count))
 
     def test_rules_out_most_positions(self):
