@@ -27,6 +27,16 @@ re-verification) appends to the list of the attempt or scan that reached
 it.  The walk (_walk) yields each such list that is not empty, so the
 roots come out sorted.
 
+A box with P0 = c >= 1 and Q0 = d >= 1 may be cheaper to scan than to walk.
+Every root has the co-factor sum z = d*p + c*q = N + c*d (mod m^2), and
+z^2 - 4*c*d*N = (d*p - c*q)^2: Lehman's square test, the row k = c*d.  When
+the sums a root in the narrowed interval can have number at most
+_SUMS_PER_STEP times its certified steps, each is tested instead
+(_scan_sums), and the interval's roots are one list.  So it goes for
+theorem4's boxes, with m about N^(1/4) and small residues; a hint box,
+whose residues spread over [0, m), typically has hundreds of sums per step
+and is walked.
+
 Only the first attempt of the walk reduces N, f and t*f; every later
 attempt warm-starts from the previous reduced basis, shifted to its own
 centre, which keeps the determinant the certificate rests on.
@@ -367,6 +377,9 @@ def _walk(prob: BivariateProblem, stats: dict):
     retry that missed anyway has that span scanned column by column, as is
     every interval with no certified width.  A missed attempt records
     nothing, so the list is its retry's, or the span's scanned after that.
+    An interval with few co-factor sums per certified step
+    (_cofactor_sums) is not walked: its sums are scanned instead, and its
+    roots are one list.
     """
     interval = _narrow(prob)
     if interval is None:
@@ -382,24 +395,28 @@ def _walk(prob: BivariateProblem, stats: dict):
     roots: list[RootSolution] = []
     if h_c == 0:
         _scan_columns(prob, xlo, xhi, roots, stats)
-        if roots:
-            yield roots
-        return
-    s, warm, over = xlo, [], _OVERSHOOT
-    while s <= xhi:
-        h = h_c * (m * s + p_base) // plo
-        half = min(over * h, (xhi - s + 1) // 2)
-        reached = _univariate_interval(prob, lead, inv, s, half, xhi, roots, stats, warm)
-        if reached is None and over > 1:
-            over = 1  # retry from s at the certified half-width
-            continue
-        if reached is None:  # a certified attempt missed: scan its span
-            reached = s + min(2 * half, xhi - s)
-            _scan_columns(prob, s, reached, roots, stats)
-        if roots:
-            yield roots
-            roots = []
-        s, over = reached + 1, _OVERSHOOT
+    elif (sums := _cofactor_sums(prob, xlo, xhi, h_c)) is not None:
+        _scan_sums(prob, xlo, xhi, sums, roots, stats)
+    else:
+        s, warm, over = xlo, [], _OVERSHOOT
+        while s <= xhi:
+            h = h_c * (m * s + p_base) // plo
+            half = min(over * h, (xhi - s + 1) // 2)
+            reached = _univariate_interval(
+                prob, lead, inv, s, half, xhi, roots, stats, warm
+            )
+            if reached is None and over > 1:
+                over = 1  # retry from s at the certified half-width
+                continue
+            if reached is None:  # a certified attempt missed: scan its span
+                reached = s + min(2 * half, xhi - s)
+                _scan_columns(prob, s, reached, roots, stats)
+            if roots:
+                yield roots
+                roots = []
+            s, over = reached + 1, _OVERSHOOT
+    if roots:
+        yield roots
 
 
 def _scan_columns(
@@ -409,6 +426,62 @@ def _scan_columns(
     small for a certified lattice."""
     stats["column_scans"] = stats.get("column_scans", 0) + 1
     for x0 in range(xlo, xhi + 1):
+        _record(prob, x0, roots)
+
+
+# A box whose co-factor sums number at most this many times its certified
+# steps, (xhi - xlo + 1) // (2*h_c + 1), is scanned by its sums instead of
+# walked.  Microseconds per residue-t4 solve (the least of 5 runs on a
+# shared 2-core host) and the lattice attempts left, over the first 300
+# seed-1 perfbench instances, by this ratio: 0 200 / 2 841 (the same
+# attempts as with no scan), 1 99 / 870, 2 70 / 304, 3 64 / 116, 4 55 / 14,
+# 5 54 / 0.  Their boxes' ratios of sums to steps reach 4.3 there, and 4.8
+# over the first 1 000; hint-lsb's median is about 300, and its least over
+# its first 300 instances is 8.6, which a ratio of 8 would nearly reach.
+_SUMS_PER_STEP = 5
+
+
+def _cofactor_sums(prob: BivariateProblem, xlo: int, xhi: int, h_c: int) -> range | None:
+    """The co-factor sums z = d*p + c*q that a root in columns xlo..xhi can
+    have, c = P0 >= 1 and d = Q0 >= 1, when they are few enough to scan
+    (_SUMS_PER_STEP); None when the interval is cheaper to walk.
+
+    With p = m*x + c and q = m*y + d, N + c*d - z = m^2*x*y, so z = N + c*d
+    (mod m^2).  z = d*p + c*N/p is convex in p, at least 2*sqrt(c*d*N) and
+    at most its larger value at the interval's two ends, where N/p <= N//p + 1.
+    """
+    big_n, m, c, d = prob.N, prob.m, prob.P0, prob.Q0
+    if c < 1 or d < 1:
+        return None
+    step = m * m
+    z_lo = isqrt(4 * c * d * big_n)
+    plo, phi = m * xlo + c, m * xhi + c
+    z_hi = max(d * plo + c * (big_n // plo + 1), d * phi + c * (big_n // phi + 1))
+    sums = range(z_lo + (big_n + c * d - z_lo) % step, z_hi + 1, step)
+    steps = (xhi - xlo + 1) // (2 * h_c + 1)
+    return sums if len(sums) <= _SUMS_PER_STEP * steps else None
+
+
+def _scan_sums(
+    prob: BivariateProblem, xlo: int, xhi: int, sums: range,
+    roots: list[RootSolution], stats: dict,
+) -> None:
+    """Check each co-factor sum z of `sums` by Lehman's square test: at a
+    root z^2 - 4*c*d*N = (d*p - c*q)^2, so p = (z -/+ s) / (2d) for the
+    square root s, one column when s = 0.  Those in xlo..xhi go through
+    _record in ascending order."""
+    stats["sum_positions"] = stats.get("sum_positions", 0) + len(sums)
+    c, d = prob.P0, prob.Q0
+    four_cdn, two_d, two_cd = 4 * c * d * prob.N, 2 * d, 2 * c * d
+    columns = []
+    for z in sums:
+        s = is_perfect_square(z * z - four_cdn)
+        if s is not None:
+            for num in {z - s, z + s}:  # num = 2d*p = 2d*(m*x0 + c)
+                x0, r = divmod(num - two_cd, two_d * prob.m)
+                if not r and xlo <= x0 <= xhi:
+                    columns.append(x0)
+    for x0 in sorted(columns):
         _record(prob, x0, roots)
 
 
@@ -427,13 +500,17 @@ def solve_bivariate(
     has one.  Only the walk's last list can hold p = N, the interval's last
     column, and p = 1 lies in the interval only when its smallest p is 1,
     where the certified half-width is 0 and the whole interval is one
-    scanned list.  So every list but the last holds proper roots only.
+    scanned list.  So every list but the last holds proper roots only.  An
+    interval scanned by its co-factor sums is one list too: the whole
+    result.
 
     The result is exact for every box size.  stats["certified"] records
     whether the box meets Coppersmith's bound (certified_regime), which the
     splitter does not need, stats["boxes"] and stats["column_scans"] count
-    lattice attempts and column scans, and stats["lattice_dim"] is 3 once
-    an attempt covers a column.  Raises NoRoot when the box holds no such root.
+    lattice attempts and column scans, stats["sum_positions"] counts the
+    co-factor sums tested in place of a walk, and stats["lattice_dim"] is 3
+    once an attempt covers a column, so it stays unset on a box whose
+    sums were scanned.  Raises NoRoot when the box holds no such root.
     """
     if stats is None:
         stats = {}
@@ -629,9 +706,12 @@ def theorem4_driver(big_n: int, m: int, stats: dict | None = None) -> Split:
     pair_driver splits N at a pair's least root with 1 < p < N, so
     solve_bivariate, with `first`, stops each pair's walk after its first
     attempt or scanned span that records a root, which holds that root when
-    there is one; it raises NoRoot when the box holds no root at all.  stats accumulates
-    over the pairs tried, and stats["lattice_dim"] stays unset when no
-    attempt covered a column: on tiny N the column scan covers them all.
+    there is one; it raises NoRoot when the box holds no root at all.  With
+    m about N^(1/4) and residues below 8 the boxes have few co-factor sums
+    per certified step and are scanned by those sums, not walked.  stats
+    accumulates over the pairs tried, and stats["lattice_dim"] stays unset
+    when no attempt covered a column: on tiny N the column scan covers them
+    all, and on such boxes the sum scan does.
     """
 
     def solve(pair: ResiduePair) -> list[int]:

@@ -407,12 +407,15 @@ class TestWarmStartedSplitter:
     )
     @settings(max_examples=70, deadline=None)
     def test_root_sets_match_box_oracle(self, case, bits, width, seed):
+        # every box is walked: a residue box may have few enough co-factor
+        # sums to be scanned instead (TestSumScan covers that path)
         prob = self._box(case, bits, width, random.Random(seed))
         stats = {}
-        try:
-            got = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, stats)]
-        except NoRoot:
-            got = []
+        with mock.patch.object(coppersmith, "_SUMS_PER_STEP", 0):
+            try:
+                got = [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, stats)]
+            except NoRoot:
+                got = []
         assert got == box_oracle(prob)
         assert stats["certified"] == certified_regime(prob)
         assert stats.get("column_scans", 0) == 0, stats
@@ -744,6 +747,123 @@ class TestWarmStartedSplitter:
                 assert (g0 - g1 * a_new + g2 * a_new * a_new) % n == 0
 
 
+class TestSumScan:
+    """Residue boxes with few co-factor sums z = d*p + c*q per certified
+    step, which the splitter scans by those sums instead of walking: the
+    box scan's roots, in full and under `first`."""
+
+    @staticmethod
+    def _prime(rng: random.Random, res: int, m: int, lo: int, hi: int) -> int | None:
+        """A prime p = res (mod m) with lo < p <= hi roughly, or None."""
+        for _ in range(200):
+            p = m * rng.randrange(lo // m + 1, hi // m + 1) + res
+            if is_prime(p):
+                return p
+        return None
+
+    @classmethod
+    def _box(cls, case: str, rng: random.Random) -> BivariateProblem | None:
+        """A box of the case's shape, which the selection may or may not
+        scan, or None when the draw failed."""
+        if case == "shared":
+            # N = f*p*q with f | m and f | P0: m is not invertible mod N,
+            # and m is small enough for a certified width
+            bits, f = rng.randrange(32, 49), rng.choice([2, 3])
+            m1 = rng.randrange(1 << (bits // 4 - 6), 1 << (bits // 4 - 5))
+            k, d = rng.randrange(1, 4), rng.randrange(1, 8)
+            if gcd(k, m1) > 1 or gcd(d, f * m1) > 1:
+                return None
+            p = cls._prime(rng, k, m1, 1 << (bits // 2 - 1), 1 << (bits // 2))
+            q = cls._prime(rng, d, f * m1, 1 << (bits // 2 - 1), 1 << (bits // 2))
+            if p is None or q is None:
+                return None
+            n, m, pair = f * p * q, f * m1, (f * k, d)
+        else:
+            # theorem4's shape, m about N^(1/4) and residues below 8.  A
+            # second-lift pair (1, r + m) has about (2*h_c + 1)*d/m >= 3
+            # sums per step, few enough only where h_c = 1: at 14-19 bits
+            bits = rng.randrange(14, 20) if case == "second-lift" else rng.randrange(20, 49)
+            m = rng.randrange(1 << (bits // 4 - 1), 1 << (bits // 4 + 1))
+            c = 1 if case == "second-lift" else rng.randrange(1, 8)
+            d = c if case in ("square", "ends") else rng.randrange(1, 8)
+            if gcd(c * d, m) > 1 or c * d >= 2 * m:
+                return None
+            lo, hi = 1 << (bits // 2 - 1), 1 << (bits // 2)
+            p = cls._prime(rng, c, m, lo, hi)
+            q = p if case == "square" or p is None else cls._prime(rng, d, m, p, 2 * p)
+            if q is None or (case == "ends" and q == p):
+                return None
+            n = p * q
+            if case == "ends":  # the roots p and q are the interval's ends
+                x = (q - c) // m
+                return BivariateProblem(N=n, P0=c, Q0=c, X=x, Y=x, m=m)
+            pairs = [(pr.c, pr.d) for pr in theorem4_pairs(n, m)]
+            if case == "second-lift":
+                pairs = [pr for pr in pairs if pr[1] >= m]
+            if case == "square":
+                pairs = [(c, c)] if (c, c) in pairs else []
+            if not pairs:
+                return None
+            pair = rng.choice(pairs)
+        bound = 3 * isqrt(n) // (2 * m) + 2
+        return BivariateProblem(N=n, P0=pair[0], Q0=pair[1], X=bound, Y=bound, m=m)
+
+    @given(
+        case=st.sampled_from(["t4", "second-lift", "shared", "square", "ends"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_root_sets_match_box_oracle(self, case, seed):
+        def solve(prob, stats, first):
+            try:
+                return [(s.x0, s.y0, s.p, s.q) for s in solve_bivariate(prob, stats, first=first)]
+            except NoRoot:
+                return []
+
+        rng = random.Random(seed)
+        for _ in range(100):  # draw until the selection scans the box
+            prob, stats = self._box(case, rng), {}
+            if prob is not None:
+                got = solve(prob, stats, False)
+                if "sum_positions" in stats:
+                    break
+        else:
+            pytest.fail(f"no {case} box was scanned")
+        assert "boxes" not in stats and "column_scans" not in stats, stats
+        assert "lattice_dim" not in stats
+        want = box_oracle(prob)
+        first_stats = {}
+        assert got == want
+        assert solve(prob, first_stats, True) == want and first_stats == stats
+        n, m, c, d = prob.N, prob.m, prob.P0, prob.Q0
+        if case == "t4":
+            assert c * d < 2 * m and (n - c * d) % m == 0
+        if case == "second-lift":
+            assert d >= m and c * d == n % m + m
+        if case == "shared":
+            assert gcd(m, n) > 1
+        if case == "square":  # s = 0 at p = q: one root, not two
+            assert [r[2] for r in got].count(isqrt(n)) == 1
+        if case == "ends":
+            assert [r[0] for r in (got[0], got[-1])] == list(_narrow(prob))
+
+    def test_counts_on_the_perfbench_prefixes(self):
+        # theorem4's boxes on the first 100 seed-1 residue-t4 instances are
+        # all scanned by their sums, and hint-lsb's first 300 all walked,
+        # with the lattice attempts they made before the scan existed
+        workloads = perfbench_workloads()
+        t4, lsb = {}, {}
+        instances = workloads.Instances("residue-t4", 1)
+        for i in range(100):
+            theorem4_driver(instances[i].n, instances[i].fields["mod"], t4)
+        instances = workloads.Instances("hint-lsb", 1)
+        for i in range(300):
+            f = instances[i].fields
+            solve_lsb_known(instances[i].n, f["lsb_value"], f["lsb_bits"], lsb)
+        assert (t4["sum_positions"], t4.get("boxes", 0)) == (4196, 0)
+        assert (lsb.get("sum_positions", 0), lsb["boxes"]) == (0, 2966)
+
+
 class TestReach:
     """How far a reduced polynomial vouches for its columns."""
 
@@ -913,6 +1033,8 @@ class TestAttemptWork:
 
         with monkeypatch.context() as patch:
             patch.setattr(coppersmith, "lll_rows", recording)
+            # theorem4's boxes are walked, not scanned by their co-factor sums
+            patch.setattr(coppersmith, "_SUMS_PER_STEP", 0)
             if reference:
                 patch.setattr(lattice, "_lll3", reference_lll3)
                 patch.setattr(coppersmith, "_univariate_interval", reference_univariate_interval)
@@ -1588,10 +1710,12 @@ class TestTheorem4Driver:
         report = self._report(n, m)
         assert (report.outcome, report.factors) == ("factored", factors)
 
-    def test_first_proper_divisor_ends_the_walk(self):
-        # the first 100 seed-1 residue-t4 instances of perfbench: the same
-        # reports as the full walk, in fewer attempts (976 against 1 085
-        # when written)
+    def test_first_proper_divisor_ends_the_walk(self, monkeypatch):
+        # the first 100 seed-1 residue-t4 instances of perfbench, every box
+        # walked rather than scanned by its co-factor sums: the same reports
+        # as the full walk, in fewer attempts (976 against 1 085 when
+        # written)
+        monkeypatch.setattr(coppersmith, "_SUMS_PER_STEP", 0)
         instances = perfbench_workloads().Instances("residue-t4", 1)
         boxes, full_boxes = {}, {}
         for i in range(100):
@@ -1655,7 +1779,9 @@ class TestEnvelope:
 
     def test_every_basis_coppersmith_reduces_has_three_rows(self, monkeypatch):
         # the splitter's dim-3 attempt is the only lattice: no solve and not
-        # the envelope builds a basis of any other size
+        # the envelope builds a basis of any other size.  Every box is
+        # walked, so theorem4's boxes reduce lattices too.
+        monkeypatch.setattr(coppersmith, "_SUMS_PER_STEP", 0)
         dims = []
         real = coppersmith.lll_rows
 
