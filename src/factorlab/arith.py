@@ -31,8 +31,10 @@ _SQUARES_MOD_63 = frozenset((i * i) % 63 for i in range(63))
 # b"1" when r is a square modulo q.  Each prime halves the positions left; on
 # scans of 1e5-1e6 positions these 16 moduli leave one is_perfect_square call
 # per about 207 000 positions on the standard scan, 45 000 on the ratio scan
-# and 5 800 on Landry-Pepin (two offsets, two discriminants per survivor), and
-# more moduli cost more per block than they save in tests.
+# and 6 900 on Landry-Pepin (two offsets, two discriminants per survivor, and
+# one parity of t sieved when N and the modulus are odd; first 90 seed-1
+# perfbench instances), and more moduli cost more per block than they save
+# in tests.
 _SIEVE_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _SIEVE_SQUARES = {q: bytes(i * i % q for i in range(q)) for q in _SIEVE_MODULI}
 _SIEVE_FLAGS = {
@@ -49,11 +51,12 @@ _BLOCK = 1 << 14
 # modulo q, with c = b/s and o' = o/s**2; the unit square s*s maps squares
 # onto squares, so the pattern of (b, s, o) is the pattern of j**2 + o'
 # shifted right by c.  _ROTATIONS[q][o'] holds that pattern repeated to
-# _BLOCK + _MERGED_MAX + 2q bits (0 until a scan first needs it), so after
-# the shift by c < q it still covers a block read at any shift below the
-# merged period; _INVERSES[q][s % q] holds 1/s modulo q (0 where s is no
-# unit, and for 64, whose patterns are always built), and _REPUNITS[q] * bits
-# repeats a q-bit pattern as far.
+# _BLOCK + _MERGED_MAX + 2q bits (0 until a scan first needs it).  A scan
+# takes it unshifted, with c, and its merged group reads it at a shift
+# below the merged period (see _merge), so it covers any block read; no
+# scan makes a shifted copy.  _INVERSES[q][s % q] holds 1/s modulo q (0
+# where s is no unit, and for 64, whose patterns are always built), and
+# _REPUNITS[q] * bits repeats a q-bit pattern as far.
 _REPUNITS = {
     q: ((1 << q * -(-(_BLOCK + _MERGED_MAX + 2 * q) // q)) - 1) // ((1 << q) - 1)
     for q in _SIEVE_MODULI
@@ -95,20 +98,24 @@ def is_perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def _merge(pats: list[tuple[int, int]]) -> list[list[int]]:
-    """Merge consecutive (modulus, pattern) pairs while the product Q of the
-    moduli stays within _MERGED_MAX: bit j of the AND of the members is set
-    when bit j mod q is set in each (the moduli are coprime).  Returns
-    [Q, pattern] lists; every member is exact over more than
+def _merge(pats: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Merge consecutive (modulus, pattern, shift) triples while the product
+    Q of the moduli stays within _MERGED_MAX.  Each member is read as
+    pattern >> ((start + shift) % q); the merged pattern is the AND of the
+    members as they are, unshifted, with one shift C = shift (mod q) for
+    each member q (by the CRT: the moduli are coprime), so reading it as
+    pattern >> ((start + C) % Q) reads the AND of the members' reads.
+    Returns (Q, pattern, C) triples; every member is exact over more than
     _BLOCK + _MERGED_MAX bits, so the AND is exact over the _BLOCK + Q - 1
-    bits that a block shifted by up to Q - 1 reads."""
-    merged: list[list[int]] = []
-    for q, rep in pats:
+    bits that a block read at up to Q - 1 takes.  A member after a group's
+    first is never 64, the first modulus, so _INVERSES holds 1/Q mod q."""
+    merged: list[tuple[int, int, int]] = []
+    for q, rep, c in pats:
         if merged and merged[-1][0] * q <= _MERGED_MAX:
-            merged[-1][0] *= q
-            merged[-1][1] &= rep
-        else:
-            merged.append([q, rep])
+            big_q, big_rep, big_c = merged.pop()
+            c = big_c + big_q * ((c - big_c) * _INVERSES[q][big_q % q] % q)
+            q, rep = big_q * q, big_rep & rep
+        merged.append((q, rep, c))
     return merged
 
 
@@ -136,13 +143,14 @@ def _rotation(q: int, o: int) -> int:
 
 def _sieve_patterns(
     base: int, stride: int, offsets: tuple[int, ...]
-) -> list[list[tuple[int, int]]]:
-    """Per offset, the (q, pattern) pairs of the sieve moduli, in order, whose
-    pattern (that of _patterns) does not pass every position, each pattern
-    repeated to more than _BLOCK + _MERGED_MAX + q bits.  A unit stride
-    reads it off the rotation table; modulus 64 and the other strides build
-    it."""
-    patterns: list[list[tuple[int, int]]] = [[] for _ in offsets]
+) -> list[list[tuple[int, int, int]]]:
+    """Per offset, the (q, pattern, shift) triples of the sieve moduli, in
+    order, whose pattern (that of _patterns, read as pattern >> shift) does
+    not pass every position, each pattern repeated to at least
+    _BLOCK + _MERGED_MAX + 2q bits.  A unit stride hands over the rotation
+    table entry unshifted, with its shift c < q; modulus 64 and the other
+    strides build the pattern, with shift 0."""
+    patterns: list[list[tuple[int, int, int]]] = [[] for _ in offsets]
     for q in _SIEVE_MODULI:
         inv = _INVERSES[q][stride % q]
         if inv:
@@ -152,11 +160,11 @@ def _sieve_patterns(
                 # o' = 0 leaves j**2 + o', a square, at every position; no
                 # other entry passes every position or is 0
                 if o:
-                    pats.append((q, (rows[o] or _rotation(q, o)) >> c))
+                    pats.append((q, rows[o] or _rotation(q, o), c))
         else:
             for bits, pats in zip(_patterns(q, base, stride, offsets), patterns):
                 if bits != (1 << q) - 1:
-                    pats.append((q, bits * _REPUNITS[q]))
+                    pats.append((q, bits * _REPUNITS[q], 0))
     return patterns
 
 
@@ -189,13 +197,16 @@ def square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: i
     two up to 64 (g = 4 or 8 on a scan of x**2 - 4N for odd N), so the sieve
     runs over i with j = a + g*i alone.  Per offset and modulus q, a q-bit
     pattern marks the positions i mod q that pass.  Where the stride is a
-    unit modulo q, the pattern is a rotation table entry shifted into place
-    (see _ROTATIONS), so only modulus 64 and the moduli that share a factor
-    with the stride build theirs.  Patterns are merged while their moduli
-    multiply to at most _MERGED_MAX; a block of positions is the AND of the
-    merged patterns, each shifted to the block's start, and the OR of that
-    over the offsets.  Every block but the last takes _BLOCK = 2^14
-    positions, and every pattern is long enough for any block.
+    unit modulo q, the pattern is a rotation table entry, taken unshifted
+    with its shift c (see _ROTATIONS), so only modulus 64 and the moduli
+    that share a factor with the stride build theirs.  Patterns are merged,
+    unshifted, while their moduli multiply to Q <= _MERGED_MAX, with one
+    CRT shift C per group (see _merge); a block of positions from start
+    is the AND of the merged patterns, each read from (start + C) % Q, and
+    the OR of that over the offsets, cut to the block by one all-ones mask
+    that is built once per scan (twice when the last block is short).
+    Every block but the last takes _BLOCK = 2^14 positions, and every
+    pattern is long enough for any block, so set-up shifts no pattern.
     """
     step = _class_mod_64(base, stride, offsets)
     if step is None:
@@ -206,17 +217,18 @@ def square_candidates(base: int, stride: int, offsets: tuple[int, ...], count: i
     sieves = [
         _merge(pats)
         for pats in _sieve_patterns(base, stride, offsets)
-        if all(rep for _, rep in pats)
+        if all(rep for _, rep, _ in pats)
     ]
     if not sieves:
         return
+    full = (1 << _BLOCK) - 1
     for start in range(0, count, _BLOCK):
-        n = min(_BLOCK, count - start)
+        ones = full if count - start >= _BLOCK else (1 << count - start) - 1
         mask = 0
         for pats in sieves:
-            block = (1 << n) - 1
-            for q, rep in pats:
-                block &= rep >> (start % q)
+            block = ones
+            for q, rep, shift in pats:
+                block &= rep >> (start + shift) % q
             mask |= block
         # peel survivors off the top: the top bit costs no full-length
         # negation and AND, as the lowest one would

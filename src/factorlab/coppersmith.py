@@ -449,17 +449,22 @@ def _cofactor_sums(prob: BivariateProblem, xlo: int, xhi: int, h_c: int) -> rang
     With p = m*x + c and q = m*y + d, N + c*d - z = m^2*x*y, so z = N + c*d
     (mod m^2).  z = d*p + c*N/p is convex in p, at least 2*sqrt(c*d*N) and
     at most its larger value at the interval's two ends, where N/p <= N//p + 1.
+    isqrt(4*c*d*N) lies below both ends' values, so the sums number at
+    least (z_hi - the smaller end) // m^2, and a box with more than its
+    share by that count alone is rejected before the isqrt.
     """
     big_n, m, c, d = prob.N, prob.m, prob.P0, prob.Q0
     if c < 1 or d < 1:
         return None
-    step = m * m
-    z_lo = isqrt(4 * c * d * big_n)
+    step, most = m * m, _SUMS_PER_STEP * ((xhi - xlo + 1) // (2 * h_c + 1))
     plo, phi = m * xlo + c, m * xhi + c
-    z_hi = max(d * plo + c * (big_n // plo + 1), d * phi + c * (big_n // phi + 1))
+    ends = (d * plo + c * (big_n // plo + 1), d * phi + c * (big_n // phi + 1))
+    z_hi = max(ends)
+    if (z_hi - min(ends)) // step > most:
+        return None
+    z_lo = isqrt(4 * c * d * big_n)
     sums = range(z_lo + (big_n + c * d - z_lo) % step, z_hi + 1, step)
-    steps = (xhi - xlo + 1) // (2 * h_c + 1)
-    return sums if len(sums) <= _SUMS_PER_STEP * steps else None
+    return sums if len(sums) <= most else None
 
 
 def _scan_sums(

@@ -119,6 +119,14 @@ def landry_pepin(
     square and p appears as a rational root of d*X^2 - z*X + c*n.  Both
     discriminant signs and all four root sign combinations are tried, at the
     t that square_candidates lets through.
+
+    For odd n only one parity of z can succeed.  A root X of one of the four
+    quadratics d*X^2 -/+ z*X +/- c*n that divides n is odd, and so is n/X;
+    dividing the quadratic by X gives z = +/-(d*X +/- c*n/X), so
+    z = c + d (mod 2).  When m*mod2 is odd, z alternates parity with t, and
+    only the t = c + d - z0 (mod 2) are scanned, at stride 2*m*mod2.  When
+    m*mod2 is even, gcd(c, m) = gcd(d, mod2) = 1 makes c or d odd, and then
+    z0 = n + c*d = c + d (mod 2) at every t already.
     """
     if n < 2:
         raise ValueError("N must be >= 2")
@@ -133,8 +141,10 @@ def landry_pepin(
     z0 = (n + c * d) % mn
     four_cdn = 4 * c * d * n
     two_d = 2 * d
-    for t in square_candidates(z0, mn, (-four_cdn, four_cdn), t_bound + 1):
-        z = z0 + mn * t
+    t0, step = ((c + d - z0) % 2, 2) if n & mn & 1 else (0, 1)
+    count = (t_bound - t0) // step + 1
+    for u in square_candidates(z0 + mn * t0, mn * step, (-four_cdn, four_cdn), count):
+        z = z0 + mn * (t0 + step * u)
         zz = z * z
         for disc in (zz - four_cdn, zz + four_cdn):
             if disc < 0:

@@ -14,8 +14,10 @@ from factorlab.arith import (
     _MERGED_MAX,
     _MR_PRIMES,
     _MR_TIERS,
+    _REPUNITS,
     _SIEVE_MODULI,
     _class_mod_64,
+    _merge,
     _patterns,
     _sieve_patterns,
     Split,
@@ -84,19 +86,22 @@ def block_edges(limit: int):
 def assert_sieve_patterns(base: int, stride: int, offsets: tuple[int, ...]) -> None:
     """_sieve_patterns, read off the rotation tables or built, agrees with
     _patterns for every sieve modulus: a pattern that passes every position
-    is left out, and every other one is repeated to more than
-    _BLOCK + _MERGED_MAX + q bits, so any block reads it whole."""
+    is left out, and every other one, read as pattern >> shift with
+    0 <= shift < q, is repeated to more than _BLOCK + _MERGED_MAX + q bits,
+    so any block reads it whole."""
     for off, pats in zip(offsets, _sieve_patterns(base, stride, offsets)):
-        got = dict(pats)
-        assert [q for q, _ in pats] == [q for q in _SIEVE_MODULI if q in got]
+        got = {q: (rep, shift) for q, rep, shift in pats}
+        assert [q for q, _, _ in pats] == [q for q in _SIEVE_MODULI if q in got]
         for q in _SIEVE_MODULI:
             (bits,) = _patterns(q, base, stride, (off,))
             if bits == (1 << q) - 1:
                 assert q not in got
                 continue
+            rep, shift = got[q]
+            assert 0 <= shift < q
             width = _BLOCK + _MERGED_MAX + q + 1
             want = sum(bits << k for k in range(0, width, q)) & ((1 << width) - 1)
-            assert got[q] & ((1 << width) - 1) == want, (q, base, stride, off)
+            assert (rep >> shift) & ((1 << width) - 1) == want, (q, base, stride, off)
 
 
 class TestSievePatterns:
@@ -118,6 +123,51 @@ class TestSievePatterns:
     @example(base=31, stride=3000**2, offsets=[0, 1])
     def test_matches_the_built_patterns(self, base, stride, offsets):
         assert_sieve_patterns(base, stride, tuple(offsets))
+
+
+class TestMerge:
+    @given(
+        members=st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+            min_size=len(_SIEVE_MODULI),
+            max_size=len(_SIEVE_MODULI),
+        ),
+        keep=st.lists(st.booleans(), min_size=len(_SIEVE_MODULI), max_size=len(_SIEVE_MODULI)),
+        starts=st.lists(st.integers(min_value=0, max_value=10**7), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200)
+    def test_merged_read_is_the_and_of_the_member_reads(self, members, keep, starts):
+        # random q-bit patterns and shifts for a random subset of the sieve
+        # moduli, in sieve order: read from (start + C) % Q, the merged
+        # patterns AND to what the members AND to read from (start + c) % q
+        pats = [
+            (q, bits % (1 << q) * _REPUNITS[q], shift % q)
+            for q, (bits, shift), kept in zip(_SIEVE_MODULI, members, keep)
+            if kept
+        ]
+        merged = _merge([tuple(pat) for pat in pats])
+        product = 1
+        for q, _, _ in pats:
+            product *= q
+        for big_q, _, big_c in merged:
+            assert 0 <= big_c < big_q
+            product //= big_q
+        assert product == 1
+        ones = (1 << _BLOCK) - 1
+        for start in starts:
+            want = got = ones
+            for q, rep, shift in pats:
+                want &= rep >> (start + shift) % q
+            for big_q, rep, big_c in merged:
+                got &= rep >> (start + big_c) % big_q
+            assert got == want, start
+
+    def test_groups_stay_within_the_merged_max(self):
+        # every modulus passes nothing at its one zero bit: 7 groups of 16
+        pats = [(q, ((1 << q) - 2) * _REPUNITS[q], q - 1) for q in _SIEVE_MODULI]
+        merged = _merge(pats)
+        assert len(merged) == 7
+        assert all(big_q <= _MERGED_MAX for big_q, _, _ in merged)
 
 
 class TestSquareCandidates:

@@ -7,7 +7,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from factorlab import residue
-from factorlab.arith import Split, is_perfect_square, is_prime, isqrt, next_prime, random_prime
+from factorlab.arith import (
+    Split,
+    is_perfect_square,
+    is_prime,
+    isqrt,
+    next_prime,
+    random_prime,
+    square_candidates,
+)
 from factorlab.coppersmith import theorem4_driver
 from factorlab.errors import Exhausted, GcdFactorFound
 from factorlab.residue import (
@@ -206,6 +214,74 @@ class TestLandryPepin:
             assert got == (ValueError, "d must be nonzero")
         else:
             assert got == outcome(reference_landry_pepin, n, m, mod2, c, d, t_bound)
+
+    @given(
+        a=st.integers(min_value=1, max_value=200).map(lambda k: 2 * k + 1),
+        b=st.integers(min_value=1, max_value=200).map(lambda k: 2 * k + 1),
+        m=st.integers(min_value=0, max_value=39).map(lambda k: 2 * k + 1),
+        mod2=st.integers(min_value=0, max_value=39).map(lambda k: 2 * k + 1),
+        planted=st.booleans(),
+        c=st.integers(min_value=-300, max_value=300),
+        d=st.integers(min_value=-300, max_value=300),
+        t_bound=st.integers(min_value=0, max_value=3000),
+    )
+    @settings(max_examples=300)
+    # hits at an even t (8) and at an odd t (13), as the CI package job runs
+    @example(a=101, b=107, m=13, mod2=13, planted=True, c=0, d=0, t_bound=8)
+    @example(a=1009, b=1013, m=21, mod2=21, planted=True, c=0, d=0, t_bound=13)
+    # c = 0 with m = 1, and a negative d (107 = 13*9 - 10)
+    @example(a=101, b=107, m=1, mod2=13, planted=True, c=0, d=0, t_bound=3000)
+    @example(a=101, b=107, m=13, mod2=13, planted=True, c=0, d=-1, t_bound=3000)
+    def test_odd_n_scan_matches_reference(self, a, b, m, mod2, planted, c, d, t_bound):
+        # odd n and odd m*mod2: only the t with z = c + d (mod 2) are
+        # scanned, and the result is the unsieved scan's over every t
+        n = a * b
+        if planted:  # a divisor pair's residues, d negative when d < 0 was drawn
+            c, d = a % m, b % mod2 - (mod2 if d < 0 else 0)
+        assume(gcd(c, m) == 1 and gcd(d, mod2) == 1 and d != 0)
+        assert outcome(landry_pepin, n, m, mod2, c, d, t_bound) == outcome(
+            reference_landry_pepin, n, m, mod2, c, d, t_bound
+        )
+
+    @pytest.mark.parametrize(
+        "p, q, mod, c, d, t",
+        [(101, 107, 13, 10, 3, 8), (1009, 1013, 21, 1, 5, 13)],
+    )
+    def test_hits_in_either_parity_class(self, p, q, mod, c, d, t):
+        # z = d*p + c*q at an even and at an odd t, each the first hit
+        n = p * q
+        assert (d * p + c * q - (n + c * d) % mod**2) // mod**2 == t
+        assert landry_pepin(n, mod, mod, c, d, t) == Split(p, q)
+        with pytest.raises(Exhausted):
+            landry_pepin(n, mod, mod, c, d, t - 1)
+
+    @pytest.mark.parametrize(
+        "n, m, mod2, c, d, step",
+        [
+            (10807, 13, 13, 10, 3, 2),  # odd N, odd m*mod2: one parity class
+            (10807, 13, 7, 1, 3, 2),
+            (10807, 10, 10, 1, 7, 1),  # odd N, even m*mod2: z0 = c + d already
+            (10807, 13, 10, 10, 7, 1),
+            (292248, 25, 25, 27, 36, 1),  # even N: no parity rule
+            (292248, 25, 25, 2, 11, 1),
+        ],
+    )
+    def test_sieved_stride(self, n, m, mod2, c, d, step):
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return square_candidates(*args)
+
+        with mock.patch.object(residue, "square_candidates", recorded):
+            outcome(landry_pepin, n, m, mod2, c, d, 50)
+        ((base, stride, _, count),) = calls
+        assert stride == step * m * mod2
+        # the t scanned are t0, t0 + step, ... up to t_bound = 50
+        t0, r = divmod(base - (n + c * d) % (m * mod2), m * mod2)
+        assert r == 0 and t0 < step and count == (50 - t0) // step + 1
+        if step == 2:
+            assert (base - c - d) % 2 == 0
 
     @given(
         p=st.integers(min_value=2, max_value=3000),
